@@ -26,7 +26,6 @@ from .finite_models import (
     generalization_bound,
     layer_norms,
     mollify,
-    point_mass_network,
     sample_parameters,
     smooth_convolve,
 )
@@ -63,7 +62,7 @@ from .profiles import (
     tanh_profile,
 )
 from .reporting import write_csv, write_json, write_matrix_csv, write_pgm
-from .transforms import forward_s, make_operator, ridgelet, ridgelet_fourier
+from .transforms import _neuron_sum, forward_s, make_operator, ridgelet, ridgelet_fourier
 
 EXPERIMENTS = ("appendix-c", "spectrum", "reconstruct", "admissibility", "decompose",
                "encode-series", "finite-model", "lazy", "bound")
@@ -179,13 +178,7 @@ def _mc_forward_curve(field: ParamDistribution, sigma: Profile1D, x: np.ndarray,
         field.grid.lower[1] + (field.grid.upper[1] - field.grid.lower[1]) * rng.random(n_samples),
     ])
     gvals = interpolate(field, pts) * (field.grid.volume / n_samples)
-    out = np.zeros(len(x), dtype=complex)
-    chunk = max(1, (1 << 22) // n_samples)
-    for start in range(0, len(x), chunk):
-        xs = x[start:start + chunk]
-        arg = pts[:, :1] @ xs[None, :] - pts[:, 1:2]
-        out[start:start + chunk] = gvals @ np.asarray(sigma.real_eval(arg))
-    return out
+    return _neuron_sum(pts[:, :1], pts[:, 1], gvals, x[:, None], sigma.real_eval)
 
 
 def _box_gain(sigma: Profile1D, rho: Profile1D, xi0: float, a_half: float,

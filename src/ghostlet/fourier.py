@@ -100,16 +100,6 @@ def flat(phi_sharp: SpectralFunction, b_grid: Grid) -> SampledFunction:
     return fourier_inverse(phi_sharp, b_grid)
 
 
-def fourier_at(u: SampledFunction, xi: np.ndarray) -> np.ndarray:
-    """f̂ evaluated at arbitrary frequency points (1-D input only)."""
-    if u.grid.dim != 1:
-        raise DomainError("fourier_at supports 1-D inputs")
-    x = u.grid.axis(0)
-    w = u.grid.axis_weights(0)
-    xi = np.asarray(xi, dtype=float)
-    return np.exp(-1j * xi[..., None] * x) @ (w * u.values)
-
-
 def partial_sharp_b(gamma: ParamDistribution, omega_grid: Grid) -> SpectralFunction:
     """1-D transform along the trailing b axis for each fixed a row:
     γ♯(a, ω) = ∫ γ(a, b) e^{-iωb} db."""

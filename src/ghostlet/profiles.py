@@ -55,6 +55,10 @@ class Profile1D:
 
     Carries a real-domain evaluator and/or an analytic/interpolated spectral
     evaluator ω ↦ profile♯(ω). At least one must be present.
+
+    The real-domain evaluators of real profiles (tanh, ReLU, Gaussian,
+    gauss_d<k>) return float arrays, so kernel sums over them stay real;
+    `real_values` always returns complex.
     """
 
     name: str
@@ -82,7 +86,8 @@ class Profile1D:
 
     def scaled(self, c: complex, name: str | None = None) -> "Profile1D":
         c = complex(c)
-        re = None if self.real_eval is None else (lambda b, f=self.real_eval: c * np.asarray(f(b)))
+        k = c.real if c.imag == 0.0 else c  # a real scale keeps a real evaluator real
+        re = None if self.real_eval is None else (lambda b, f=self.real_eval: k * np.asarray(f(b)))
         sp = None if self.spectral_eval is None else (
             lambda w, f=self.spectral_eval: c * np.asarray(f(w)))
         return Profile1D(name or f"{c:g}*{self.name}", re, sp, self.parity, self.orders,
@@ -202,7 +207,7 @@ def tanh_profile() -> Profile1D:
         return -1j * np.pi / np.sinh(np.pi * w / 2.0)
 
     return Profile1D(
-        name="tanh", real_eval=lambda b: np.tanh(np.asarray(b, dtype=float)) + 0.0j,
+        name="tanh", real_eval=lambda b: np.tanh(np.asarray(b, dtype=float)),
         spectral_eval=spec, parity=PARITY_ODD,
         notes="spectrum −iπ/sinh(πω/2); not square-integrable under the |ω|^{-m} weight",
     )
@@ -211,7 +216,7 @@ def tanh_profile() -> Profile1D:
 def relu_profile() -> Profile1D:
     return Profile1D(
         name="relu",
-        real_eval=lambda b: np.maximum(np.asarray(b, dtype=float), 0.0) + 0.0j,
+        real_eval=lambda b: np.maximum(np.asarray(b, dtype=float), 0.0),
         parity=PARITY_NONE,
         orders=SobolevOrders(t=2.0, s=0.0),
         notes="real evaluator only; spectrum is distributional, pairings must reject it",
@@ -220,7 +225,7 @@ def relu_profile() -> Profile1D:
 
 def gaussian_profile(width: float = 1.0, center: float = 0.0) -> Profile1D:
     def real(b):
-        return np.exp(-((np.asarray(b, dtype=float) - center) ** 2) / (2.0 * width ** 2)) + 0.0j
+        return np.exp(-((np.asarray(b, dtype=float) - center) ** 2) / (2.0 * width ** 2))
 
     def spec(w):
         w = np.asarray(w, dtype=float)
@@ -239,7 +244,7 @@ def gaussian_derivative_profile(k: int = 1) -> Profile1D:
 
     def real(b, k=k):
         b = np.asarray(b, dtype=float)
-        return (-1.0) ** k * hermite_e.hermeval(b, coeffs) * np.exp(-(b ** 2) / 2.0) + 0.0j
+        return (-1.0) ** k * hermite_e.hermeval(b, coeffs) * np.exp(-(b ** 2) / 2.0)
 
     def spec(w, k=k):
         w = np.asarray(w, dtype=float)

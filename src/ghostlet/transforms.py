@@ -15,20 +15,19 @@ zero outside the box).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fourier import (
     SobolevOrders,
     bracket,
-    fourier_at,
     fourier_forward,
     fourier_inverse,
     fractional_bracket,
     partial_flat_b,
     partial_sharp_b,
-    wh_norm,
 )
 from .grids import (
     DomainError,
@@ -40,8 +39,6 @@ from .grids import (
     SpectralFunction,
     UnsupportedProfileError,
     interpolate,
-    l2_inner,
-    l2_norm,
     uniform_points,
     weighted_omega_norm,
 )
@@ -100,6 +97,18 @@ class NetworkOperator:
     def is_normalized(self) -> bool:
         return self.norm_constant is not None and abs(self.norm_constant - 1.0) < 1e-6
 
+    @cached_property
+    def kernel(self) -> np.ndarray | None:
+        """σ(a·x − b) as a (parameter node, input node) matrix, built on first
+        use and kept, for trapezoid operators with at most `_CHUNK` entries;
+        None otherwise (`forward_s` then streams the kernel in chunks)."""
+        if (self.scheme.kind == MONTE_CARLO or self.sigma.real_eval is None
+                or self.param_grid.total_points * self.input_grid.total_points > _CHUNK):
+            return None
+        pts = self.param_grid.points()
+        return _kernel_matrix(pts[:, :-1], pts[:, -1], self.input_grid.points(),
+                              self.sigma.real_eval)
+
 
 def make_operator(sigma: Profile1D, param_grid: Grid, input_grid: Grid,
                   scheme: QuadratureScheme = QuadratureScheme(),
@@ -134,11 +143,44 @@ def make_operator(sigma: Profile1D, param_grid: Grid, input_grid: Grid,
                            omega_grid=omega_grid)
 
 
-_CHUNK = 1 << 22  # kernel-evaluation entries per chunk, keeps peak memory ~128 MB
+# Kernel-evaluation entries per streamed chunk (peak memory ~128 MB). A
+# trapezoid operator whose σ(a·x − b) matrix has at most _CHUNK entries keeps
+# it (`NetworkOperator.kernel`): one streamed chunk already holds that much,
+# so keeping it costs no more memory than one streamed call, and each later
+# forward_s is one GEMM. Larger operators stream on every call.
+_CHUNK = 1 << 22
+# Entries per evaluator call while a kept kernel is built, so the evaluator's
+# temporaries stay small next to the kernel itself.
+_KERNEL_BLOCK = 1 << 16
+
+
+def _kernel_sum(coeff: np.ndarray, kernel: np.ndarray, conjugate: bool = False) -> np.ndarray:
+    """coeff @ kernel (conj(kernel) when `conjugate`) for complex coeff. A
+    real kernel takes one real GEMM on the stacked [Re; Im] coefficient rows."""
+    if np.iscomplexobj(kernel):
+        return coeff @ (np.conj(kernel) if conjugate else kernel)
+    re, im = np.stack([coeff.real, coeff.imag]) @ kernel
+    return re + 1j * im
+
+
+def _kernel_matrix(points_a: np.ndarray, points_b: np.ndarray, x_nodes: np.ndarray,
+                   profile_eval) -> np.ndarray:
+    """σ(a_k·x − b_k) over (k, x node), evaluated in row blocks of about
+    `_KERNEL_BLOCK` entries."""
+    n = points_a.shape[0]
+    rows = max(1, _KERNEL_BLOCK // max(x_nodes.shape[0], 1))
+    out = None
+    for start in range(0, n, rows):
+        block = np.asarray(profile_eval(points_a[start:start + rows] @ x_nodes.T
+                                        - points_b[start:start + rows, None]))
+        if out is None:
+            out = np.empty((n, x_nodes.shape[0]), dtype=block.dtype)
+        out[start:start + rows] = block
+    return out
 
 
 def _neuron_sum(points_a: np.ndarray, points_b: np.ndarray, coeff: np.ndarray,
-                x_nodes: np.ndarray, profile_eval, conjugate: bool) -> np.ndarray:
+                x_nodes: np.ndarray, profile_eval) -> np.ndarray:
     """Σ_k coeff_k · σ(a_k·x − b_k) evaluated for every x node (chunked)."""
     n_out = x_nodes.shape[0]
     out = np.zeros(n_out, dtype=complex)
@@ -146,10 +188,7 @@ def _neuron_sum(points_a: np.ndarray, points_b: np.ndarray, coeff: np.ndarray,
     for start in range(0, n_out, rows):
         xs = x_nodes[start:start + rows]
         arg = points_a @ xs.T - points_b[:, None]
-        vals = np.asarray(profile_eval(arg))
-        if conjugate:
-            vals = np.conj(vals)
-        out[start:start + rows] = coeff @ vals
+        out[start:start + rows] = _kernel_sum(coeff, np.asarray(profile_eval(arg)))
     return out
 
 
@@ -160,17 +199,17 @@ def forward_s(op: NetworkOperator, gamma: ParamDistribution) -> SampledFunction:
     if op.sigma.real_eval is None:
         raise UnsupportedProfileError(
             f"activation {op.sigma.name!r} has no real-domain evaluator")
-    x_nodes = op.input_grid.points()
     if op.scheme.kind == MONTE_CARLO:
         pts = uniform_points(op.param_grid, op.scheme.sample_count, op.scheme.seed)
-        gvals = interpolate(gamma, pts)
-        coeff = gvals * (op.param_grid.volume / op.scheme.sample_count)
-        pa, pb = pts[:, :-1], pts[:, -1]
+        coeff = interpolate(gamma, pts) * (op.param_grid.volume / op.scheme.sample_count)
     else:
-        pts = op.param_grid.points()
         coeff = (gamma.values * op.param_grid.weights()).ravel()
-        pa, pb = pts[:, :-1], pts[:, -1]
-    vals = _neuron_sum(pa, pb, coeff, x_nodes, op.sigma.real_eval, conjugate=False)
+        if op.kernel is not None:
+            vals = _kernel_sum(coeff, op.kernel)
+            return SampledFunction(op.input_grid, vals.reshape(op.input_grid.counts))
+        pts = op.param_grid.points()
+    vals = _neuron_sum(pts[:, :-1], pts[:, -1], coeff, op.input_grid.points(),
+                       op.sigma.real_eval)
     return SampledFunction(op.input_grid, vals.reshape(op.input_grid.counts))
 
 
@@ -196,7 +235,8 @@ def ridgelet(f: SampledFunction, rho: Profile1D, param_grid: Grid,
     rows = max(1, _CHUNK // max(x_nodes.shape[0], 1))
     for start in range(0, pts.shape[0], rows):
         arg = pa[start:start + rows] @ x_nodes.T - pb[start:start + rows, None]
-        out[start:start + rows] = np.conj(np.asarray(rho.real_eval(arg))) @ coeff
+        out[start:start + rows] = _kernel_sum(coeff, np.asarray(rho.real_eval(arg)).T,
+                                              conjugate=True)
     return ParamDistribution(param_grid, out.reshape(param_grid.counts))
 
 
@@ -452,15 +492,3 @@ def hd_inner(phi: ParamDistribution, gamma: ParamDistribution, orders: SobolevOr
     ww = omega_grid.axis_weights(0)
     weight = np.outer(wx, ww) * bracket(omega)[None, :] ** (-2 * orders.s)
     return complex(np.sum(pv * np.conj(gv) * weight))
-
-
-def operator_norm_constant(op: NetworkOperator, samples) -> float:
-    """Empirical grid constant C with ‖S[γ]‖ ≤ (2π)^{m−1}·‖σ‖_wH·C·‖γ‖."""
-    wh = wh_norm(op.sigma, SobolevOrders(0.0, 0.0))
-    worst = 0.0
-    for gamma in samples:
-        num = l2_norm(forward_s(op, gamma))
-        den = (2.0 * np.pi) ** (op.m - 1) * wh * l2_norm(gamma)
-        if den > 0:
-            worst = max(worst, num / den)
-    return worst

@@ -17,6 +17,7 @@ from ghostlet import (
     sample,
     weighted_omega_inner,
 )
+from ghostlet.grids import interpolate
 from ghostlet.profiles import hermite_function
 
 
@@ -168,3 +169,34 @@ def test_weighted_inner_rejects_node_at_zero():
 def test_param_distribution_needs_two_axes():
     with pytest.raises(DomainError):
         ParamDistribution(Grid.line(0, 1, 4), np.zeros(4))
+
+
+def test_interpolate_reproduces_node_values():
+    """The cubic interpolant passes through the field's own nodes."""
+    g = Grid((-10.0, -32.0), (10.0, 32.0), (161, 129))
+    rng = np.random.default_rng(5)
+    a, b = g.mesh()
+    vals = np.exp(-(a / 4.0) ** 2 - (b / 9.0) ** 2) * (np.cos(a) + 1j * np.sin(b / 3.0)) \
+        + 0.01 * (rng.standard_normal(g.counts) + 1j * rng.standard_normal(g.counts))
+    got = interpolate(ParamDistribution(g, vals), g.points())
+    assert np.max(np.abs(got - vals.ravel())) <= 1e-12 * np.max(np.abs(vals))
+
+
+def test_interpolate_bicubic_exact_and_zero_outside():
+    """Not-a-knot cubic splines reproduce cubics in each variable; outside
+    the box the value is 0."""
+    g = Grid((-2.0, -3.0), (2.0, 3.0), (17, 25))
+
+    def poly(a, b):
+        return (1.0 + 2.0 * a - 0.5 * a ** 2 + 0.25 * a ** 3) * (0.5 - b + 0.2 * b ** 2 - 0.1 * b ** 3) \
+            + 1j * (a ** 3 * b ** 3 - a * b ** 2)
+
+    a, b = g.mesh()
+    fld = ParamDistribution(g, poly(a, b))
+    rng = np.random.default_rng(6)
+    pts = np.column_stack([rng.uniform(-2.0, 2.0, 500), rng.uniform(-3.0, 3.0, 500)])
+    pts = np.vstack([pts, [[-2.0, -3.0], [2.0, 3.0], [2.0, -3.0], [0.0, 3.0]]])
+    scale = np.max(np.abs(fld.values))
+    assert np.max(np.abs(interpolate(fld, pts) - poly(pts[:, 0], pts[:, 1]))) <= 1e-12 * scale
+    outside = np.array([[-2.0 - 1e-9, 0.0], [0.0, 3.0 + 1e-9], [5.0, 5.0], [-7.0, 1.0]])
+    assert np.array_equal(interpolate(fld, outside), np.zeros(4, dtype=complex))

@@ -7,6 +7,7 @@ from ghostlet import (
     DomainError,
     Grid,
     dawson,
+    gaussian_derivative_profile,
     gaussian_profile,
     gram_schmidt_l2m,
     hermite_basis,
@@ -127,6 +128,21 @@ def test_tanh_profile_values():
     sv = sig.spectral_eval(w)
     assert np.max(np.abs(sig.spectral_eval(-w) + sv)) < 1e-12  # odd
     assert abs(abs(sig.spectral_eval(np.array([2.0]))[0]) - np.pi / np.sinh(np.pi)) < 1e-5
+
+
+def test_stock_real_evaluators_are_real():
+    """Real profiles evaluate to float arrays (kernel sums over them stay
+    real); a real scale keeps them real; real_values is always complex."""
+    b = np.linspace(-3.0, 3.0, 13)
+    grid = Grid.line(-3.0, 3.0, 13)
+    stock = [tanh_profile(), relu_profile(), gaussian_profile(),
+             *(gaussian_derivative_profile(k) for k in (1, 2, 3))]
+    for prof in stock:
+        assert np.asarray(prof.real_eval(b)).dtype == np.float64, prof.name
+        assert np.asarray(prof.scaled(0.5).real_eval(b)).dtype == np.float64, prof.name
+        assert np.iscomplexobj(prof.scaled(1j).real_eval(b)), prof.name
+        assert prof.real_values(grid).dtype == np.complex128, prof.name
+        np.testing.assert_array_equal(prof.real_values(grid), prof.real_eval(b))
 
 
 def test_tanh_spectrum_singular_at_zero():

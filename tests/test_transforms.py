@@ -91,6 +91,49 @@ def test_forward_s_bump_approaches_single_neuron(op3):
     assert errs[-2] / errs[-1] == pytest.approx(4.0, rel=0.1)
 
 
+def test_forward_s_kept_kernel_matches_streamed(monkeypatch):
+    """An operator small enough to keep its σ(a·x − b) matrix gives the same
+    S[γ] as one that streams it in chunks, and both match the plain complex
+    sum Σ_k w_k γ_k σ(a_k·x − b_k)."""
+    import ghostlet.transforms as transforms
+
+    pg = Grid((-6.0, -12.0), (6.0, 12.0), (61, 65))
+    ig = Grid.line(-4.0, 4.0, 81)
+    sigma = gaussian_derivative_profile(3)
+    rng = np.random.default_rng(11)
+    gamma = ParamDistribution(pg, rng.standard_normal(pg.counts)
+                              + 1j * rng.standard_normal(pg.counts))
+    kept = make_operator(sigma, pg, ig)
+    assert kept.kernel is not None and not np.iscomplexobj(kept.kernel)
+    cached = forward_s(kept, gamma).values
+    monkeypatch.setattr(transforms, "_CHUNK", 20_000)  # 4 x nodes per chunk
+    streaming = make_operator(sigma, pg, ig)
+    assert streaming.kernel is None
+    streamed = forward_s(streaming, gamma).values
+    pts = pg.points()
+    kernel = np.asarray(kept.sigma.real_eval(pts[:, :1] @ ig.points().T - pts[:, 1:]),
+                        dtype=complex)
+    reference = ((gamma.values * pg.weights()).ravel()) @ kernel
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(cached - streamed)) <= 1e-13 * scale
+    assert np.max(np.abs(cached - reference)) <= 1e-13 * scale
+
+
+def test_ridgelet_matches_complex_sum():
+    """R[f;ρ] for a real and a complex ρ against the plain complex sum
+    Σ_x w_x f(x) conj(ρ(a·x − b))."""
+    pg = Grid((-3.0, -6.0), (3.0, 6.0), (31, 33))
+    ig = Grid.line(-4.0, 4.0, 41)
+    f = sample(ig, lambda x: np.exp(-x ** 2) * (1.0 + 0.5j * x))
+    pts = pg.points()
+    arg = pts[:, :1] @ ig.points().T - pts[:, 1:]
+    for rho in (gaussian_derivative_profile(2), make_rho_family(2)[2]):
+        got = ridgelet(f, rho, pg).values.ravel()
+        reference = np.conj(np.asarray(rho.real_eval(arg), dtype=complex)) \
+            @ (f.values * ig.weights())
+        assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference)), rho.name
+
+
 def test_forward_s_requires_matching_grid(op3):
     other = Grid((-2.0, -2.0), (2.0, 2.0), (9, 9))
     with pytest.raises(DomainError):
