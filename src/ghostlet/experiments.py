@@ -4,7 +4,10 @@ Each runner takes an ExperimentConfig, computes its metrics, writes
 machine-readable artifacts (CSV curves/matrices, JSON reports, PGM heatmaps)
 under the output directory, and returns a RunReport echoing the fully
 resolved configuration. Reruns with the same config and seed are
-byte-identical.
+byte-identical, whatever the core count: every random draw is made on the
+calling thread, in a fixed order; the blocks that run on worker threads
+(`transforms._block_map`) are cut by array sizes alone; and partial sums are
+added in block order.
 """
 from __future__ import annotations
 
@@ -62,7 +65,14 @@ from .profiles import (
     tanh_profile,
 )
 from .reporting import write_csv, write_json, write_matrix_csv, write_pgm
-from .transforms import _neuron_sum, forward_s, make_operator, ridgelet, ridgelet_fourier
+from .transforms import (
+    _block_map,
+    _neuron_sum,
+    forward_s,
+    make_operator,
+    ridgelet,
+    ridgelet_fourier,
+)
 
 EXPERIMENTS = ("appendix-c", "spectrum", "reconstruct", "admissibility", "decompose",
                "encode-series", "finite-model", "lazy", "bound")
@@ -156,17 +166,30 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
                        x_hi: float, n_per_node: int, rng) -> np.ndarray:
     """R[f;ρ] on the grid by per-node Monte Carlo over x:
     R(a,b) ≈ (measure/n)·Σ f(x_i)·conj(ρ(a·x_i − b)) with fresh draws per
-    node (the standard unbiased estimator; see the module docstring note on
-    the printed ΔxΣ/n form)."""
+    node (the standard unbiased estimator; see `run_appendix_c` on the
+    printed ΔxΣ/n form).
+
+    The calling thread draws each a-node's block in node order; the rows
+    are computed on `_block_map`. The field is real when f and ρ are."""
     a = param_grid.axis(0)
     b = param_grid.axis(1)
     measure = x_hi - x_lo
-    out = np.empty((len(a), len(b)), dtype=complex)
-    for i, ai in enumerate(a):
-        xs = x_lo + (x_hi - x_lo) * rng.random((len(b), n_per_node))
-        vals = np.asarray(f_eval(xs)) * np.conj(np.asarray(rho.real_eval(ai * xs - b[:, None])))
-        out[i, :] = measure * np.mean(vals, axis=1)
-    return out
+
+    def draws():
+        for ai in a:
+            yield ai, rng.random((len(b), n_per_node))
+
+    def row(node):
+        ai, xs = node
+        xs *= x_hi - x_lo  # in place: the same values as x_lo + (x_hi − x_lo)·u
+        xs += x_lo
+        arg = ai * xs
+        arg -= b[:, None]
+        r = np.asarray(rho.real_eval(arg))
+        vals = np.asarray(f_eval(xs)) * (np.conj(r) if np.iscomplexobj(r) else r)
+        return measure * np.mean(vals, axis=1)
+
+    return np.stack(list(_block_map(row, draws())))
 
 
 def _mc_forward_curve(field: ParamDistribution, sigma: Profile1D, x: np.ndarray,

@@ -26,7 +26,7 @@ from .grids import (
     l2_norm,
 )
 from .profiles import BasisFamily, Profile1D
-from .transforms import AdjointMode, NetworkOperator, _kernel_sum
+from .transforms import AdjointMode, NetworkOperator, _neuron_sum
 from .nullspace import ExpansionCoefficients, build_atoms, project
 
 GAUSSIAN = "gaussian"
@@ -216,11 +216,8 @@ def point_mass_network(model: FiniteModel, sigma: Profile1D,
     the oracle the mollified models converge to as ε → 0."""
     if sigma.real_eval is None:
         raise DomainError(f"{sigma.name!r} has no real-domain evaluator")
-    x_nodes = input_grid.points()
-    pa = model.points[:, :-1]
-    pb = model.points[:, -1]
-    arg = pa @ x_nodes.T - pb[:, None]
-    vals = _kernel_sum(model.weights / model.p, np.asarray(sigma.real_eval(arg)))
+    vals = _neuron_sum(model.points[:, :-1], model.points[:, -1], model.weights / model.p,
+                       input_grid.points(), sigma.real_eval)
     return SampledFunction(input_grid, vals.reshape(input_grid.counts))
 
 

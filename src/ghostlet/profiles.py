@@ -15,6 +15,7 @@ The workhorse families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,24 +140,52 @@ def dawson(x):
     return dawsn(x)
 
 
-def _dawson_derivative_polys(kmax: int) -> list[tuple[np.ndarray, np.ndarray]]:
+@lru_cache(maxsize=None)
+def _dawson_derivative_polys(kmax: int) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
     """F^{(k)} = P_k·F + Q_k with P₀ = 1, Q₀ = 0 and
-    P_{k+1} = P_k' − 2x·P_k,  Q_{k+1} = P_k + Q_k'."""
-    out = [(np.array([1.0]), np.array([0.0]))]
+    P_{k+1} = P_k' − 2x·P_k,  Q_{k+1} = P_k + Q_k'.
+
+    Cached; the coefficients (lowest degree first) come back as tuples, so no
+    caller can change the cached values."""
+    P, Q = np.array([1.0]), np.array([0.0])
+    out = [((1.0,), (0.0,))]
     for _ in range(kmax):
-        P, Q = out[-1]
         dP = npoly.polyder(P) if len(P) > 1 else np.array([0.0])
         dQ = npoly.polyder(Q) if len(Q) > 1 else np.array([0.0])
-        out.append((npoly.polysub(dP, npoly.polymul(np.array([0.0, 2.0]), P)),
-                    npoly.polyadd(P, dQ)))
+        P, Q = npoly.polysub(dP, npoly.polymul(np.array([0.0, 2.0]), P)), npoly.polyadd(P, dQ)
+        out.append((tuple(P.tolist()), tuple(Q.tolist())))
+    return tuple(out)
+
+
+def _horner(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """Σ_j coeffs[j]·x^j by in-place Horner (the same operations, in the same
+    order, as `numpy.polynomial.polynomial.polyval`)."""
+    out = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
     return out
 
 
+# Elements per pass of `dawson_derivative` (128 kB in float64), so the Horner
+# passes run in cache rather than streaming the whole array each time.
+_DAWSON_BLOCK = 1 << 14
+
+
 def dawson_derivative(x, k: int):
-    """k-th derivative of the Dawson function via the polynomial recurrence."""
+    """k-th derivative of the Dawson function via the polynomial recurrence,
+    P_k(x)·F(x) + Q_k(x), evaluated elementwise in cache-sized blocks."""
     P, Q = _dawson_derivative_polys(k)[k]
     x = np.asarray(x, dtype=float)
-    return npoly.polyval(x, P) * dawsn(x) + npoly.polyval(x, Q)
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.ravel(), out.reshape(-1)
+    for start in range(0, flat_x.size, _DAWSON_BLOCK):
+        xb = flat_x[start:start + _DAWSON_BLOCK]
+        ob = flat_out[start:start + _DAWSON_BLOCK]
+        ob[...] = _horner(xb, P)
+        ob *= dawsn(xb)
+        ob += _horner(xb, Q)
+    return out
 
 
 # Real-domain constant of the reference profile: the inverse transform of
@@ -184,18 +213,32 @@ def _rho_k_unnormalized(k: int, scale: float = 1.0) -> Profile1D:
         w = np.asarray(w, dtype=float)
         return (1j * w) ** k * np.sign(w) * np.exp(-((s * w) ** 2) / 2.0)
 
-    def real(b, k=k, s=scale):
-        b = np.asarray(b, dtype=float)
-        return _RHO0_CONST * 2.0 ** (-k / 2.0) * s ** (-(k + 1)) \
-            * dawson_derivative(b / (s * np.sqrt(2.0)), k)
-
     return Profile1D(
         name=f"rho0_d{k}" if scale == 1.0 else f"rho0_d{k}@s={scale:g}",
-        real_eval=real, spectral_eval=spec,
+        real_eval=_rho_k_real(k, scale, 1.0), spectral_eval=spec,
         parity=PARITY_EVEN if k % 2 == 1 else PARITY_ODD,
         notes=f"unnormalized k={k} derivative of rho0" + (
             "" if scale == 1.0 else f" at Gaussian scale {scale:g}"),
     )
+
+
+def _rho_k_real(k: int, scale: float, c: complex):
+    """Real-domain evaluator of c·ρ₀^{(k)} at Gaussian scale s: one scalar
+    c·(i√2/π)·2^{−k/2}·s^{−(k+1)} times F^{(k)}(b/(s√2)). When that scalar is
+    real (c purely imaginary, as for every c_k against tanh) the evaluator
+    returns float arrays."""
+    const = complex(c) * _RHO0_CONST * 2.0 ** (-k / 2.0) * scale ** (-(k + 1))
+    if const.imag == 0.0:
+        const = const.real
+
+    def real(b):
+        vals = dawson_derivative(np.asarray(b, dtype=float) / (scale * np.sqrt(2.0)), k)
+        if isinstance(const, float):
+            vals *= const
+            return vals
+        return const * vals
+
+    return real
 
 
 def tanh_profile() -> Profile1D:
@@ -292,7 +335,7 @@ def make_rho_family(max_k: int, sigma: Profile1D | None = None, m: int = 1,
             how = "non-admissible; weighted norm normalized to 1"
         family.append(Profile1D(
             name=f"rho{k}",
-            real_eval=lambda b, f=raw.real_eval, c=c_k: c * np.asarray(f(b)),
+            real_eval=_rho_k_real(k, 1.0, c_k),
             spectral_eval=lambda w, f=raw.spectral_eval, c=c_k: c * np.asarray(f(w)),
             parity=raw.parity,
             notes=f"c_{k} = {c_k:.9g} ({how})",

@@ -15,6 +15,9 @@ zero outside the box).
 """
 from __future__ import annotations
 
+import itertools
+import os
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,7 +104,7 @@ class NetworkOperator:
     def kernel(self) -> np.ndarray | None:
         """σ(a·x − b) as a (parameter node, input node) matrix, built on first
         use and kept, for trapezoid operators with at most `_CHUNK` entries;
-        None otherwise (`forward_s` then streams the kernel in chunks)."""
+        None otherwise (`forward_s` then streams the kernel in blocks)."""
         if (self.scheme.kind == MONTE_CARLO or self.sigma.real_eval is None
                 or self.param_grid.total_points * self.input_grid.total_points > _CHUNK):
             return None
@@ -131,7 +134,7 @@ def make_operator(sigma: Profile1D, param_grid: Grid, input_grid: Grid,
             near_mass = np.sum((np.abs(spec) ** 2 * np.abs(omega) ** (-m) * w)[near])
             if np.isfinite(raw) and raw > 0 and near_mass < 0.5 * raw ** 2:
                 norm = raw
-        except Exception:
+        except DomainError:  # also SingularPointError, UnsupportedProfileError
             norm = None
     if normalize and norm is not None:
         sigma = sigma.scaled(1.0 / norm, name=f"{sigma.name}~unit")
@@ -143,24 +146,74 @@ def make_operator(sigma: Profile1D, param_grid: Grid, input_grid: Grid,
                            omega_grid=omega_grid)
 
 
-# Kernel-evaluation entries per streamed chunk (peak memory ~128 MB). A
-# trapezoid operator whose σ(a·x − b) matrix has at most _CHUNK entries keeps
-# it (`NetworkOperator.kernel`): one streamed chunk already holds that much,
-# so keeping it costs no more memory than one streamed call, and each later
-# forward_s is one GEMM. Larger operators stream on every call.
+# A trapezoid operator whose σ(a·x − b) matrix has at most _CHUNK entries
+# (32 MB in float64) keeps it (`NetworkOperator.kernel`), and each later
+# forward_s is one GEMM; larger operators stream the kernel in `_BLOCK`
+# blocks on every call.
 _CHUNK = 1 << 22
 # Entries per evaluator call while a kept kernel is built, so the evaluator's
 # temporaries stay small next to the kernel itself.
 _KERNEL_BLOCK = 1 << 16
+# Kernel entries per streamed block of `_neuron_sum` and `ridgelet` (2 MB in
+# float64): small enough that the blocks in flight stay a few tens of MB,
+# large enough that each block's work outweighs the cost of handing it out.
+_BLOCK = 1 << 18
 
 
-def _kernel_sum(coeff: np.ndarray, kernel: np.ndarray, conjugate: bool = False) -> np.ndarray:
-    """coeff @ kernel (conj(kernel) when `conjugate`) for complex coeff. A
-    real kernel takes one real GEMM on the stacked [Re; Im] coefficient rows."""
+def _block_map(fn, blocks):
+    """Yield fn(block) for each block, in block order.
+
+    The blocks run on one thread per usable core (`os.sched_getaffinity`),
+    with at most two blocks per thread in flight, so a lazy `blocks` iterable
+    is consumed only that far ahead of the results. A single block, or a
+    single core, runs inline. `fn` must not call BLAS: OpenBLAS runs each call
+    on its own threads as well, so calls from every worker oversubscribe the
+    cores.
+    """
+    blocks = iter(blocks)
+    head = list(itertools.islice(blocks, 2))
+    workers = len(os.sched_getaffinity(0))
+    if len(head) < 2 or workers == 1:
+        yield from map(fn, itertools.chain(head, blocks))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for block in itertools.chain(head, blocks):
+            pending.append(pool.submit(fn, block))
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _kernel_sum(coeff: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """coeff @ kernel for complex coeff. A real kernel takes one real GEMM on
+    the stacked [Re; Im] coefficient rows."""
     if np.iscomplexobj(kernel):
-        return coeff @ (np.conj(kernel) if conjugate else kernel)
+        return coeff @ kernel
     re, im = np.stack([coeff.real, coeff.imag]) @ kernel
     return re + 1j * im
+
+
+def _block_sum(coeff: np.ndarray, stacked: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """coeff @ kernel for one block, by `np.einsum` (no BLAS call, so it may
+    run on a worker thread). A real kernel contracts the [Re; Im] rows
+    `stacked` of the coefficients."""
+    if np.iscomplexobj(kernel):
+        return np.einsum("k,kj->j", coeff, kernel)
+    re, im = np.einsum("ck,kj->cj", stacked, kernel)
+    return re + 1j * im
+
+
+def _affine(points_a: np.ndarray, points_b: np.ndarray, x_nodes: np.ndarray) -> np.ndarray:
+    """a_k·x_j − b_k over (k, j), by broadcasting (no BLAS call)."""
+    arg = points_a[:, :1] * x_nodes[:, 0]
+    for d in range(1, points_a.shape[1]):
+        arg += points_a[:, d:d + 1] * x_nodes[:, d]
+    arg -= points_b[:, None]
+    return arg
 
 
 def _kernel_matrix(points_a: np.ndarray, points_b: np.ndarray, x_nodes: np.ndarray,
@@ -171,8 +224,8 @@ def _kernel_matrix(points_a: np.ndarray, points_b: np.ndarray, x_nodes: np.ndarr
     rows = max(1, _KERNEL_BLOCK // max(x_nodes.shape[0], 1))
     out = None
     for start in range(0, n, rows):
-        block = np.asarray(profile_eval(points_a[start:start + rows] @ x_nodes.T
-                                        - points_b[start:start + rows, None]))
+        part = slice(start, start + rows)
+        block = np.asarray(profile_eval(_affine(points_a[part], points_b[part], x_nodes)))
         if out is None:
             out = np.empty((n, x_nodes.shape[0]), dtype=block.dtype)
         out[start:start + rows] = block
@@ -181,14 +234,24 @@ def _kernel_matrix(points_a: np.ndarray, points_b: np.ndarray, x_nodes: np.ndarr
 
 def _neuron_sum(points_a: np.ndarray, points_b: np.ndarray, coeff: np.ndarray,
                 x_nodes: np.ndarray, profile_eval) -> np.ndarray:
-    """Σ_k coeff_k · σ(a_k·x − b_k) evaluated for every x node (chunked)."""
-    n_out = x_nodes.shape[0]
-    out = np.zeros(n_out, dtype=complex)
-    rows = max(1, _CHUNK // max(points_a.shape[0], 1))
-    for start in range(0, n_out, rows):
-        xs = x_nodes[start:start + rows]
-        arg = points_a @ xs.T - points_b[:, None]
-        out[start:start + rows] = _kernel_sum(coeff, np.asarray(profile_eval(arg)))
+    """Σ_k coeff_k · σ(a_k·x − b_k) evaluated for every x node.
+
+    The neurons are cut into blocks of about `_BLOCK` kernel entries, a
+    partition fixed by the array sizes alone; the blocks run on `_block_map`
+    and their partial sums are added in block order, so the result does not
+    depend on the core count. The [Re; Im] coefficient rows are stacked once."""
+    n, n_x = points_a.shape[0], x_nodes.shape[0]
+    rows = max(1, _BLOCK // max(n_x, 1))
+    stacked = np.stack([coeff.real, coeff.imag])
+
+    def block(start):
+        part = slice(start, start + rows)
+        kernel = np.asarray(profile_eval(_affine(points_a[part], points_b[part], x_nodes)))
+        return _block_sum(coeff[part], stacked[:, part], kernel)
+
+    out = np.zeros(n_x, dtype=complex)
+    for partial in _block_map(block, range(0, n, rows)):
+        out += partial
     return out
 
 
@@ -230,13 +293,18 @@ def ridgelet(f: SampledFunction, rho: Profile1D, param_grid: Grid,
     else:
         x_nodes = f.grid.points()
         coeff = (f.values * f.grid.weights()).ravel()
-    # Same kernel sum with roles swapped: output over (a,b), reduction over x.
-    out = np.zeros(pts.shape[0], dtype=complex)
-    rows = max(1, _CHUNK // max(x_nodes.shape[0], 1))
-    for start in range(0, pts.shape[0], rows):
-        arg = pa[start:start + rows] @ x_nodes.T - pb[start:start + rows, None]
-        out[start:start + rows] = _kernel_sum(coeff, np.asarray(rho.real_eval(arg)).T,
-                                              conjugate=True)
+    # Same kernel sum with roles swapped: output over (a,b) in row blocks,
+    # reduction over x within each block.
+    rows = max(1, _BLOCK // max(x_nodes.shape[0], 1))
+    stacked = np.stack([coeff.real, coeff.imag])
+
+    def block(start):
+        part = slice(start, start + rows)
+        kernel = np.asarray(rho.real_eval(_affine(pa[part], pb[part], x_nodes)))
+        return _block_sum(coeff, stacked, (np.conj(kernel) if np.iscomplexobj(kernel)
+                                           else kernel).T)
+
+    out = np.concatenate(list(_block_map(block, range(0, pts.shape[0], rows))))
     return ParamDistribution(param_grid, out.reshape(param_grid.counts))
 
 

@@ -27,6 +27,15 @@ SMALL_APPENDIX = {
 }
 
 
+# the Appendix-C Monte Carlo study on a 25² parameter grid, one k
+SMALL_MONTE_CARLO = {
+    "experiment": "appendix-c",
+    "grids": {"param": [[-6.0, -6.0], [6.0, 6.0], [25, 25]]},
+    "quadrature": {"r_samples": 200, "s_samples": 20_000},
+    "params": {"ks": [2]},
+}
+
+
 def _write_config(tmp_path, payload):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
@@ -88,13 +97,7 @@ def test_tolerance_failure_exits_3(tmp_path):
     assert (out / "report.json").exists()
 
 
-def test_reruns_are_byte_identical(tmp_path):
-    cfg = _write_config(tmp_path, SMALL_APPENDIX)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["admissibility", "--config", str(cfg), "--seed", "7",
-                 "--out", str(out_a)]) == 0
-    assert main(["admissibility", "--config", str(cfg), "--seed", "7",
-                 "--out", str(out_b)]) == 0
+def _assert_same_outputs(out_a, out_b):
     files_a = sorted(p.name for p in out_a.iterdir())
     assert files_a == sorted(p.name for p in out_b.iterdir())
     for name in files_a:
@@ -109,7 +112,29 @@ def test_reruns_are_byte_identical(tmp_path):
             rep_b["artifacts"] = [Path(p).name for p in rep_b["artifacts"]]
             assert rep_a == rep_b
         else:
-            assert raw_a == raw_b
+            assert raw_a == raw_b, name
+
+
+def test_reruns_are_byte_identical(tmp_path):
+    cfg = _write_config(tmp_path, SMALL_APPENDIX)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["admissibility", "--config", str(cfg), "--seed", "7",
+                 "--out", str(out_a)]) == 0
+    assert main(["admissibility", "--config", str(cfg), "--seed", "7",
+                 "--out", str(out_b)]) == 0
+    _assert_same_outputs(out_a, out_b)
+
+
+def test_monte_carlo_reruns_are_byte_identical(tmp_path):
+    """appendix-c draws its Monte Carlo samples on the calling thread and
+    sums fixed blocks in order, so its artifacts rerun byte for byte."""
+    cfg = _write_config(tmp_path, SMALL_MONTE_CARLO)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    for out in (out_a, out_b):
+        assert main(["appendix-c", "--config", str(cfg), "--seed", "7",
+                     "--out", str(out)]) == 0
+    assert (out_a / "reconstruction_rho2.csv").exists()
+    _assert_same_outputs(out_a, out_b)
 
 
 def test_admissibility_zero_nonzero_pattern(tmp_path):

@@ -28,7 +28,7 @@ from ghostlet import (
 )
 from ghostlet.finite_models import DENSITY_PROPORTIONAL, EXCLUSIVE, INCLUSIVE, UNIFORM_BOX
 from ghostlet.nullspace import ridgelet_atom
-from ghostlet.profiles import _rho_k_unnormalized
+from ghostlet.profiles import Profile1D, _rho_k_unnormalized
 
 from conftest import bump_mix
 
@@ -140,6 +140,34 @@ def test_mollified_network_converges_to_point_masses(opf, gamma_smooth_pair):
         emb = mollify(model, NascentDelta("gaussian", eps), PG)
         errs.append(l2_norm(forward_s(opf, emb) - oracle))
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_point_mass_network_is_blocked_kernel_sum(monkeypatch):
+    """point_mass_network goes through the blocked kernel sum (no evaluator
+    call sees more than one block of σ(a·x − b) entries) and matches the
+    plain complex sum (1/p) Σ w_k σ(a_k·x − b_k)."""
+    import ghostlet.transforms as transforms
+
+    monkeypatch.setattr(transforms, "_BLOCK", 4_000)
+    rng = np.random.default_rng(17)
+    p = 2_000
+    model = FiniteModel(points=np.column_stack([rng.uniform(-10, 10, p),
+                                                rng.uniform(-32, 32, p)]),
+                        weights=rng.standard_normal(p) + 1j * rng.standard_normal(p))
+    sigma = gaussian_derivative_profile(3)
+    sizes = []
+
+    def evaluate(b):
+        sizes.append(np.size(b))
+        return sigma.real_eval(b)
+
+    got = point_mass_network(model, Profile1D(sigma.name, real_eval=evaluate), XG)
+    assert max(sizes) <= 4_000 and len(sizes) > 1
+    kernel = np.asarray(sigma.real_eval(model.points[:, :1] @ XG.points().T
+                                        - model.points[:, 1:]), dtype=complex)
+    reference = (model.weights / p) @ kernel
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(got.values - reference)) <= 1e-13 * scale
 
 
 def test_sampling_requires_positive_p(gamma_smooth_pair):

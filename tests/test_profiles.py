@@ -145,6 +145,46 @@ def test_stock_real_evaluators_are_real():
         np.testing.assert_array_equal(prof.real_values(grid), prof.real_eval(b))
 
 
+def test_tanh_rho_family_evaluators_are_real():
+    """Against tanh every c_k is purely imaginary, so c_k·(i√2/π)·2^{−k/2} is
+    one real scalar and ρ_k evaluates to float arrays, equal to
+    c_k · raw.real_eval to roundoff. Against a σ whose c_k is not purely
+    imaginary the evaluator stays complex."""
+    b = np.linspace(-9.0, 9.0, 721)
+    w = np.array([1.3])
+    family = make_rho_family(8, sigma=tanh_profile())
+    for k in range(1, 9):
+        raw = _rho_k_unnormalized(k)
+        c_k = family[k].spectral_eval(w)[0] / raw.spectral_eval(w)[0]
+        got = family[k].real_eval(b)
+        assert got.dtype == np.float64, k
+        np.testing.assert_allclose(got, c_k * raw.real_eval(b), rtol=1e-15, atol=0.0)
+    shifted = make_rho_family(2, sigma=gaussian_profile(center=0.5))[2]
+    c_2 = shifted.spectral_eval(w)[0] / _rho_k_unnormalized(2).spectral_eval(w)[0]
+    assert c_2.real != 0.0
+    assert np.iscomplexobj(shifted.real_eval(b))
+
+
+def test_dawson_derivative_polys_cached_and_immutable():
+    """The P_k/Q_k recurrence is built once per order and handed out as
+    tuples, and the evaluation matches numpy's polyval bit for bit."""
+    from numpy.polynomial import polynomial as npoly
+    from scipy.special import dawsn
+
+    from ghostlet.profiles import _dawson_derivative_polys, dawson_derivative
+
+    polys = _dawson_derivative_polys(6)
+    assert _dawson_derivative_polys(6) is polys
+    assert isinstance(polys, tuple)
+    assert all(isinstance(c, tuple) for pq in polys for c in pq)
+    assert polys[2] == ((-2.0, 0.0, 4.0), (0.0, -2.0))  # F'' = (4x² − 2)F − 2x
+    x = np.linspace(-7.0, 7.0, 40_005).reshape(-1, 5)  # several blocks
+    for k in range(7):
+        P, Q = polys[k]
+        ref = npoly.polyval(x, np.array(P)) * dawsn(x) + npoly.polyval(x, np.array(Q))
+        np.testing.assert_array_equal(dawson_derivative(x, k), ref)
+
+
 def test_tanh_spectrum_singular_at_zero():
     with pytest.raises(SingularPointError):
         tanh_profile().spectral_eval(np.array([0.0]))

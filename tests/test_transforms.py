@@ -31,7 +31,7 @@ from ghostlet import (
     wh_norm,
 )
 from ghostlet.grids import UnsupportedProfileError, weighted_omega_norm
-from ghostlet.profiles import DEFAULT_OMEGA_GRID
+from ghostlet.profiles import DEFAULT_OMEGA_GRID, Profile1D
 from ghostlet.transforms import hd_inner
 
 from conftest import bump_mix, rel_l2
@@ -304,3 +304,94 @@ def test_adjoint_mode_validation():
 def test_sigma_star_rejects_nondecaying_spectrum():
     with pytest.raises(DomainError):
         build_sigma_star(tanh_profile(), SobolevOrders(0, 0), m=1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_blocked_kernel_sums_match_complex_sum(monkeypatch, m):
+    """_neuron_sum and ridgelet, cut into many blocks, match the plain complex
+    sums Σ_k c_k σ(a_k·x − b_k) and Σ_x w_x f(x) conj(ρ(a·x − b)), for a real
+    and a complex evaluator."""
+    import ghostlet.transforms as transforms
+
+    monkeypatch.setattr(transforms, "_BLOCK", 500)
+    rng = np.random.default_rng(5 + m)
+    ig = Grid.line(-4.0, 4.0, 41) if m == 1 else Grid((-3.0, -3.0), (3.0, 3.0), (9, 11))
+    pg = Grid((-3.0,) * m + (-6.0,), (3.0,) * m + (6.0,),
+              (31, 33) if m == 1 else (7, 7, 9))
+    pts, x_nodes = pg.points(), ig.points()
+    coeff = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
+    f = sample(ig, lambda *xs: np.exp(-sum(x ** 2 for x in xs)) * (1.0 + 0.5j * xs[0]))
+    for prof in (gaussian_derivative_profile(2),
+                 make_rho_family(2, sigma=gaussian_profile(center=0.5))[2]):
+        kernel = np.asarray(prof.real_eval(pts[:, :-1] @ x_nodes.T - pts[:, -1:]),
+                            dtype=complex)
+        got = transforms._neuron_sum(pts[:, :-1], pts[:, -1], coeff, x_nodes, prof.real_eval)
+        reference = coeff @ kernel
+        assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference)), prof.name
+        got = ridgelet(f, prof, pg).values.ravel()
+        reference = np.conj(kernel) @ (f.values * ig.weights()).ravel()
+        assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference)), prof.name
+
+
+def test_block_results_do_not_depend_on_core_count(monkeypatch):
+    """The blocks are fixed by array sizes and partial sums are added in block
+    order, so 1 reported core (inline) and 4 (pool) give the same bits; with 4
+    cores every block runs on a worker thread."""
+    import os
+    import sys
+    import threading
+
+    import ghostlet.transforms as transforms
+    from ghostlet.experiments import _mc_ridgelet_field
+
+    monkeypatch.setattr(transforms, "_BLOCK", 2_000)
+    pg = Grid((-3.0, -6.0), (3.0, 6.0), (31, 33))
+    ig = Grid.line(-4.0, 4.0, 41)
+    pts = pg.points()
+    rng = np.random.default_rng(9)
+    coeff = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
+    f = sample(ig, lambda x: np.exp(-x ** 2) * (1.0 + 0.5j * x))
+    sigma = gaussian_derivative_profile(3)
+    rho = make_rho_family(2)[2]
+    threads = set()
+
+    def tracked(prof):
+        def evaluate(b):
+            threads.add(threading.get_ident())
+            return prof.real_eval(b)
+        return evaluate
+
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for cores in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+            threads.clear()
+            runs[cores] = (
+                transforms._neuron_sum(pts[:, :1], pts[:, 1], coeff, ig.points(),
+                                       tracked(sigma)),
+                ridgelet(f, rho, pg).values,
+                _mc_ridgelet_field(lambda xs: np.sin(2.0 * np.pi * xs), rho, pg, -1.0, 1.0,
+                                   40, np.random.default_rng(3)),
+            )
+            main_only = threads == {threading.get_ident()}
+            assert main_only == (cores == 1), cores
+    finally:
+        sys.setswitchinterval(interval)
+    for one, four in zip(runs[1], runs[4]):
+        assert one.dtype == four.dtype
+        np.testing.assert_array_equal(one, four)
+
+
+def test_make_operator_propagates_evaluator_bugs(param_grid, input_grid):
+    """Only a DomainError means "σ not normalizable"; any other error in a
+    spectral evaluator is a bug and reaches the caller."""
+    def broken(w):
+        raise TypeError("bug in a spectral evaluator")
+
+    sigma = Profile1D("broken", real_eval=np.tanh, spectral_eval=broken)
+    with pytest.raises(TypeError, match="bug in a spectral evaluator"):
+        make_operator(sigma, param_grid, input_grid)
+    for sigma in (tanh_profile(), relu_profile()):
+        assert make_operator(sigma, param_grid, input_grid).norm_constant is None, sigma.name
