@@ -17,7 +17,6 @@ from .experiments import (
     EXPERIMENTS,
     AccuracyFailure,
     ExperimentConfig,
-    RunReport,
     UsageError,
     run_subcommand,
 )

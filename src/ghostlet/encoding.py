@@ -21,7 +21,6 @@ from .grids import (
     SampledFunction,
     l2_inner,
     weighted_omega_inner,
-    weighted_omega_norm,
 )
 from .profiles import (
     DEFAULT_OMEGA_GRID,
@@ -30,9 +29,12 @@ from .profiles import (
     Profile1D,
     _interp_profile,
     _rho_k_unnormalized,
+    gram_residual_l2m,
+    orthonormalize_l2m,
     pairing,
+    weighted_space_norm,
 )
-from .transforms import NetworkOperator, forward_s_via_fourier, make_operator, ridgelet_fourier
+from .transforms import NetworkOperator, forward_s_via_fourier, ridgelet_fourier
 
 
 @dataclass(frozen=True)
@@ -73,30 +75,13 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3, m: int = 1,
     if candidates is None:
         candidates = [_rho_k_unnormalized(k) for k in range(1, n_ghosts + 3)]
     sig_vals = sigma.spectral_values(omega_grid)
-    sig_norm = weighted_omega_norm(sig_vals, m, omega_grid)
-    omega = omega_grid.axis(0)
-    near_mass = np.sum((np.abs(sig_vals) ** 2 * np.abs(omega) ** (-m)
-                        * omega_grid.axis_weights(0))[np.abs(omega) < 0.25])
-    sigma_in_weighted_space = np.isfinite(sig_norm) and near_mass < 0.5 * sig_norm ** 2
-
-    def orthonormalize(vectors: list[np.ndarray]) -> list[np.ndarray]:
-        basis = []
-        for v in vectors:
-            v = v / weighted_omega_norm(v, m, omega_grid)
-            for _ in range(2):
-                for u in basis:
-                    v = v - weighted_omega_inner(v, u, m, omega_grid) * u
-            nrm = weighted_omega_norm(v, m, omega_grid)
-            if nrm < 1e-10:
-                continue
-            basis.append(v / nrm)
-        return basis
-
-    if sigma_in_weighted_space:
+    sig_norm = weighted_space_norm(sig_vals, m, omega_grid)
+    if sig_norm is not None:
         sigma_unit = sigma if abs(sig_norm - 1.0) < 1e-9 else sigma.scaled(
             1.0 / sig_norm, name=f"{sigma.name}~unit")
-        vecs = orthonormalize([sigma_unit.spectral_values(omega_grid)]
-                              + [c.spectral_values(omega_grid) for c in candidates])
+        vecs, _ = orthonormalize_l2m([sigma_unit.spectral_values(omega_grid)]
+                                     + [c.spectral_values(omega_grid) for c in candidates],
+                                     m, omega_grid)
         if len(vecs) < 1 + n_ghosts:
             raise DomainError("not enough independent candidates for the requested ghost count")
         members = [sigma_unit] + [
@@ -105,7 +90,8 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3, m: int = 1,
             for i, v in enumerate(vecs[1:1 + n_ghosts], start=1)]
         stored_sigma = sigma_unit
     else:
-        basis = orthonormalize([c.spectral_values(omega_grid) for c in candidates])
+        basis, _ = orthonormalize_l2m([c.spectral_values(omega_grid) for c in candidates],
+                                      m, omega_grid)
         if len(basis) < n_ghosts + 2:
             raise DomainError("not enough independent candidates for the requested ghost count")
         p = np.array([weighted_omega_inner(sig_vals, u, m, omega_grid) for u in basis])
@@ -115,7 +101,9 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3, m: int = 1,
         # slot 0 along the pairing vector (⟨⟨σ, Σα_i u_i⟩⟩ = Σ conj(α_i) p_i,
         # so α = p/|p| gives pairing |p|); Householder the rest orthogonal to it
         u0 = sum(pi * ui for pi, ui in zip(p, basis)) / p_norm
-        rest = orthonormalize([u0] + basis)[1:]
+        # u0 lies in the span of the basis, so one seed becomes dependent and
+        # is skipped.
+        rest = orthonormalize_l2m([u0] + basis, m, omega_grid)[0][1:]
         members = [_interp_profile("codebook_0", omega_grid, u0,
                                    notes=f"visible slot; sigma rescaled by 1/{p_norm:.9g} "
                                          "so the pairing is exactly 1")]
@@ -124,13 +112,8 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3, m: int = 1,
                     for i, v in enumerate(rest[:n_ghosts], start=1)]
         stored_sigma = sigma.scaled(1.0 / p_norm, name=f"{sigma.name}/|p|")
 
-    count = len(members)
-    gram = np.empty((count, count), dtype=complex)
-    vals = [mbr.spectral_values(omega_grid) for mbr in members]
-    for i in range(count):
-        for j in range(count):
-            gram[i, j] = weighted_omega_inner(vals[i], vals[j], m, omega_grid)
-    resid = float(np.max(np.abs(gram - np.eye(count))))
+    resid = gram_residual_l2m([mbr.spectral_values(omega_grid) for mbr in members], m,
+                              omega_grid)
     pairs = [pairing(stored_sigma, mbr, m, omega_grid) for mbr in members]
     if abs(pairs[0] - 1.0) > tol:
         raise DomainError(f"slot-0 pairing {pairs[0]:.3e} deviates from 1 beyond {tol:g}")

@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .encoding import make_ghost_codebook, encode_series, readout_mutate, ModulationMap, modulate
+from .encoding import make_ghost_codebook, encode_series, readout_mutate
 from .finite_models import (
     EXCLUSIVE,
     INCLUSIVE,
-    FiniteModel,
     LayerSpec,
     NascentDelta,
     finite_ridgelet_coeffs,
@@ -32,26 +31,19 @@ from .finite_models import (
     sample_parameters,
     smooth_convolve,
 )
-from .fourier import SobolevOrders
 from .grids import (
-    DomainError,
     Grid,
     ParamDistribution,
-    QuadratureScheme,
     SampledFunction,
     interpolate,
-    l2_inner,
     l2_norm,
     sample,
 )
 from .nullspace import (
     LinearCombination,
     admissibility,
-    build_atoms,
-    density_expand,
     lazy_solution,
     make_nonadmissible,
-    project,
     ridgelet_atom,
     structure_decompose,
 )
@@ -381,6 +373,17 @@ def _compact_testbed(cfg: ExperimentConfig):
     return op
 
 
+def _ghost_testbed(cfg: ExperimentConfig, basis_size: int = 4):
+    """The compact operator, the first `basis_size` Hermite functions on its
+    input grid, and the ghost profile: the non-admissible combination of ρ₁
+    and ρ₃ against the operator's σ."""
+    op = _compact_testbed(cfg)
+    basis = hermite_basis(basis_size, op.input_grid)
+    family = make_rho_family(4, sigma=op.sigma)
+    ghost_profile = make_nonadmissible(op.sigma, LinearCombination(family[1], family[3]))
+    return op, basis, ghost_profile
+
+
 def _bump(grid: Grid, center: float, width: float) -> SampledFunction:
     f = sample(grid, lambda x: np.exp(-((x - center) ** 2) / (2.0 * width ** 2)))
     return f * (1.0 / l2_norm(f))
@@ -390,10 +393,7 @@ def run_decompose(cfg: ExperimentConfig) -> RunReport:
     """Plant a principal + ghost mixture, decompose it, and report the
     structure-theorem checks (Parseval, ghost pairings, residual)."""
     out_dir = Path(cfg.output_dir)
-    op = _compact_testbed(cfg)
-    basis = hermite_basis(int(cfg.params.get("basis_size", 8)), op.input_grid)
-    family = make_rho_family(4, sigma=op.sigma)
-    ghost_profile = make_nonadmissible(op.sigma, LinearCombination(family[1], family[3]))
+    op, basis, ghost_profile = _ghost_testbed(cfg, int(cfg.params.get("basis_size", 8)))
     f0 = _bump(op.input_grid, 0.4, 1.3)
     gamma = ridgelet_fourier(f0, op.sigma, op.param_grid) \
         + 0.8 * ridgelet_atom(basis, 1, ghost_profile, op.param_grid) \
@@ -477,11 +477,8 @@ def run_finite_model(cfg: ExperimentConfig) -> RunReport:
 
 def run_lazy(cfg: ExperimentConfig) -> RunReport:
     out_dir = Path(cfg.output_dir)
-    op = _compact_testbed(cfg)
+    op, basis, ghost_profile = _ghost_testbed(cfg)
     f = _bump(op.input_grid, 0.5, 1.3)
-    basis = hermite_basis(4, op.input_grid)
-    family = make_rho_family(4, sigma=op.sigma)
-    ghost_profile = make_nonadmissible(op.sigma, LinearCombination(family[1], family[3]))
     rng = np.random.default_rng(cfg.seed)
     gamma_init = ridgelet_fourier(_bump(op.input_grid, -0.4, 1.5), op.sigma, op.param_grid) \
         + 0.7 * ridgelet_atom(basis, 1, ghost_profile, op.param_grid)
@@ -513,10 +510,7 @@ def run_bound(cfg: ExperimentConfig) -> RunReport:
     out_dir = Path(cfg.output_dir)
     params = cfg.params
     if params.get("measure", False):
-        op = _compact_testbed(cfg)
-        basis = hermite_basis(4, op.input_grid)
-        family = make_rho_family(4, sigma=op.sigma)
-        ghost_profile = make_nonadmissible(op.sigma, LinearCombination(family[1], family[3]))
+        op, basis, ghost_profile = _ghost_testbed(cfg)
         ghost_fraction = float(params.get("ghost_energy_fraction", 0.9))
         principal = ridgelet_fourier(_bump(op.input_grid, 0.0, 1.4), op.sigma, op.param_grid)
         ghost = ridgelet_atom(basis, 1, ghost_profile, op.param_grid)

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (
-    AccuracyError,
     DomainError,
     Grid,
     ParamDistribution,
     SampledFunction,
     SpectralFunction,
-    _Field,
 )
 
 
@@ -107,10 +105,7 @@ def partial_sharp_b(gamma: ParamDistribution, omega_grid: Grid) -> SpectralFunct
         raise DomainError("omega_grid must be 1-D")
     vals = _axis_transform(gamma.values, gamma.grid.dim - 1, gamma.grid.axis(gamma.grid.dim - 1),
                            gamma.grid.axis_weights(gamma.grid.dim - 1), omega_grid.axis(0), -1.0)
-    grid = Grid(gamma.grid.lower[:-1] + omega_grid.lower,
-                gamma.grid.upper[:-1] + omega_grid.upper,
-                gamma.grid.counts[:-1] + omega_grid.counts)
-    out = SpectralFunction(grid, vals)
+    out = SpectralFunction(gamma.grid.sub(slice(-1)).product(omega_grid), vals)
     out.meta["boundary_decay"] = _boundary_decay(gamma.values)
     return out
 
@@ -123,10 +118,7 @@ def partial_flat_b(gamma_sharp: SpectralFunction, b_grid: Grid) -> ParamDistribu
     vals = _axis_transform(gamma_sharp.values, dim - 1, gamma_sharp.grid.axis(dim - 1),
                            gamma_sharp.grid.axis_weights(dim - 1), b_grid.axis(0), +1.0)
     vals = vals / (2.0 * np.pi)
-    grid = Grid(gamma_sharp.grid.lower[:-1] + b_grid.lower,
-                gamma_sharp.grid.upper[:-1] + b_grid.upper,
-                gamma_sharp.grid.counts[:-1] + b_grid.counts)
-    return ParamDistribution(grid, vals)
+    return ParamDistribution(gamma_sharp.grid.sub(slice(-1)).product(b_grid), vals)
 
 
 def fractional_bracket(phi_sharp: SpectralFunction, order: float,

@@ -7,12 +7,19 @@ node lands on the origin (the |ω|^{-m} weight is then finite at every node
 and odd integrands cancel in the symmetric sum). The weighted ω inner product
 adds an Euler–Maclaurin correction for the kink the |ω|^{-m} weight puts at
 the origin (see `weighted_omega_inner`).
+
+Every cubic interpolation goes through one spline, the exact not-a-knot
+cubic of `cubic_spline`, which is 0 outside the grid box: `interpolate`, the
+Fourier-slice path and the interpolated profiles all use it. Its evaluator uses
+scipy's BSpline on 1-D grids and NdBSpline otherwise, by the grid's
+dimension: at the 69,408 sheared (a, ω) points of a 1-D slice, BSpline takes
+5.6 ms and NdBSpline 42 ms, with bit-identical values (2-vCPU Xeon).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -104,6 +111,16 @@ class Grid:
 
     def straddles_zero(self, k: int = 0) -> bool:
         return not np.any(np.isclose(self.axis(k), 0.0, atol=1e-15 * max(1.0, abs(self.upper[k]))))
+
+    def sub(self, axes: slice) -> "Grid":
+        """The grid of the axes `axes` selects: on a parameter grid,
+        sub(slice(-1)) is the a grid and sub(slice(-1, None)) the b line."""
+        return Grid(self.lower[axes], self.upper[axes], self.counts[axes])
+
+    def product(self, other: "Grid") -> "Grid":
+        """The product grid, this grid's axes first."""
+        return Grid(self.lower + other.lower, self.upper + other.upper,
+                    self.counts + other.counts)
 
     @staticmethod
     def line(lo: float, hi: float, n: int) -> "Grid":
@@ -227,29 +244,74 @@ def uniform_points(grid: Grid, n: int, seed: int) -> np.ndarray:
     return lo + rng.random((n, grid.dim)) * (hi - lo)
 
 
-def interpolate(fld: _Field, points: np.ndarray, method: str = "cubic") -> np.ndarray:
-    """Evaluate a field at off-grid points, 0 outside the grid box.
+@dataclass(frozen=True)
+class Spline:
+    """The exact not-a-knot cubic spline of complex node values on a grid,
+    0 outside the grid box (built by `cubic_spline`).
 
-    Cubic (the default) is the exact tensor-product not-a-knot spline: one
-    banded solve per axis turns the node values into B-spline coefficients
-    (de Boor, A Practical Guide to Splines, ch. XVII), with the real and
-    imaginary parts as one trailing batch. It reproduces the node values to
-    roundoff and cubic polynomials exactly. Other methods go through
-    scipy's RegularGridInterpolator.
+    `coef` holds the B-spline coefficients: one axis per grid axis, then the
+    batch axes of the node values, then (Re, Im). `spline[i]` is the spline
+    of batch entry i, with no new solve.
     """
-    from scipy.interpolate import NdBSpline, RegularGridInterpolator, make_interp_spline
+
+    grid: Grid
+    knots: tuple
+    coef: np.ndarray
+
+    def __getitem__(self, index) -> "Spline":
+        return Spline(self.grid, self.knots, self.coef[(slice(None),) * self.grid.dim + (index,)])
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """Values at points of shape (..., dim); the result has shape
+        (...) followed by the batch shape. BSpline evaluates 1-D grids,
+        NdBSpline the others (see the module docstring)."""
+        from scipy.interpolate import BSpline, NdBSpline
+
+        pts = np.asarray(points, dtype=float)
+        if self.grid.dim == 1:
+            vals = BSpline(self.knots[0], self.coef, 3, extrapolate=False)(pts[..., 0])
+        else:
+            vals = NdBSpline(self.knots, self.coef, 3)(pts)
+        inside = np.all((pts >= self.grid.lower) & (pts <= self.grid.upper), axis=-1)
+        inside = inside.reshape(inside.shape + (1,) * (vals.ndim - 1 - inside.ndim))
+        return np.where(inside, vals[..., 0] + 1j * vals[..., 1], 0.0)
+
+
+def cubic_spline(grid: Grid, values: np.ndarray) -> Spline:
+    """The exact tensor-product not-a-knot cubic spline of `values`, whose
+    leading axes are the grid's and whose trailing axes, if any, are a batch.
+
+    One banded solve per grid axis turns the node values into B-spline
+    coefficients (de Boor, A Practical Guide to Splines, ch. XVII), with the
+    real and imaginary parts as one trailing batch. The spline reproduces the
+    node values to roundoff and cubic polynomials exactly.
+    """
+    from scipy.interpolate import make_interp_spline
+
+    values = np.asarray(values)
+    coef = np.stack([values.real, values.imag], axis=-1)
+    knots = []
+    for d, nodes in enumerate(grid.axes()):
+        spline = make_interp_spline(nodes, coef, k=3, axis=d)
+        knots.append(spline.t)
+        coef = np.moveaxis(spline.c, 0, d)
+    return Spline(grid, tuple(knots), coef)
+
+
+def interpolate(fld: _Field, points: np.ndarray, method: str = "cubic") -> np.ndarray:
+    """Evaluate a field at off-grid points of shape (n, dim), 0 outside the
+    grid box.
+
+    Cubic (the default) builds the one spline of this module
+    (`cubic_spline`: exact not-a-knot, BSpline-evaluated on 1-D grids and
+    NdBSpline-evaluated otherwise) and evaluates it once. Other methods go
+    through scipy's RegularGridInterpolator.
+    """
+    from scipy.interpolate import RegularGridInterpolator
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if method == "cubic":
-        coef = np.stack([fld.values.real, fld.values.imag], axis=-1)
-        knots = []
-        for d, nodes in enumerate(fld.grid.axes()):
-            spline = make_interp_spline(nodes, coef, k=3, axis=d)
-            knots.append(spline.t)
-            coef = np.moveaxis(spline.c, 0, d)
-        vals = NdBSpline(tuple(knots), coef, 3)(pts)
-        inside = np.all((pts >= fld.grid.lower) & (pts <= fld.grid.upper), axis=-1)
-        return np.where(inside, vals[..., 0] + 1j * vals[..., 1], 0.0)
+        return cubic_spline(fld.grid, fld.values)(pts)
     interp_re = RegularGridInterpolator(
         fld.grid.axes(), fld.values.real, method=method, bounds_error=False, fill_value=0.0
     )

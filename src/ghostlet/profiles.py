@@ -14,7 +14,7 @@ The workhorse families:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -23,7 +23,7 @@ from numpy.polynomial import hermite_e
 from numpy.polynomial import polynomial as npoly
 from scipy.special import dawsn
 
-from .fourier import SobolevOrders, flat, sharp
+from .fourier import SobolevOrders, flat
 from .grids import (
     AccuracyError,
     DomainError,
@@ -31,6 +31,8 @@ from .grids import (
     SampledFunction,
     SpectralFunction,
     UnsupportedProfileError,
+    _omega_weights,
+    cubic_spline,
     weighted_omega_inner,
     weighted_omega_norm,
 )
@@ -307,6 +309,23 @@ def pairing(sigma: Profile1D, rho: Profile1D, m: int,
     return weighted_omega_inner(su, ru, m, omega_grid)
 
 
+def weighted_space_norm(spec: np.ndarray, m: int, omega_grid: Grid) -> float | None:
+    """The weighted norm of spectral samples when they lie in the weighted
+    space, else None (tanh and ReLU are not in it).
+
+    A divergent norm grows without bound under grid refinement; the
+    |ω|^{-m} mass near the origin is the telltale: a spectrum counts as a
+    member when its mass on |ω| < 0.25 is below half of its squared norm.
+    """
+    norm = weighted_omega_norm(spec, m, omega_grid)
+    omega = omega_grid.axis(0)
+    near_mass = np.sum((np.abs(spec) ** 2 * np.abs(omega) ** (-m)
+                        * omega_grid.axis_weights(0))[np.abs(omega) < 0.25])
+    if np.isfinite(norm) and norm > 0 and near_mass < 0.5 * norm ** 2:
+        return norm
+    return None
+
+
 def make_rho_family(max_k: int, sigma: Profile1D | None = None, m: int = 1,
                     omega_grid: Grid | None = None) -> list[Profile1D]:
     """ρ₀ … ρ_{max_k} with ρ_k = c_k ρ₀^{(k)}.
@@ -417,58 +436,72 @@ def hermite_basis(count: int, grid: Grid, gram_tolerance: float = 1e-6,
 
 def _interp_profile(name: str, omega_grid: Grid, spec_vals: np.ndarray,
                     notes: str = "") -> Profile1D:
-    """Wrap spectral samples into a Profile1D via a cubic spline (0 outside)."""
-    from scipy.interpolate import CubicSpline
+    """Wrap spectral samples into a Profile1D via the grids' cubic spline
+    (0 outside the ω box)."""
+    spline = cubic_spline(omega_grid, spec_vals)
+    return Profile1D(name=name, spectral_eval=lambda w: spline(np.asarray(w)[..., None]),
+                     parity=PARITY_NONE, notes=notes)
 
-    om = omega_grid.axis(0)
-    spline = CubicSpline(om, spec_vals)
-    lo, hi = om[0], om[-1]
 
-    def spec(w, spline=spline, lo=lo, hi=hi):
-        w = np.asarray(w, dtype=float)
-        out = np.asarray(spline(np.clip(w, lo, hi)), dtype=complex)
-        return np.where((w < lo) | (w > hi), 0.0, out)
+def orthonormalize_l2m(vectors: Sequence[np.ndarray], m: int,
+                       omega_grid: Grid) -> tuple[list[np.ndarray], list[int]]:
+    """Modified Gram–Schmidt with a second orthogonalization pass under the
+    |ω|^{-m}-weighted spectral product.
 
-    return Profile1D(name=name, spectral_eval=spec, parity=PARITY_NONE, notes=notes)
+    Each vector is scaled to unit norm first. One whose residual norm then
+    collapses (< 1e-10) depends on its predecessors: it is left out of the
+    basis and its index is returned in the second list.
+    """
+    basis: list[np.ndarray] = []
+    dependent: list[int] = []
+    for idx, v in enumerate(vectors):
+        v = v / weighted_omega_norm(v, m, omega_grid)
+        for _ in range(2):
+            for u in basis:
+                v = v - weighted_omega_inner(v, u, m, omega_grid) * u
+        resid = weighted_omega_norm(v, m, omega_grid)
+        if resid < 1e-10:
+            dependent.append(idx)
+            continue
+        basis.append(v / resid)
+    return basis, dependent
+
+
+def gram_residual_l2m(vectors: Sequence[np.ndarray], m: int, omega_grid: Grid) -> float:
+    """max |G − I| for the weighted Gram matrix G_ij = ⟨v_i, v_j⟩, as one
+    product (V·w) @ Vᴴ with the weights of `weighted_omega_inner`."""
+    V = np.stack(vectors)
+    gram = (V * _omega_weights(omega_grid, m)) @ np.conj(V).T
+    return float(np.max(np.abs(gram - np.eye(len(V)))))
 
 
 def gram_schmidt_l2m(candidates: Sequence[Profile1D], m: int,
                      omega_grid: Grid | None = None,
                      gram_tolerance: float = 1e-6) -> BasisFamily:
-    """Orthonormalize profiles under the |ω|^{-m}-weighted spectral product.
-
-    Modified Gram–Schmidt with a second orthogonalization pass. A candidate
-    whose residual norm collapses (< 1e-10 of its own) is reported by index.
+    """Orthonormalize profiles under the |ω|^{-m}-weighted spectral product
+    (`orthonormalize_l2m`). A candidate that is numerically dependent on its
+    predecessors is reported by index.
     """
     omega_grid = omega_grid or DEFAULT_OMEGA_GRID
     if not candidates:
         raise DomainError("gram_schmidt_l2m needs at least one candidate")
-    basis_vals: list[np.ndarray] = []
-    for idx, cand in enumerate(candidates):
-        v = cand.spectral_values(omega_grid)
+    vectors = [cand.spectral_values(omega_grid) for cand in candidates]
+    for idx, (cand, v) in enumerate(zip(candidates, vectors)):
         scale = weighted_omega_norm(v, m, omega_grid)
         if not np.isfinite(scale) or scale == 0.0:
             raise DomainError(f"candidate {idx} ({cand.name!r}) has no finite weighted norm")
-        v = v / scale
-        for _ in range(2):
-            for u in basis_vals:
-                v = v - weighted_omega_inner(v, u, m, omega_grid) * u
-        resid = weighted_omega_norm(v, m, omega_grid)
-        if resid < 1e-10:
-            raise DomainError(
-                f"candidate {idx} ({cand.name!r}) is numerically dependent on its predecessors")
-        basis_vals.append(v / resid)
-    count = len(basis_vals)
-    gram = np.empty((count, count), dtype=complex)
-    for i in range(count):
-        for j in range(count):
-            gram[i, j] = weighted_omega_inner(basis_vals[i], basis_vals[j], m, omega_grid)
-    resid = float(np.max(np.abs(gram - np.eye(count))))
+    basis_vals, dependent = orthonormalize_l2m(vectors, m, omega_grid)
+    if dependent:
+        idx = dependent[0]
+        raise DomainError(
+            f"candidate {idx} ({candidates[idx].name!r}) is numerically dependent on its "
+            "predecessors")
+    resid = gram_residual_l2m(basis_vals, m, omega_grid)
     if resid > gram_tolerance:
         raise DomainError(f"Gram residual {resid:.2e} exceeds {gram_tolerance:g}")
     members = tuple(
-        _interp_profile(f"gs_{i}({candidates[i].name if i < len(candidates) else i})",
-                        omega_grid, v, notes="Gram-Schmidt output in the weighted product")
-        for i, v in enumerate(basis_vals))
+        _interp_profile(f"gs_{i}({cand.name})", omega_grid, v,
+                        notes="Gram-Schmidt output in the weighted product")
+        for i, (cand, v) in enumerate(zip(candidates, basis_vals)))
     return BasisFamily(kind=DAWSON_DERIVATIVE_L2M, members=members,
                        gram_tolerance=gram_tolerance, gram_residual=resid, m=m)

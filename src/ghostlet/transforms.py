@@ -41,11 +41,11 @@ from .grids import (
     SampledFunction,
     SpectralFunction,
     UnsupportedProfileError,
+    cubic_spline,
     interpolate,
     uniform_points,
-    weighted_omega_norm,
 )
-from .profiles import DEFAULT_OMEGA_GRID, Profile1D, pairing
+from .profiles import DEFAULT_OMEGA_GRID, Profile1D, pairing, weighted_space_norm
 
 PLAIN_L2 = "plain_l2"
 WEIGHTED_SOBOLEV = "weighted_sobolev"
@@ -120,20 +120,11 @@ def make_operator(sigma: Profile1D, param_grid: Grid, input_grid: Grid,
     """Build a NetworkOperator, normalizing σ in the weighted norm when it is
     finite there (tanh and ReLU are not; they keep norm_constant = None)."""
     omega_grid = omega_grid or DEFAULT_OMEGA_GRID
-    m = input_grid.dim
     norm = None
     if sigma.spectral_eval is not None:
         try:
-            spec = sigma.spectral_values(omega_grid)
-            raw = weighted_omega_norm(spec, m, omega_grid)
-            # Divergent norms grow without bound under grid refinement; the
-            # |ω|^{-m} mass near the origin is the telltale.
-            omega = omega_grid.axis(0)
-            near = np.abs(omega) < 0.25
-            w = omega_grid.axis_weights(0)
-            near_mass = np.sum((np.abs(spec) ** 2 * np.abs(omega) ** (-m) * w)[near])
-            if np.isfinite(raw) and raw > 0 and near_mass < 0.5 * raw ** 2:
-                norm = raw
+            norm = weighted_space_norm(sigma.spectral_values(omega_grid), input_grid.dim,
+                                       omega_grid)
         except DomainError:  # also SingularPointError, UnsupportedProfileError
             norm = None
     if normalize and norm is not None:
@@ -309,28 +300,36 @@ def ridgelet(f: SampledFunction, rho: Profile1D, param_grid: Grid,
 
 
 def _fhat_evaluator(f: SampledFunction):
-    """Return a callable ξ ↦ f̂(ξ): a cubic spline of f̂ on a dense grid out
-    to the input grid's Nyquist frequency, zero beyond (band-limited use)."""
-    from scipy.interpolate import CubicSpline
-
+    """Return a callable ξ ↦ f̂(ξ) on points of shape (..., m): the cubic
+    spline of f̂ on a dense grid out to the input grid's Nyquist frequency,
+    zero beyond (band-limited use)."""
     x_extent = max(abs(v) for v in f.grid.lower + f.grid.upper)
     if f.grid.dim == 1:
         half = min(np.pi / f.grid.spacing[0], 64.0)
         n = int(np.ceil(2 * half * x_extent / 0.4)) + 1
         xi_grid = Grid.line(-half, half, min(n, 16001))
-        fhat = fourier_forward(f, xi_grid)
-        spline = CubicSpline(xi_grid.axis(0), fhat.values)
+    else:
+        half = tuple(min(np.pi / d, 24.0) for d in f.grid.spacing)
+        xi_grid = Grid.symmetric(half, [min(int(2 * h * x_extent / 0.4) | 1, 513) for h in half])
+    return cubic_spline(xi_grid, fourier_forward(f, xi_grid).values)
 
-        def evaluator(xi):
-            xi = np.asarray(xi, dtype=float)
-            out = np.asarray(spline(np.clip(xi, -half, half)), dtype=complex)
-            return np.where(np.abs(xi) > half, 0.0, out)
 
-        return evaluator
-    half = tuple(min(np.pi / d, 24.0) for d in f.grid.spacing)
-    xi_grid = Grid.symmetric(half, [min(int(2 * h * x_extent / 0.4) | 1, 513) for h in half])
-    fhat = fourier_forward(f, xi_grid)
-    return lambda xi: interpolate(fhat, xi)
+def _slice_ridgelet(fhat, rho: Profile1D, param_grid: Grid,
+                    omega_grid: Grid) -> ParamDistribution:
+    """R[f;ρ] from its spectrum R♯(a,ω) = f̂(ωa)·conj(ρ♯(ω)) on the (a, ω)
+    grid, where fhat maps points of shape (..., m) to f̂."""
+    sheared = param_grid.sub(slice(-1)).points()[:, None, :] * omega_grid.axis(0)[:, None]
+    return _spectrum_to_b(fhat(sheared) * np.conj(rho.spectral_values(omega_grid)),
+                          param_grid, omega_grid)
+
+
+def _spectrum_to_b(spec_vals: np.ndarray, param_grid: Grid,
+                   omega_grid: Grid) -> ParamDistribution:
+    """The (a, ω) → (a, b) step: inverse-transform the ω axis of values on
+    the a grid × ω grid onto the parameter grid's b line."""
+    spec_grid = param_grid.sub(slice(-1)).product(omega_grid)
+    spec = SpectralFunction(spec_grid, spec_vals.reshape(spec_grid.counts))
+    return partial_flat_b(spec, param_grid.sub(slice(-1, None)))
 
 
 def ridgelet_fourier(f: SampledFunction, rho: Profile1D, param_grid: Grid,
@@ -342,22 +341,7 @@ def ridgelet_fourier(f: SampledFunction, rho: Profile1D, param_grid: Grid,
     if param_grid.dim != f.grid.dim + 1:
         raise DomainError("parameter grid dim must be f's dim + 1")
     omega_grid = omega_grid or _default_op_omega_grid(param_grid)
-    omega = omega_grid.axis(0)
-    rho_sharp = rho.spectral_values(omega_grid)
-    fhat = _fhat_evaluator(f)
-    m = f.grid.dim
-    a_axes = [param_grid.axis(k) for k in range(m)]
-    a_mesh = np.meshgrid(*a_axes, indexing="ij")
-    a_pts = np.stack([g.ravel() for g in a_mesh], axis=-1)          # (Na, m)
-    sheared = a_pts[:, None, :] * omega[None, :, None]               # (Na, Nω, m)
-    fhat_vals = fhat(sheared.reshape(-1, m) if m > 1 else sheared.reshape(-1))
-    spec_vals = fhat_vals.reshape(len(a_pts), len(omega)) * np.conj(rho_sharp)[None, :]
-    spec_grid = Grid(param_grid.lower[:-1] + omega_grid.lower,
-                     param_grid.upper[:-1] + omega_grid.upper,
-                     param_grid.counts[:-1] + omega_grid.counts)
-    spec = SpectralFunction(spec_grid, spec_vals.reshape(spec_grid.counts))
-    b_grid = Grid.line(param_grid.lower[-1], param_grid.upper[-1], param_grid.counts[-1])
-    return partial_flat_b(spec, b_grid)
+    return _slice_ridgelet(_fhat_evaluator(f), rho, param_grid, omega_grid)
 
 
 def _default_op_omega_grid(param_grid: Grid) -> Grid:
@@ -376,10 +360,8 @@ def _default_op_omega_grid(param_grid: Grid) -> Grid:
 def forward_s_fourier(op: NetworkOperator, gamma: ParamDistribution,
                       output_grid: Grid | None = None) -> SpectralFunction:
     """Fourier-slice path for S: Ŝ[γ](ξ) = (2π)^{m−1} ∫ γ♯(ξ/ω,ω) σ♯(ω)
-    |ω|^{−m} dω, with γ♯ sheared by separable cubic interpolation (zero
-    outside the grid; the |ω|→0 rows self-truncate)."""
-    from scipy.interpolate import CubicSpline
-
+    |ω|^{−m} dω, with γ♯ sheared by one cubic spline over the a grid, ω as
+    its batch axis (zero outside the grid; the |ω|→0 rows self-truncate)."""
     if op.sigma.spectral_eval is None:
         raise UnsupportedProfileError(f"{op.sigma.name!r} has no spectral evaluator")
     if gamma.grid != op.param_grid:
@@ -387,40 +369,17 @@ def forward_s_fourier(op: NetworkOperator, gamma: ParamDistribution,
     m = op.m
     omega_grid = _default_op_omega_grid(op.param_grid)
     omega = omega_grid.axis(0)
-    w_omega = omega_grid.axis_weights(0)
     gam_sharp = partial_sharp_b(gamma, omega_grid)
-    sig = op.sigma.spectral_values(omega_grid)
+    weight = op.sigma.spectral_values(omega_grid) * np.abs(omega) ** (-m) \
+        * omega_grid.axis_weights(0)
     if output_grid is None:
         output_grid = _default_xi_grid(op.input_grid)
-    if m == 1:
-        a_nodes = op.param_grid.axis(0)
-        xi = output_grid.axis(0)
-        acc = np.zeros(len(xi), dtype=complex)
-        lo, hi = a_nodes[0], a_nodes[-1]
-        weight = sig * np.abs(omega) ** (-m) * w_omega
-        for i, om in enumerate(omega):
-            spline = CubicSpline(a_nodes, gam_sharp.values[:, i])
-            pos = xi / om
-            inside = (pos >= lo) & (pos <= hi)
-            if not np.any(inside):
-                continue
-            row = np.zeros(len(xi), dtype=complex)
-            row[inside] = spline(pos[inside])
-            acc += row * weight[i]
-        vals = (2.0 * np.pi) ** (m - 1) * acc
-        out = SpectralFunction(output_grid, vals)
-    else:
-        xi_pts = output_grid.points()
-        acc = np.zeros(xi_pts.shape[0], dtype=complex)
-        weight = sig * np.abs(omega) ** (-m) * w_omega
-        a_grid_axes = [op.param_grid.axis(k) for k in range(m)]
-        for i, om in enumerate(omega):
-            slab = SpectralFunction(Grid(op.param_grid.lower[:-1], op.param_grid.upper[:-1],
-                                         op.param_grid.counts[:-1]),
-                                    np.ascontiguousarray(gam_sharp.values[..., i]))
-            acc += interpolate(slab, xi_pts / om) * weight[i]
-        vals = (2.0 * np.pi) ** (m - 1) * acc.reshape(output_grid.counts)
-        out = SpectralFunction(output_grid, vals)
+    spline = cubic_spline(op.param_grid.sub(slice(-1)), gam_sharp.values)
+    xi_pts = output_grid.points()
+    acc = np.zeros(xi_pts.shape[0], dtype=complex)
+    for i, om in enumerate(omega):
+        acc += spline[i](xi_pts / om) * weight[i]
+    out = SpectralFunction(output_grid, (2.0 * np.pi) ** (m - 1) * acc)
     out.meta["boundary_decay"] = gam_sharp.meta.get("boundary_decay", 0.0)
     return out
 
@@ -518,10 +477,8 @@ def hd_inner(phi: ParamDistribution, gamma: ParamDistribution, orders: SobolevOr
 
     γ̌♯ is the inverse transform along a composed with the forward transform
     along b, evaluated on the native (y, ω) grid (y reuses the a axis) and
-    sheared to (ωx, ω) by per-row cubic interpolation.
+    sheared to (ωx, ω) by one cubic spline over y, ω as its batch axis.
     """
-    from scipy.interpolate import CubicSpline
-
     from .fourier import _axis_transform
 
     if phi.grid != gamma.grid:
@@ -531,25 +488,19 @@ def hd_inner(phi: ParamDistribution, gamma: ParamDistribution, orders: SobolevOr
         raise DomainError("hd_inner implemented for m = 1")
     omega_grid = omega_grid or _default_op_omega_grid(phi.grid)
     omega = omega_grid.axis(0)
-    x = input_grid.axis(0)
-    y_nodes = phi.grid.axis(0)
+    x_pts = input_grid.points()
+    y_grid = phi.grid.sub(slice(-1))
+    y_nodes = y_grid.axis(0)
 
     def sheared(field: ParamDistribution) -> np.ndarray:
         vals = _axis_transform(field.values, 0, field.grid.axis(0),
                                field.grid.axis_weights(0), y_nodes, +1.0) / (2.0 * np.pi)
         vals = _axis_transform(vals, 1, field.grid.axis(1),
                                field.grid.axis_weights(1), omega, -1.0)
-        out = np.zeros((len(x), len(omega)), dtype=complex)
-        for i, om in enumerate(omega):
-            spline_r = CubicSpline(y_nodes, vals[:, i].real)
-            spline_i = CubicSpline(y_nodes, vals[:, i].imag)
-            pos = om * x
-            inside = (pos >= y_nodes[0]) & (pos <= y_nodes[-1])
-            row = np.zeros(len(x), dtype=complex)
-            row[inside] = spline_r(pos[inside]) + 1j * spline_i(pos[inside])
-            out[:, i] = row
+        spline = cubic_spline(y_grid, vals)
+        out = np.stack([spline[i](om * x_pts) for i, om in enumerate(omega)], axis=1)
         if orders.t != 0.0:
-            for j in range(len(x)):
+            for j in range(len(x_pts)):
                 out[j, :] = fractional_bracket(SpectralFunction(omega_grid, out[j, :]),
                                                orders.t).values
         return out

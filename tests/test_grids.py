@@ -17,7 +17,7 @@ from ghostlet import (
     sample,
     weighted_omega_inner,
 )
-from ghostlet.grids import interpolate
+from ghostlet.grids import cubic_spline, interpolate
 from ghostlet.profiles import hermite_function
 
 
@@ -200,3 +200,24 @@ def test_interpolate_bicubic_exact_and_zero_outside():
     assert np.max(np.abs(interpolate(fld, pts) - poly(pts[:, 0], pts[:, 1]))) <= 1e-12 * scale
     outside = np.array([[-2.0 - 1e-9, 0.0], [0.0, 3.0 + 1e-9], [5.0, 5.0], [-7.0, 1.0]])
     assert np.array_equal(interpolate(fld, outside), np.zeros(4, dtype=complex))
+
+
+def test_cubic_spline_matches_scipy_cubic_spline_on_complex_1d_data():
+    """On a 1-D grid the spline is scipy's complex not-a-knot CubicSpline
+    (kept here as the reference): the same node values, the same values
+    between nodes, and 0 outside the box."""
+    from scipy.interpolate import CubicSpline
+
+    g = Grid.line(-6.0, 5.0, 97)
+    x = g.axis(0)
+    rng = np.random.default_rng(7)
+    vals = np.exp(-x ** 2 / 8.0) * (np.cos(2.0 * x) + 1j * np.sin(x)) \
+        + 0.01 * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+    spline = cubic_spline(g, vals)
+    reference = CubicSpline(x, vals)
+    scale = np.max(np.abs(vals))
+    assert np.max(np.abs(spline(x[:, None]) - vals)) <= 1e-13 * scale
+    off = np.sort(rng.uniform(-6.0, 5.0, 400))
+    assert np.max(np.abs(spline(off[:, None]) - reference(off))) <= 1e-13 * scale
+    outside = np.array([-6.0 - 1e-9, 5.0 + 1e-9, -40.0, 12.0])
+    assert np.array_equal(spline(outside[:, None]), np.zeros(4, dtype=complex))

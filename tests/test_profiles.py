@@ -250,3 +250,16 @@ def test_dawson_matches_scipy_everywhere(x):
     from scipy.special import dawsn
 
     assert dawson(x) == dawsn(x)
+
+
+def test_interp_profile_keeps_array_shape():
+    from ghostlet.profiles import _interp_profile
+
+    grid = DEFAULT_OMEGA_GRID
+    om = grid.axis(0)
+    prof = _interp_profile("g", grid, np.exp(-om ** 2 / 2.0) * (1.0 + 0.5j * om))
+    w = np.outer(np.linspace(-2.0, 2.0, 7), np.linspace(-9.0, 9.0, 5))
+    got = prof.spectral_eval(w)
+    assert got.shape == w.shape
+    assert np.max(np.abs(got - np.exp(-w ** 2 / 2.0) * (1.0 + 0.5j * w))) < 1e-6
+    assert np.array_equal(prof.spectral_eval(np.array([[-12.5, 13.0]])), np.zeros((1, 2)))

@@ -32,7 +32,7 @@ from ghostlet import (
 )
 from ghostlet.grids import UnsupportedProfileError, weighted_omega_norm
 from ghostlet.profiles import DEFAULT_OMEGA_GRID, Profile1D
-from ghostlet.transforms import hd_inner
+from ghostlet.transforms import _default_op_omega_grid, _default_xi_grid, hd_inner
 
 from conftest import bump_mix, rel_l2
 
@@ -252,6 +252,55 @@ def test_separation_of_variables(op3):
     fhat = fourier_forward(f, shat.grid)
     pair = pairing(op3.sigma, rho, 1)
     assert l2_norm(shat - pair * fhat) / l2_norm(fhat) < 1e-3
+
+
+def _forward_s_fourier_per_omega_loop(op, gamma):
+    """Reference for m = 1: one scipy CubicSpline of γ♯(·, ω) per ω node,
+    evaluated at ξ/ω inside the a box and summed with the weights of the
+    ω trapezoid."""
+    from scipy.interpolate import CubicSpline
+
+    from ghostlet import partial_sharp_b
+
+    omega_grid = _default_op_omega_grid(op.param_grid)
+    omega = omega_grid.axis(0)
+    gam_sharp = partial_sharp_b(gamma, omega_grid)
+    weight = op.sigma.spectral_values(omega_grid) * np.abs(omega) ** -1.0 \
+        * omega_grid.axis_weights(0)
+    a_nodes = op.param_grid.axis(0)
+    xi = _default_xi_grid(op.input_grid).axis(0)
+    acc = np.zeros(len(xi), dtype=complex)
+    for i, om in enumerate(omega):
+        spline = CubicSpline(a_nodes, gam_sharp.values[:, i])
+        pos = xi / om
+        inside = (pos >= a_nodes[0]) & (pos <= a_nodes[-1])
+        row = np.zeros(len(xi), dtype=complex)
+        row[inside] = spline(pos[inside])
+        acc += row * weight[i]
+    return acc
+
+
+def test_forward_s_fourier_m1_matches_per_omega_spline_loop(op3, hermite12, ghost_profile):
+    from ghostlet.nullspace import ridgelet_atom
+
+    gam = ridgelet_fourier(bump_mix(35), op3.sigma, op3.param_grid) \
+        + 0.6 * ridgelet_atom(hermite12, 3, ghost_profile, op3.param_grid)
+    got = forward_s_fourier(op3, gam).values
+    want = _forward_s_fourier_per_omega_loop(op3, gam)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_slice_path_m2_matches_direct():
+    """m = 2: the Fourier-slice R and S agree with direct quadrature."""
+    input_grid = Grid((-4.0, -4.0), (4.0, 4.0), (33, 33))
+    param_grid = Grid((-4.0, -4.0, -16.0), (4.0, 4.0, 16.0), (33, 33, 65))
+    op = make_operator(gaussian_derivative_profile(4), param_grid, input_grid)
+    f = sample(input_grid, lambda x, y: np.exp(-(x - 0.5) ** 2 / 1.28 - (y + 0.3) ** 2 / 2.0))
+    r_direct = ridgelet(f, op.sigma, param_grid)
+    r_slice = ridgelet_fourier(f, op.sigma, param_grid)
+    assert rel_l2(r_slice, r_direct) < 1e-3
+    s_direct = forward_s(op, r_direct)
+    assert rel_l2(forward_s_via_fourier(op, r_direct), s_direct) < 2e-2
 
 
 def test_forward_s_fourier_needs_spectrum(param_grid, input_grid):
