@@ -52,13 +52,6 @@ class NascentDelta:
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
 
-    def base_axis_profile(self, u: np.ndarray) -> np.ndarray:
-        """1-D factor of the separable Gaussian base (standard normal), with
-        factors below `_FACTOR_FLOOR` set to 0."""
-        vals = np.exp(-(u ** 2) / 2.0) / np.sqrt(2.0 * np.pi)
-        vals[vals < _FACTOR_FLOOR] = 0.0
-        return vals
-
     def base_values(self, offsets: np.ndarray) -> np.ndarray:
         """φ(v) at offsets of shape (..., dim); normalized to unit mass."""
         v = np.asarray(offsets, dtype=float)
@@ -95,12 +88,27 @@ class NascentDelta:
         return vals.reshape(xi.shape[:-1])
 
 
-# Factors below this are set to 0. `mollify` multiplies one a-factor by one
-# b-factor, so kept factors give products of at least 1e-300, still normal
-# doubles; subnormal factors (below 2.2e-308, 1.5% of the b-factors on the
-# finite-model grid) make its GEMM about 3x slower. A dropped term is below
-# 1e-150·|w_k|/(p·ε²), far under the roundoff of any node a point reaches.
+# Factors below this are set to 0, and so are row entries B·s'_k whose factor B
+# is below floor/|s'_k|, where s'_k = s_k·2^{-e}, s_k = w_k/(p·ε²) and 2^e brings
+# max|s_k| into [1/2, 1). So every product in `mollify`'s GEMM is ≳ 1e-300, a
+# normal double. The old rule floored only the factors, so factor·s_k fell
+# subnormal for small s_k (the roundoff-sized Im parts of real weights) and slowed
+# the GEMM several-fold. Each dropped term is below 1e-150·max_k|s_k| at its node.
 _FACTOR_FLOOR = 1e-150
+
+
+def _axis_factors(nodes: np.ndarray, centers: np.ndarray, epsilon: float) -> np.ndarray:
+    """exp(−u²/2)/√(2π), u = (node − center)/ε, as a fresh (centers, nodes) array, 0 below
+    `_FACTOR_FLOOR`; exp's argument is clamped there, so exp never underflows."""
+    u = np.subtract.outer(centers, nodes)
+    u /= epsilon
+    np.square(u, out=u)
+    u /= -2.0
+    np.maximum(u, np.log(_FACTOR_FLOOR), out=u)
+    np.exp(u, out=u)
+    u /= np.sqrt(2.0 * np.pi)
+    u[u < _FACTOR_FLOOR] = 0.0
+    return u
 
 
 def _bump_mass(dim: int) -> float:
@@ -138,8 +146,10 @@ def mollify(model: FiniteModel, delta: NascentDelta, grid: Grid) -> ParamDistrib
 
     Points closer than 3ε to the box edge leave mass outside; that is
     recorded as a truncation warning in the field metadata rather than an
-    error. The Gaussian base splits into per-axis factors and reduces to one
-    matrix product per axis pair.
+    error. The 2-D Gaussian base is separable: the field is Aᵀ @ (s·B) for
+    per-point factor rows A, B (`_axis_factors`) and s_k = w_k/(p·ε²), two
+    real GEMMs (Re s, Im s) on rows floored as `_FACTOR_FLOOR` states; other
+    bases and dimensions sum δ^ε point by point.
     """
     dim = grid.dim
     if model.points.shape[1] != dim:
@@ -149,12 +159,17 @@ def mollify(model: FiniteModel, delta: NascentDelta, grid: Grid) -> ParamDistrib
     margin = 3.0 * delta.epsilon
     clipped = np.any((model.points < lo + margin) | (model.points > hi - margin), axis=1)
     if delta.base_shape == GAUSSIAN and dim == 2:
-        a_fac = delta.base_axis_profile(
-            (grid.axis(0)[None, :] - model.points[:, 0][:, None]) / delta.epsilon)
-        b_fac = delta.base_axis_profile(
-            (grid.axis(1)[None, :] - model.points[:, 1][:, None]) / delta.epsilon)
+        a_fac = _axis_factors(grid.axis(0), model.points[:, 0], delta.epsilon)
+        b_fac = _axis_factors(grid.axis(1), model.points[:, 1], delta.epsilon)
         scale = model.weights / (model.p * delta.epsilon ** dim)
-        vals = (a_fac * scale[:, None]).T @ b_fac
+        shift = np.frexp(np.max(np.abs(scale)))[1]
+        parts = []
+        for part in (scale.real, scale.imag):
+            unit = np.ldexp(part, -shift)[:, None]
+            rows = b_fac * unit
+            rows[b_fac < _FACTOR_FLOOR / np.maximum(np.abs(unit), _FACTOR_FLOOR)] = 0.0
+            parts.append(np.ldexp(a_fac.T @ rows, shift))
+        vals = parts[0] + 1j * parts[1]
     else:
         vals = np.zeros(grid.counts, dtype=complex)
         nodes = grid.points()
@@ -205,8 +220,7 @@ def sample_parameters(gamma_smooth: ParamDistribution, p: int, seed: int,
         gvals = interpolate(gamma_smooth, pts)
         mags = np.abs(gvals)
         phase = np.where(mags > 1e-300, gvals / np.maximum(mags, 1e-300), 0.0)
-        z = float(np.sum(np.abs(gamma_smooth.values) * grid.weights()))
-        return FiniteModel(points=pts, weights=z * phase)
+        return FiniteModel(points=pts, weights=total * phase)
     raise DomainError(f"unknown sampling scheme {scheme!r}")
 
 

@@ -18,7 +18,7 @@ dimension: at the 69,408 sheared (a, ω) points of a 1-D slice, BSpline takes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -155,6 +155,11 @@ class _Field:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_field_values(self.grid, self.values))
+
+    @cached_property
+    def spline(self) -> "Spline":
+        """The field's `cubic_spline`, built once (the values are read-only)."""
+        return cubic_spline(self.grid, self.values)
 
     def _wrap(self, values: np.ndarray) -> "_Field":
         return type(self)(self.grid, values)
@@ -295,6 +300,7 @@ def cubic_spline(grid: Grid, values: np.ndarray) -> Spline:
         spline = make_interp_spline(nodes, coef, k=3, axis=d)
         knots.append(spline.t)
         coef = np.moveaxis(spline.c, 0, d)
+    coef.flags.writeable = False
     return Spline(grid, tuple(knots), coef)
 
 
@@ -302,23 +308,18 @@ def interpolate(fld: _Field, points: np.ndarray, method: str = "cubic") -> np.nd
     """Evaluate a field at off-grid points of shape (n, dim), 0 outside the
     grid box.
 
-    Cubic (the default) builds the one spline of this module
-    (`cubic_spline`: exact not-a-knot, BSpline-evaluated on 1-D grids and
-    NdBSpline-evaluated otherwise) and evaluates it once. Other methods go
-    through scipy's RegularGridInterpolator.
+    Cubic (the default) evaluates the field's one spline (`_Field.spline`,
+    the module's `cubic_spline`: exact not-a-knot, BSpline-evaluated on 1-D
+    grids and NdBSpline-evaluated otherwise), built on the field's first
+    cubic call. Other methods go through scipy's RegularGridInterpolator.
     """
     from scipy.interpolate import RegularGridInterpolator
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if method == "cubic":
-        return cubic_spline(fld.grid, fld.values)(pts)
-    interp_re = RegularGridInterpolator(
-        fld.grid.axes(), fld.values.real, method=method, bounds_error=False, fill_value=0.0
-    )
-    interp_im = RegularGridInterpolator(
-        fld.grid.axes(), fld.values.imag, method=method, bounds_error=False, fill_value=0.0
-    )
-    return interp_re(pts) + 1j * interp_im(pts)
+        return fld.spline(pts)
+    return RegularGridInterpolator(fld.grid.axes(), fld.values, method=method,
+                                   bounds_error=False, fill_value=0.0)(pts)
 
 
 def integrate(fld: _Field, scheme: QuadratureScheme = QuadratureScheme()) -> complex:

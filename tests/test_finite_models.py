@@ -26,7 +26,14 @@ from ghostlet import (
     sample_parameters,
     smooth_convolve,
 )
-from ghostlet.finite_models import DENSITY_PROPORTIONAL, EXCLUSIVE, INCLUSIVE, UNIFORM_BOX
+from ghostlet.finite_models import (
+    _FACTOR_FLOOR,
+    DENSITY_PROPORTIONAL,
+    EXCLUSIVE,
+    INCLUSIVE,
+    UNIFORM_BOX,
+    _axis_factors,
+)
 from ghostlet.nullspace import ridgelet_atom
 from ghostlet.profiles import Profile1D, _rho_k_unnormalized
 
@@ -127,6 +134,97 @@ def test_mollify_margin_warning():
     model = FiniteModel(points=np.array([[9.9, 0.0]]), weights=np.array([1.0]))
     emb = mollify(model, delta, PG)
     assert "truncation_warning" in emb.meta
+
+
+def _brute_mollify(model, delta, grid):
+    """The reference sum Σ_k (w_k/p)·δ^ε(node − v_k), all points at once."""
+    nodes = grid.points()
+    vals = delta.values(nodes[None, :, :] - model.points[:, None, :])
+    return ((model.weights / model.p) @ vals).reshape(grid.counts)
+
+
+# ε = 0.25 on a b-range of ±10 reaches offsets of about 70ε, so the separable path
+# meets factors below the floor and exp arguments beyond its underflow point.
+MG = Grid((-4.0, -10.0), (4.0, 10.0), (33, 81))
+
+
+def _random_model(rng, p, lo=(-3.0, -8.0), hi=(3.0, 8.0), imag_scale=0.0):
+    points = rng.uniform(lo, hi, (p, 2))
+    re = rng.standard_normal(p)
+    return FiniteModel(points=points, weights=re + 1j * imag_scale * rng.standard_normal(p))
+
+
+@pytest.mark.parametrize("kind", ["real", "near_real", "complex"])
+def test_mollify_matches_brute_force_sum(kind):
+    """The real separable path equals the point-by-point sum to 1e-12 in max
+    norm, for real weights, weights whose Im parts are 1e-13 of their Re
+    parts (what density sampling of a real field gives) and complex ones."""
+    imag_scale = {"real": 0.0, "near_real": 1e-13, "complex": 1.0}[kind]
+    model = _random_model(np.random.default_rng(21), 300, imag_scale=imag_scale)
+    delta = NascentDelta("gaussian", 0.25)
+    got = mollify(model, delta, MG)
+    ref = _brute_mollify(model, delta, MG)
+    assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if kind == "near_real":
+        assert np.max(np.abs(got.values.imag - ref.imag)) <= 1e-12 * np.max(np.abs(ref.imag))
+    assert "truncation_warning" not in got.meta
+
+
+def test_mollify_matches_brute_force_near_the_edge():
+    """Points within 3ε of the box edge: same sum, and the warning is set."""
+    rng = np.random.default_rng(22)
+    delta = NascentDelta("gaussian", 0.5)
+    model = _random_model(rng, 40, lo=(2.6, 8.6), hi=(4.0, 10.0), imag_scale=1.0)
+    got = mollify(model, delta, MG)
+    ref = _brute_mollify(model, delta, MG)
+    assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert got.meta["truncation_warning"] == "40 of 40 points within 3ε of the box edge"
+
+
+def test_mollify_is_relative_to_the_weight_scale():
+    """Weights scaled by 1e-200 give 1e-200 times the field: the floor is
+    relative to max|w|, so tiny weights are not zeroed."""
+    model = _random_model(np.random.default_rng(23), 200, imag_scale=1.0)
+    tiny = FiniteModel(points=model.points, weights=1e-200 * model.weights)
+    delta = NascentDelta("gaussian", 0.25)
+    unit = mollify(model, delta, MG).values
+    got = mollify(tiny, delta, MG).values
+    assert np.max(np.abs(got - 1e-200 * unit)) <= 1e-13 * 1e-200 * np.max(np.abs(unit))
+
+
+def test_axis_factors_floor_the_plain_formula():
+    """The factor routine is the plain formula exp(−u²/2)/√(2π), bit for
+    bit, where that is at least the floor, and 0 where it is below; no
+    entry is subnormal."""
+    nodes = np.linspace(-32.0, 32.0, 129)
+    centers = np.random.default_rng(24).uniform(-20.0, 20.0, 500)
+    got = _axis_factors(nodes, centers, 0.5)
+    u = (nodes[None, :] - centers[:, None]) / 0.5
+    with np.errstate(under="ignore"):
+        plain = np.exp(-(u ** 2) / 2.0) / np.sqrt(2.0 * np.pi)
+    below = plain < _FACTOR_FLOOR
+    assert np.any(below) and np.any((plain > 0.0) & (plain < np.finfo(float).tiny))
+    assert got.shape == (500, 129) and got.flags.c_contiguous
+    assert np.all(got[below] == 0.0)
+    assert np.array_equal(got[~below], plain[~below])
+    assert not np.any((got != 0.0) & (np.abs(got) < np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("shape, grid", [
+    ("bump", Grid((-3.0, -4.0), (3.0, 4.0), (49, 65))),
+    ("gaussian", Grid((-2.0, -2.0, -3.0), (2.0, 2.0, 3.0), (13, 13, 17))),
+])
+def test_mollify_point_loop_matches_brute_force_sum(shape, grid):
+    """The per-point loop (the bump base, and every dim ≠ 2) equals the
+    reference sum, at p = 20."""
+    rng = np.random.default_rng(25)
+    lo, hi = np.asarray(grid.lower) + 1.0, np.asarray(grid.upper) - 1.0
+    model = FiniteModel(points=rng.uniform(lo, hi, (20, grid.dim)),
+                        weights=rng.standard_normal(20) + 1j * rng.standard_normal(20))
+    delta = NascentDelta(shape, 0.6)
+    got = mollify(model, delta, grid)
+    ref = _brute_mollify(model, delta, grid)
+    assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_mollified_network_converges_to_point_masses(opf, gamma_smooth_pair):

@@ -202,6 +202,33 @@ def test_interpolate_bicubic_exact_and_zero_outside():
     assert np.array_equal(interpolate(fld, outside), np.zeros(4, dtype=complex))
 
 
+def test_interpolate_builds_one_spline_per_field(monkeypatch):
+    """Repeated cubic calls on one field build its spline once and return
+    bit-identical values; a field made by arithmetic gets its own spline.
+    The spline's coefficients are read-only, like the field's values."""
+    import ghostlet.grids as grids
+
+    builds = []
+
+    def counting(grid, values):
+        builds.append(grid)
+        return cubic_spline(grid, values)
+
+    monkeypatch.setattr(grids, "cubic_spline", counting)
+    g = Grid((-2.0, -3.0), (2.0, 3.0), (17, 25))
+    a, b = g.mesh()
+    fld = ParamDistribution(g, np.exp(-a ** 2 - b ** 2 / 4.0) * (1.0 + 0.5j * a))
+    pts = np.random.default_rng(7).uniform([-2.0, -3.0], [2.0, 3.0], (300, 2))
+    first = interpolate(fld, pts)
+    second = interpolate(fld, pts)
+    assert len(builds) == 1 and np.array_equal(first, second)
+    assert not fld.spline.coef.flags.writeable
+    doubled = fld * 2.0
+    assert np.array_equal(interpolate(doubled, pts), interpolate(doubled, pts))
+    assert len(builds) == 2 and doubled.spline is not fld.spline
+    assert_allclose(interpolate(doubled, pts), 2.0 * first, rtol=1e-13, atol=1e-15)
+
+
 def test_cubic_spline_matches_scipy_cubic_spline_on_complex_1d_data():
     """On a 1-D grid the spline is scipy's complex not-a-knot CubicSpline
     (kept here as the reference): the same node values, the same values
