@@ -25,7 +25,7 @@ from .grids import (
     l2_inner,
     l2_norm,
 )
-from .profiles import BasisFamily, Profile1D
+from .profiles import _GAUSS_FLOOR, BasisFamily, Profile1D
 from .transforms import AdjointMode, NetworkOperator, _neuron_sum
 from .nullspace import ExpansionCoefficients, build_atoms, project
 
@@ -94,7 +94,7 @@ class NascentDelta:
 # normal double. The old rule floored only the factors, so factor·s_k fell
 # subnormal for small s_k (the roundoff-sized Im parts of real weights) and slowed
 # the GEMM several-fold. Each dropped term is below 1e-150·max_k|s_k| at its node.
-_FACTOR_FLOOR = 1e-150
+_FACTOR_FLOOR = _GAUSS_FLOOR
 
 
 def _axis_factors(nodes: np.ndarray, centers: np.ndarray, epsilon: float) -> np.ndarray:

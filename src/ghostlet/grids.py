@@ -277,9 +277,9 @@ class Spline:
             vals = BSpline(self.knots[0], self.coef, 3, extrapolate=False)(pts[..., 0])
         else:
             vals = NdBSpline(self.knots, self.coef, 3)(pts)
-        inside = np.all((pts >= self.grid.lower) & (pts <= self.grid.upper), axis=-1)
-        inside = inside.reshape(inside.shape + (1,) * (vals.ndim - 1 - inside.ndim))
-        return np.where(inside, vals[..., 0] + 1j * vals[..., 1], 0.0)
+        out = np.ascontiguousarray(vals).view(complex)[..., 0]
+        out[~np.all((pts >= self.grid.lower) & (pts <= self.grid.upper), axis=-1)] = 0.0
+        return out
 
 
 def cubic_spline(grid: Grid, values: np.ndarray) -> Spline:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .fourier import (
     SobolevOrders,
+    _axis_transform,
     bracket,
     fourier_forward,
     fourier_inverse,
@@ -479,8 +480,6 @@ def hd_inner(phi: ParamDistribution, gamma: ParamDistribution, orders: SobolevOr
     along b, evaluated on the native (y, ω) grid (y reuses the a axis) and
     sheared to (ωx, ω) by one cubic spline over y, ω as its batch axis.
     """
-    from .fourier import _axis_transform
-
     if phi.grid != gamma.grid:
         raise DomainError("fields live on different grids")
     m = phi.grid.dim - 1
@@ -490,13 +489,10 @@ def hd_inner(phi: ParamDistribution, gamma: ParamDistribution, orders: SobolevOr
     omega = omega_grid.axis(0)
     x_pts = input_grid.points()
     y_grid = phi.grid.sub(slice(-1))
-    y_nodes = y_grid.axis(0)
 
     def sheared(field: ParamDistribution) -> np.ndarray:
-        vals = _axis_transform(field.values, 0, field.grid.axis(0),
-                               field.grid.axis_weights(0), y_nodes, +1.0) / (2.0 * np.pi)
-        vals = _axis_transform(vals, 1, field.grid.axis(1),
-                               field.grid.axis_weights(1), omega, -1.0)
+        vals = _axis_transform(field.values, 0, y_grid, y_grid, +1.0) / (2.0 * np.pi)
+        vals = _axis_transform(vals, 1, field.grid.sub(slice(-1, None)), omega_grid, -1.0)
         spline = cubic_spline(y_grid, vals)
         out = np.stack([spline[i](om * x_pts) for i, om in enumerate(omega)], axis=1)
         if orders.t != 0.0:

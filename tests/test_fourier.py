@@ -20,7 +20,12 @@ from ghostlet import (
     sharp,
     wh_norm,
 )
-from ghostlet.fourier import bracket, bracket_self_adjoint_defect
+from ghostlet.fourier import (
+    _KERNEL_CACHE_ENTRIES,
+    _axis_kernel,
+    bracket,
+    bracket_self_adjoint_defect,
+)
 from ghostlet.profiles import gaussian_profile, relu_profile
 
 XG = Grid.line(-12.0, 12.0, 1024)
@@ -164,3 +169,68 @@ def test_wh_norm_relu_orders():
     assert np.isfinite(wh_norm(relu, SobolevOrders(2, 0)))
     with pytest.raises(DomainError):
         wh_norm(relu, SobolevOrders(1, 0))
+
+
+def _plain_kernel(src, dst, sign):
+    """The uncached kernel formula the Fourier transforms use."""
+    return np.exp(sign * 1j * np.outer(dst.axis(0), src.axis(0))) * src.axis_weights(0)
+
+
+def test_axis_kernel_is_the_plain_formula_and_read_only():
+    src, dst = Grid.line(-3.0, 5.0, 37), Grid.line(-7.0, 7.0, 44)
+    for sign in (-1.0, 1.0):
+        kernel = _axis_kernel(src, dst, sign)
+        assert np.array_equal(kernel, _plain_kernel(src, dst, sign))
+        assert not kernel.flags.writeable
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 0.0
+
+
+def test_cached_transforms_match_the_plain_kernels_bit_for_bit():
+    """A 2-D forward and inverse transform equal the per-axis products with
+    kernels built by the plain formula on every call."""
+    xg, fg = Grid.symmetric([3.0, 4.0], [25, 31]), Grid.symmetric([5.0, 6.0], [28, 36])
+    u = sample(xg, lambda x, y: np.exp(-(x ** 2 + (y - 0.5) ** 2) / 2) * (1 + 0.3j * x))
+    want = u.values
+    for ax in range(2):
+        line = slice(ax, ax + 1)
+        kernel = _plain_kernel(xg.sub(line), fg.sub(line), -1.0)
+        want = np.moveaxis(np.tensordot(kernel, np.moveaxis(want, ax, 0), axes=(1, 0)), 0, ax)
+    spec = fourier_forward(u, fg)
+    assert np.array_equal(spec.values, want)
+    back = want
+    for ax in range(2):
+        line = slice(ax, ax + 1)
+        kernel = _plain_kernel(fg.sub(line), xg.sub(line), +1.0)
+        back = np.moveaxis(np.tensordot(kernel, np.moveaxis(back, ax, 0), axes=(1, 0)), 0, ax)
+    assert np.array_equal(fourier_inverse(spec, xg).values, back / (2.0 * np.pi) ** 2)
+
+
+def test_transforms_on_the_same_grids_build_one_kernel():
+    _axis_kernel.cache_clear()
+    bg, og = Grid.line(-4.0, 4.0, 33), Grid.line(-6.0, 6.0, 40)
+    u = sample(bg, lambda b: np.exp(-b ** 2 / 2))
+    v = sample(bg, lambda b: b * np.exp(-b ** 2))
+    fourier_forward(u, og)
+    fourier_forward(v, og)
+    gamma = sample(Grid((-1.0, -4.0), (1.0, 4.0), (5, 33)), lambda a, b: np.exp(-(a * b) ** 2),
+                   ParamDistribution)
+    partial_sharp_b(gamma, og)
+    info = _axis_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    kernel = _axis_kernel(bg, og, -1.0)
+    assert _axis_kernel(bg, og, -1.0) is kernel
+    assert _axis_kernel(bg, og, +1.0) is not kernel
+    assert _axis_kernel(bg, Grid.line(-6.0, 6.0, 42), -1.0) is not kernel
+    assert _axis_kernel.cache_info().currsize == 3
+
+
+def test_kernel_above_the_cap_is_not_retained():
+    _axis_kernel.cache_clear()
+    src, dst = Grid.line(-4.0, 4.0, 1025), Grid.line(-8.0, 8.0, 1025)
+    assert src.counts[0] * dst.counts[0] > _KERNEL_CACHE_ENTRIES
+    u = sample(src, lambda x: np.exp(-x ** 2 / 2))
+    got = fourier_forward(u, dst).values
+    assert _axis_kernel.cache_info().currsize == 0
+    assert np.array_equal(got, np.tensordot(_plain_kernel(src, dst, -1.0), u.values,
+                                            axes=(1, 0)))

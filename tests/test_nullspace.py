@@ -261,3 +261,24 @@ class TestLazy:
                 * ridgelet_atom(hermite12, int(rng.integers(0, 6)), ghost_profile,
                                 op3.param_grid)
             assert base <= l2_norm(lazy + g - init) + 1e-9
+
+
+def test_hermite_atom_spectra_have_no_subnormal_entry(monkeypatch, tmp_path):
+    """The (a, ω) spectrum that `_slice_ridgelet` hands to `partial_flat_b`
+    for Hermite atoms 1–3 of the `decompose` testbed holds no subnormal
+    double (they slow the inverse transform's GEMM several-fold)."""
+    from ghostlet import transforms
+    from ghostlet.experiments import ExperimentConfig, _ghost_testbed
+
+    op, basis, ghost_profile = _ghost_testbed(
+        ExperimentConfig(experiment="decompose", output_dir=str(tmp_path)))
+    spectra = []
+    flat_b = transforms.partial_flat_b
+    monkeypatch.setattr(transforms, "partial_flat_b",
+                        lambda spec, b_grid: spectra.append(spec.values) or flat_b(spec, b_grid))
+    for i in (1, 2, 3):
+        ridgelet_atom(basis, i, ghost_profile, op.param_grid)
+    assert len(spectra) == 3
+    for spec in spectra:
+        parts = np.concatenate([spec.real.ravel(), spec.imag.ravel()])
+        assert not np.any((parts != 0.0) & (np.abs(parts) < np.finfo(float).tiny))

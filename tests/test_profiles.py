@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.polynomial import hermite_e
 from hypothesis import strategies as st
 
 from ghostlet import (
@@ -23,6 +24,8 @@ from ghostlet.grids import UnsupportedProfileError, weighted_omega_norm
 from ghostlet.profiles import (
     DEFAULT_OMEGA_GRID,
     SingularPointError,
+    _GAUSS_FLOOR,
+    _gauss,
     _rho_k_unnormalized,
     hermite_function,
     numerical_parity,
@@ -263,3 +266,71 @@ def test_interp_profile_keeps_array_shape():
     assert got.shape == w.shape
     assert np.max(np.abs(got - np.exp(-w ** 2 / 2.0) * (1.0 + 0.5j * w))) < 1e-6
     assert np.array_equal(prof.spectral_eval(np.array([[-12.5, 13.0]])), np.zeros((1, 2)))
+
+
+TINY = np.finfo(float).tiny
+X_WIDE = np.linspace(-200.0, 200.0, 40001)
+
+
+def _subnormal_count(values):
+    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    return sum(int(np.sum((p != 0.0) & (np.abs(p) < TINY))) for p in parts)
+
+
+def _plain_gauss(x):
+    with np.errstate(under="ignore"):
+        return np.exp(-(x ** 2) / 2.0)
+
+
+def _assert_floored(got, plain, below):
+    """No subnormal output, exactly 0 where the plain formula's Gaussian is
+    below the floor, and the plain formula bit for bit elsewhere."""
+    assert _subnormal_count(got) == 0
+    assert np.all(got[below] == 0.0)
+    assert np.array_equal(got[~below], plain[~below])
+
+
+def test_gauss_floors_the_plain_formula():
+    plain = _plain_gauss(X_WIDE)
+    assert _subnormal_count(plain) > 0
+    _assert_floored(_gauss(X_WIDE), plain, plain < _GAUSS_FLOOR)
+    wide = gaussian_profile(width=0.7, center=0.3).real_eval(X_WIDE)
+    with np.errstate(under="ignore"):
+        plain = np.exp(-((X_WIDE - 0.3) ** 2) / (2.0 * 0.7 ** 2))
+    _assert_floored(wide, plain, plain < _GAUSS_FLOOR)
+
+
+def test_hermite_functions_floor_the_plain_recurrence():
+    below = _plain_gauss(X_WIDE) < _GAUSS_FLOOR
+    h_prev, h = np.zeros_like(X_WIDE), np.pi ** (-0.25) * _plain_gauss(X_WIDE)
+    for n in range(12):
+        _assert_floored(hermite_function(n, X_WIDE), h, below)
+        with np.errstate(under="ignore"):
+            h_next = X_WIDE * np.sqrt(2.0 / (n + 1)) * h - np.sqrt(n / (n + 1.0)) * h_prev
+        h_prev, h = h, h_next
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_gaussian_derivative_evaluators_floor_the_plain_formula(k):
+    prof = gaussian_derivative_profile(k)
+    gauss = _plain_gauss(X_WIDE)
+    below = gauss < _GAUSS_FLOOR
+    coeffs = np.zeros(k + 1)
+    coeffs[k] = 1.0
+    with np.errstate(under="ignore"):
+        real = (-1.0) ** k * hermite_e.hermeval(X_WIDE, coeffs) * gauss
+        spec = (1j * X_WIDE) ** k * np.sqrt(2.0 * np.pi) * gauss
+    assert _subnormal_count(real) > 0
+    _assert_floored(prof.real_eval(X_WIDE), real, below)
+    _assert_floored(prof.spectral_eval(X_WIDE), spec, below)
+
+
+@pytest.mark.parametrize("k, scale", [(1, 1.0), (2, 0.5), (3, 1.7)])
+def test_rho_spectra_floor_the_plain_formula(k, scale):
+    gauss = _plain_gauss(scale * X_WIDE)
+    below = gauss < _GAUSS_FLOOR
+    with np.errstate(under="ignore"):
+        spec = (1j * X_WIDE) ** k * np.sign(X_WIDE) * gauss
+    _assert_floored(_rho_k_unnormalized(k, scale).spectral_eval(X_WIDE), spec, below)
+    _assert_floored(rho0_profile().spectral_eval(X_WIDE), np.sign(X_WIDE) * _plain_gauss(X_WIDE)
+                    + 0.0j, _plain_gauss(X_WIDE) < _GAUSS_FLOOR)
