@@ -10,10 +10,12 @@ the origin (see `weighted_omega_inner`).
 
 Every cubic interpolation goes through one spline, the exact not-a-knot
 cubic of `cubic_spline`, which is 0 outside the grid box: `interpolate`, the
-Fourier-slice path and the interpolated profiles all use it. Its evaluator uses
-scipy's BSpline on 1-D grids and NdBSpline otherwise, by the grid's
-dimension: at the 69,408 sheared (a, ω) points of a 1-D slice, BSpline takes
-5.6 ms and NdBSpline 42 ms, with bit-identical values (2-vCPU Xeon).
+Fourier-slice path and the interpolated profiles all use it. `Spline.__call__`
+serves shared points (`interpolate`, the profiles) by scipy's BSpline on 1-D
+grids and NdBSpline otherwise: at the 69,408 sheared (a, ω) points of a 1-D
+slice, BSpline takes 5.6 ms and NdBSpline 42 ms, with bit-identical values
+(2-vCPU Xeon). `Spline.each` serves per-entry points (the sheared slices of
+`forward_s_fourier` and `hd_inner`).
 """
 from __future__ import annotations
 
@@ -233,10 +235,6 @@ class QuadratureScheme:
             raise DomainError("MonteCarlo requires positive sample_count")
 
     @staticmethod
-    def trapezoid() -> "QuadratureScheme":
-        return QuadratureScheme(TRAPEZOID)
-
-    @staticmethod
     def monte_carlo(sample_count: int, seed: int) -> "QuadratureScheme":
         return QuadratureScheme(MONTE_CARLO, sample_count, seed)
 
@@ -255,16 +253,13 @@ class Spline:
     0 outside the grid box (built by `cubic_spline`).
 
     `coef` holds the B-spline coefficients: one axis per grid axis, then the
-    batch axes of the node values, then (Re, Im). `spline[i]` is the spline
-    of batch entry i, with no new solve.
+    batch axes of the node values, then (Re, Im). `__call__` evaluates every
+    batch entry at shared points, `each` entry i at its own points[i].
     """
 
     grid: Grid
     knots: tuple
     coef: np.ndarray
-
-    def __getitem__(self, index) -> "Spline":
-        return Spline(self.grid, self.knots, self.coef[(slice(None),) * self.grid.dim + (index,)])
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Values at points of shape (..., dim); the result has shape
@@ -278,6 +273,29 @@ class Spline:
         else:
             vals = NdBSpline(self.knots, self.coef, 3)(pts)
         out = np.ascontiguousarray(vals).view(complex)[..., 0]
+        out[~np.all((pts >= self.grid.lower) & (pts <= self.grid.upper), axis=-1)] = 0.0
+        return out
+
+    def each(self, points: np.ndarray) -> np.ndarray:
+        """Batch entry i at its own points[i] (shape (batch, ..., dim), one
+        batch axis), bit-identical to `__call__` on entry i alone: scipy's
+        design-matrix rows times the entry's coefficients, summed from 0 in
+        column order as scipy's evaluators sum."""
+        from scipy.interpolate import BSpline, NdBSpline
+
+        pts = np.asarray(points, dtype=float)
+        if self.coef.shape[self.grid.dim:-1] != pts.shape[:1]:
+            raise DomainError(f"points {pts.shape} do not match the batch of {self.coef.shape}")
+        flat = pts.reshape(-1, self.grid.dim)
+        rows = (BSpline.design_matrix(flat[:, 0], self.knots[0], 3, extrapolate=True)
+                if self.grid.dim == 1 else NdBSpline.design_matrix(flat, self.knots, 3))
+        cols = rows.indices.reshape(flat.shape[0], -1)
+        coef = self.coef.reshape(-1, pts.shape[0], 2)
+        entry = np.repeat(np.arange(pts.shape[0]), flat.shape[0] // pts.shape[0])
+        acc = np.zeros((flat.shape[0], 2))
+        for j, basis in enumerate(rows.data.reshape(cols.shape).T):
+            acc += coef[cols[:, j], entry] * basis[:, None]
+        out = acc.view(complex)[:, 0].reshape(pts.shape[:-1])
         out[~np.all((pts >= self.grid.lower) & (pts <= self.grid.upper), axis=-1)] = 0.0
         return out
 

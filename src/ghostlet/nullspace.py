@@ -199,7 +199,7 @@ def project(op: NetworkOperator, gamma: ParamDistribution,
         principal = ridgelet_fourier(f, op.sigma, op.param_grid)
     else:
         f = forward_s(op, gamma)
-        principal = ridgelet(f, op.sigma, op.param_grid, op.scheme)
+        principal = ridgelet(f, op.sigma, op.param_grid)
     return principal, gamma - principal
 
 
@@ -211,7 +211,7 @@ def lazy_solution(op: NetworkOperator, f: SampledFunction, gamma_init: ParamDist
     if use_fourier and op.sigma.spectral_eval is not None:
         principal_f = ridgelet_fourier(f, op.sigma, op.param_grid)
     else:
-        principal_f = ridgelet(f, op.sigma, op.param_grid, op.scheme)
+        principal_f = ridgelet(f, op.sigma, op.param_grid)
     _, ghost_init = project(op, gamma_init, use_fourier=use_fourier)
     return principal_f + ghost_init
 

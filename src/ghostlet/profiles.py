@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial import hermite_e
 from numpy.polynomial import polynomial as npoly
 from scipy.special import dawsn
 
@@ -187,9 +186,10 @@ def _horner(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
     return out
 
 
-# Elements per pass of `dawson_derivative` (128 kB in float64), so the Horner
-# passes run in cache rather than streaming the whole array each time.
-_DAWSON_BLOCK = 1 << 14
+# Elements per pass of `dawson_derivative` and `_gaussian_derivative_real`
+# (128 kB in float64), so their passes run in cache rather than streaming the
+# whole array each time.
+_EVAL_BLOCK = 1 << 14
 
 
 def dawson_derivative(x, k: int):
@@ -199,9 +199,9 @@ def dawson_derivative(x, k: int):
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
     flat_x, flat_out = x.ravel(), out.reshape(-1)
-    for start in range(0, flat_x.size, _DAWSON_BLOCK):
-        xb = flat_x[start:start + _DAWSON_BLOCK]
-        ob = flat_out[start:start + _DAWSON_BLOCK]
+    for start in range(0, flat_x.size, _EVAL_BLOCK):
+        xb = flat_x[start:start + _EVAL_BLOCK]
+        ob = flat_out[start:start + _EVAL_BLOCK]
         ob[...] = _horner(xb, P)
         ob *= dawsn(xb)
         ob += _horner(xb, Q)
@@ -296,22 +296,38 @@ def gaussian_profile(width: float = 1.0, center: float = 0.0) -> Profile1D:
                      parity=PARITY_EVEN if center == 0.0 else PARITY_NONE)
 
 
+def _gaussian_derivative_real(b, k: int) -> np.ndarray:
+    """(−1)^k·He_k(b)·e^{−b²/2} in cache-sized blocks, bit-identical to
+    `(−1)**k * hermite_e.hermeval(b, e_k) * _gauss(b)`: each block makes that
+    expression's passes one for one (hermeval's Clenshaw steps from scalar c0,
+    c1; its last step; the sign, × 1.0 skipped as exact; `_gauss`)."""
+    b = np.asarray(b, dtype=float)
+    out = np.empty(b.shape)
+    flat_b, flat_out = b.ravel(), out.reshape(-1)
+    for start in range(0, flat_b.size, _EVAL_BLOCK):
+        x = flat_b[start:start + _EVAL_BLOCK]
+        ob = flat_out[start:start + _EVAL_BLOCK]
+        c0, c1 = (1.0, 0.0) if k == 0 else (0.0, 1.0)
+        for mult in range(k - 1, 0, -1):   # hermeval: c[−i] − c1·(nd − 1), tmp + c1·x
+            c0, c1 = 0.0 - c1 * mult, c0 + c1 * x
+        np.multiply(c1, x, out=ob)
+        ob += c0
+        if k % 2:
+            ob *= -1.0
+        ob *= _gauss(x)
+    return out
+
+
 def gaussian_derivative_profile(k: int = 1) -> Profile1D:
     """k-th derivative of the unit Gaussian: d^k/db^k e^{-b²/2} =
     (−1)^k He_k(b) e^{-b²/2}, spectrum (iω)^k √(2π) e^{-ω²/2}."""
-    coeffs = np.zeros(k + 1)
-    coeffs[k] = 1.0
-
-    def real(b, k=k):
-        b = np.asarray(b, dtype=float)
-        return (-1.0) ** k * hermite_e.hermeval(b, coeffs) * _gauss(b)
 
     def spec(w, k=k):
         w = np.asarray(w, dtype=float)
         return (1j * w) ** k * np.sqrt(2.0 * np.pi) * _gauss(w)
 
-    return Profile1D(name=f"gauss_d{k}", real_eval=real, spectral_eval=spec,
-                     parity=PARITY_ODD if k % 2 == 1 else PARITY_EVEN,
+    return Profile1D(name=f"gauss_d{k}", real_eval=lambda b: _gaussian_derivative_real(b, k),
+                     spectral_eval=spec, parity=PARITY_ODD if k % 2 == 1 else PARITY_EVEN,
                      orders=SobolevOrders(t=0.0, s=0.0))
 
 

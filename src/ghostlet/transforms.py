@@ -9,8 +9,8 @@ Disentangled spectral forms (the fast paths):
     R[f;ρ]♯(a,ω) = f̂(ωa) · conj(ρ♯(ω))
     Ŝ[γ](ξ)      = (2π)^{m−1} ∫ γ♯(ξ/ω, ω) σ♯(ω) |ω|^{−m} dω
 
-Both paths agree on shared grids; the direct path honors the configured
-quadrature, the spectral path interpolates the sheared spectrum (cubic,
+Both paths agree on shared grids; the direct path is the trapezoid rule on
+the grids' nodes, the spectral path interpolates the sheared spectrum (cubic,
 zero outside the box).
 """
 from __future__ import annotations
@@ -36,15 +36,13 @@ from .fourier import (
 from .grids import (
     DomainError,
     Grid,
-    MONTE_CARLO,
     ParamDistribution,
     QuadratureScheme,
     SampledFunction,
     SpectralFunction,
+    TRAPEZOID,
     UnsupportedProfileError,
     cubic_spline,
-    interpolate,
-    uniform_points,
 )
 from .profiles import DEFAULT_OMEGA_GRID, Profile1D, pairing, weighted_space_norm
 
@@ -74,7 +72,7 @@ class AdjointMode:
 
 @dataclass(frozen=True)
 class NetworkOperator:
-    """S with a fixed activation, parameter grid, input grid, and quadrature.
+    """S with a fixed activation, parameter grid, input grid and trapezoid rule.
 
     When `normalize` is requested at construction the activation is rescaled
     so its weighted norm is 1 (this is what makes P = S*∘S a projection in
@@ -84,10 +82,10 @@ class NetworkOperator:
     sigma: Profile1D
     param_grid: Grid
     input_grid: Grid
-    scheme: QuadratureScheme = QuadratureScheme()
     norm_constant: float | None = None
     original_scale: float = 1.0
     omega_grid: Grid = DEFAULT_OMEGA_GRID
+    scheme = QuadratureScheme()  # a class constant, not a field: S uses the trapezoid rule only
 
     def __post_init__(self):
         if self.param_grid.dim != self.input_grid.dim + 1:
@@ -104,9 +102,9 @@ class NetworkOperator:
     @cached_property
     def kernel(self) -> np.ndarray | None:
         """σ(a·x − b) as a (parameter node, input node) matrix, built on first
-        use and kept, for trapezoid operators with at most `_CHUNK` entries;
-        None otherwise (`forward_s` then streams the kernel in blocks)."""
-        if (self.scheme.kind == MONTE_CARLO or self.sigma.real_eval is None
+        use and kept, for operators with at most `_CHUNK` entries; None
+        otherwise (`forward_s` then streams the kernel in blocks)."""
+        if (self.sigma.real_eval is None
                 or self.param_grid.total_points * self.input_grid.total_points > _CHUNK):
             return None
         pts = self.param_grid.points()
@@ -115,7 +113,6 @@ class NetworkOperator:
 
 
 def make_operator(sigma: Profile1D, param_grid: Grid, input_grid: Grid,
-                  scheme: QuadratureScheme = QuadratureScheme(),
                   normalize: bool = True,
                   omega_grid: Grid | None = None) -> NetworkOperator:
     """Build a NetworkOperator, normalizing σ in the weighted norm when it is
@@ -130,15 +127,13 @@ def make_operator(sigma: Profile1D, param_grid: Grid, input_grid: Grid,
             norm = None
     if normalize and norm is not None:
         sigma = sigma.scaled(1.0 / norm, name=f"{sigma.name}~unit")
-        return NetworkOperator(sigma, param_grid, input_grid, scheme,
-                               norm_constant=1.0, original_scale=norm,
-                               omega_grid=omega_grid)
-    return NetworkOperator(sigma, param_grid, input_grid, scheme,
-                           norm_constant=norm, original_scale=1.0,
-                           omega_grid=omega_grid)
+        return NetworkOperator(sigma, param_grid, input_grid, norm_constant=1.0,
+                               original_scale=norm, omega_grid=omega_grid)
+    return NetworkOperator(sigma, param_grid, input_grid, norm_constant=norm,
+                           original_scale=1.0, omega_grid=omega_grid)
 
 
-# A trapezoid operator whose σ(a·x − b) matrix has at most _CHUNK entries
+# An operator whose σ(a·x − b) matrix has at most _CHUNK entries
 # (32 MB in float64) keeps it (`NetworkOperator.kernel`), and each later
 # forward_s is one GEMM; larger operators stream the kernel in `_BLOCK`
 # blocks on every call.
@@ -254,15 +249,11 @@ def forward_s(op: NetworkOperator, gamma: ParamDistribution) -> SampledFunction:
     if op.sigma.real_eval is None:
         raise UnsupportedProfileError(
             f"activation {op.sigma.name!r} has no real-domain evaluator")
-    if op.scheme.kind == MONTE_CARLO:
-        pts = uniform_points(op.param_grid, op.scheme.sample_count, op.scheme.seed)
-        coeff = interpolate(gamma, pts) * (op.param_grid.volume / op.scheme.sample_count)
-    else:
-        coeff = (gamma.values * op.param_grid.weights()).ravel()
-        if op.kernel is not None:
-            vals = _kernel_sum(coeff, op.kernel)
-            return SampledFunction(op.input_grid, vals.reshape(op.input_grid.counts))
-        pts = op.param_grid.points()
+    coeff = (gamma.values * op.param_grid.weights()).ravel()
+    if op.kernel is not None:
+        vals = _kernel_sum(coeff, op.kernel)
+        return SampledFunction(op.input_grid, vals.reshape(op.input_grid.counts))
+    pts = op.param_grid.points()
     vals = _neuron_sum(pts[:, :-1], pts[:, -1], coeff, op.input_grid.points(),
                        op.sigma.real_eval)
     return SampledFunction(op.input_grid, vals.reshape(op.input_grid.counts))
@@ -271,20 +262,17 @@ def forward_s(op: NetworkOperator, gamma: ParamDistribution) -> SampledFunction:
 def ridgelet(f: SampledFunction, rho: Profile1D, param_grid: Grid,
              scheme: QuadratureScheme = QuadratureScheme()) -> ParamDistribution:
     """Direct-quadrature R[f;ρ] on the parameter grid (linear in f,
-    conjugate-linear in ρ)."""
+    conjugate-linear in ρ), by the trapezoid rule, the only `scheme`."""
+    if scheme.kind != TRAPEZOID:
+        raise DomainError(f"ridgelet integrates by the trapezoid rule, not {scheme.kind!r}")
     if rho.real_eval is None:
         raise UnsupportedProfileError(f"ridgelet profile {rho.name!r} has no real evaluator")
     if param_grid.dim != f.grid.dim + 1:
         raise DomainError("parameter grid dim must be f's dim + 1")
     pts = param_grid.points()
     pa, pb = pts[:, :-1], pts[:, -1]
-    if scheme.kind == MONTE_CARLO:
-        x_nodes = uniform_points(f.grid, scheme.sample_count, scheme.seed)
-        fvals = interpolate(f, x_nodes)
-        coeff = fvals * (f.grid.volume / scheme.sample_count)
-    else:
-        x_nodes = f.grid.points()
-        coeff = (f.values * f.grid.weights()).ravel()
+    x_nodes = f.grid.points()
+    coeff = (f.values * f.grid.weights()).ravel()
     # Same kernel sum with roles swapped: output over (a,b) in row blocks,
     # reduction over x within each block.
     rows = max(1, _BLOCK // max(x_nodes.shape[0], 1))
@@ -362,7 +350,8 @@ def forward_s_fourier(op: NetworkOperator, gamma: ParamDistribution,
                       output_grid: Grid | None = None) -> SpectralFunction:
     """Fourier-slice path for S: Ŝ[γ](ξ) = (2π)^{m−1} ∫ γ♯(ξ/ω,ω) σ♯(ω)
     |ω|^{−m} dω, with γ♯ sheared by one cubic spline over the a grid, ω as
-    its batch axis (zero outside the grid; the |ω|→0 rows self-truncate)."""
+    its batch axis and evaluated by `Spline.each` (zero outside the grid; the
+    |ω|→0 rows self-truncate)."""
     if op.sigma.spectral_eval is None:
         raise UnsupportedProfileError(f"{op.sigma.name!r} has no spectral evaluator")
     if gamma.grid != op.param_grid:
@@ -376,10 +365,10 @@ def forward_s_fourier(op: NetworkOperator, gamma: ParamDistribution,
     if output_grid is None:
         output_grid = _default_xi_grid(op.input_grid)
     spline = cubic_spline(op.param_grid.sub(slice(-1)), gam_sharp.values)
-    xi_pts = output_grid.points()
-    acc = np.zeros(xi_pts.shape[0], dtype=complex)
-    for i, om in enumerate(omega):
-        acc += spline[i](xi_pts / om) * weight[i]
+    sheared = spline.each(output_grid.points() / omega[:, None, None])
+    acc = np.zeros(sheared.shape[1], dtype=complex)
+    for row, w in zip(sheared, weight):
+        acc += row * w
     out = SpectralFunction(output_grid, (2.0 * np.pi) ** (m - 1) * acc)
     out.meta["boundary_decay"] = gam_sharp.meta.get("boundary_decay", 0.0)
     return out
@@ -416,7 +405,7 @@ def reconstruct(op: NetworkOperator, f: SampledFunction, rho: Profile1D,
         gam = ridgelet_fourier(f, rho, op.param_grid)
         out = forward_s_via_fourier(op, gam)
     else:
-        gam = ridgelet(f, rho, op.param_grid, op.scheme)
+        gam = ridgelet(f, rho, op.param_grid)
         out = forward_s(op, gam)
     return out, pair
 
@@ -465,7 +454,7 @@ def adjoint(op: NetworkOperator, f: SampledFunction, mode: AdjointMode) -> Param
     if mode.kind == PLAIN_L2:
         if op.norm_constant is None:
             raise DomainError("plain-L² adjoint needs σ with a finite weighted norm")
-        return ridgelet(f, op.sigma, op.param_grid, op.scheme)
+        return ridgelet(f, op.sigma, op.param_grid)
     star = build_sigma_star(op.sigma, mode.orders, op.m, op.omega_grid)
     return ridgelet_fourier(f, star, op.param_grid)
 
@@ -493,8 +482,7 @@ def hd_inner(phi: ParamDistribution, gamma: ParamDistribution, orders: SobolevOr
     def sheared(field: ParamDistribution) -> np.ndarray:
         vals = _axis_transform(field.values, 0, y_grid, y_grid, +1.0) / (2.0 * np.pi)
         vals = _axis_transform(vals, 1, field.grid.sub(slice(-1, None)), omega_grid, -1.0)
-        spline = cubic_spline(y_grid, vals)
-        out = np.stack([spline[i](om * x_pts) for i, om in enumerate(omega)], axis=1)
+        out = cubic_spline(y_grid, vals).each(omega[:, None, None] * x_pts).T
         if orders.t != 0.0:
             for j in range(len(x_pts)):
                 out[j, :] = fractional_bracket(SpectralFunction(omega_grid, out[j, :]),

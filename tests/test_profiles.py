@@ -334,3 +334,25 @@ def test_rho_spectra_floor_the_plain_formula(k, scale):
     _assert_floored(_rho_k_unnormalized(k, scale).spectral_eval(X_WIDE), spec, below)
     _assert_floored(rho0_profile().spectral_eval(X_WIDE), np.sign(X_WIDE) * _plain_gauss(X_WIDE)
                     + 0.0j, _plain_gauss(X_WIDE) < _GAUSS_FLOOR)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_gaussian_derivative_real_evaluator_is_the_plain_expression_bit_for_bit(k):
+    """The blocked, in-place evaluator returns (−1)^k·hermeval(b, e_k)·_gauss(b)
+    bit for bit (signed zeros included): on [−200, 200] across several
+    blocks, at ±0.0, on a 0-d input and on a non-contiguous view."""
+    coeffs = np.zeros(k + 1)
+    coeffs[k] = 1.0
+
+    def plain(b):
+        b = np.asarray(b, dtype=float)
+        return np.asarray((-1.0) ** k * hermite_e.hermeval(b, coeffs) * _gauss(b))
+
+    real = gaussian_derivative_profile(k).real_eval
+    rng = np.random.default_rng(k)
+    wide = np.concatenate([X_WIDE, rng.uniform(-200.0, 200.0, 3000), [0.0, -0.0, 1e-300]])
+    view = rng.uniform(-40.0, 40.0, (300, 201))[::3, 1::2]
+    for b in (wide, np.array([0.0, -0.0]), np.array(-0.0), np.array(1.7), view):
+        got, want = real(b), plain(b)
+        assert got.shape == want.shape == np.shape(b)
+        assert got.tobytes() == want.tobytes()

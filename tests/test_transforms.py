@@ -343,6 +343,52 @@ def test_weighted_adjoint_duality():
     assert abs(lhs - rhs) / abs(lhs) < 1e-2
 
 
+def _hd_inner_per_omega_loop(phi, gamma, orders, input_grid):
+    """Reference for `hd_inner`: its computation with one spline evaluation
+    per ω node, the spline of that ω column alone."""
+    from ghostlet.fourier import _axis_transform, bracket, fractional_bracket
+    from ghostlet.grids import Spline, SpectralFunction, cubic_spline
+
+    omega_grid = _default_op_omega_grid(phi.grid)
+    omega = omega_grid.axis(0)
+    x_pts = input_grid.points()
+    y_grid = phi.grid.sub(slice(-1))
+
+    def sheared(field):
+        vals = _axis_transform(field.values, 0, y_grid, y_grid, +1.0) / (2.0 * np.pi)
+        vals = _axis_transform(vals, 1, field.grid.sub(slice(-1, None)), omega_grid, -1.0)
+        spline = cubic_spline(y_grid, vals)
+        out = np.stack([Spline(y_grid, spline.knots, spline.coef[:, i])(om * x_pts)
+                        for i, om in enumerate(omega)], axis=1)
+        if orders.t != 0.0:
+            for j in range(len(x_pts)):
+                out[j, :] = fractional_bracket(SpectralFunction(omega_grid, out[j, :]),
+                                               orders.t).values
+        return out
+
+    pv, gv = sheared(phi), sheared(gamma)
+    weight = np.outer(input_grid.axis_weights(0), omega_grid.axis_weights(0)) \
+        * bracket(omega)[None, :] ** (-2 * orders.s)
+    return complex(np.sum(pv * np.conj(gv) * weight))
+
+
+@pytest.mark.parametrize("orders", [SobolevOrders(0.0, -1.0), SobolevOrders(1.0, -1.0)],
+                         ids=["t=0", "t=1"])
+def test_hd_inner_matches_per_omega_loop_bit_for_bit(orders):
+    xg = Grid.line(-6.0, 6.0, 61)
+    pg = Grid((-6.0, -16.0), (6.0, 16.0), (61, 97))
+    phi = ridgelet_fourier(bump_mix(36, grid=xg), gaussian_derivative_profile(2), pg)
+    gam = ridgelet_fourier(bump_mix(37, grid=xg), gaussian_profile(), pg)
+    assert hd_inner(phi, gam, orders, xg) == _hd_inner_per_omega_loop(phi, gam, orders, xg)
+
+
+def test_ridgelet_integrates_by_the_trapezoid_rule_only(op3):
+    from ghostlet import QuadratureScheme
+
+    with pytest.raises(DomainError):
+        ridgelet(bump_mix(38), op3.sigma, op3.param_grid, QuadratureScheme.monte_carlo(64, 0))
+
+
 def test_adjoint_mode_validation():
     with pytest.raises(DomainError):
         AdjointMode("weighted_sobolev")
