@@ -486,12 +486,11 @@ def run_lazy(cfg: ExperimentConfig) -> RunReport:
     fit = _rel_l2(forward_s(op, gamma_lazy), f)
     base_dist = l2_norm(gamma_lazy - gamma_init)
     n_trials = int(cfg.params.get("n_trials", 20))
-    atom_2 = ridgelet_atom(basis, 2, ghost_profile, op.param_grid)
-    atom_3 = ridgelet_atom(basis, 3, ghost_profile, op.param_grid)
     wins = 0
     for trial in range(n_trials):
         coeffs = rng.normal(size=2)
-        g = coeffs[0] * atom_2 + coeffs[1] * atom_3
+        g = coeffs[0] * ridgelet_atom(basis, 2, ghost_profile, op.param_grid) \
+            + coeffs[1] * ridgelet_atom(basis, 3, ghost_profile, op.param_grid)
         rival = gamma_lazy + g
         if base_dist <= l2_norm(rival - gamma_init) + 1e-12:
             wins += 1

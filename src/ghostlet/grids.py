@@ -290,11 +290,12 @@ class Spline:
         rows = (BSpline.design_matrix(flat[:, 0], self.knots[0], 3, extrapolate=True)
                 if self.grid.dim == 1 else NdBSpline.design_matrix(flat, self.knots, 3))
         cols = rows.indices.reshape(flat.shape[0], -1)
-        coef = self.coef.reshape(-1, pts.shape[0], 2)
         entry = np.repeat(np.arange(pts.shape[0]), flat.shape[0] // pts.shape[0])
+        index = cols * pts.shape[0] + entry[:, None]   # coef rows as (coefficient, entry)
+        coef = self.coef.reshape(-1, 2)
         acc = np.zeros((flat.shape[0], 2))
         for j, basis in enumerate(rows.data.reshape(cols.shape).T):
-            acc += coef[cols[:, j], entry] * basis[:, None]
+            acc += coef.take(index[:, j], axis=0) * basis[:, None]
         out = acc.view(complex)[:, 0].reshape(pts.shape[:-1])
         out[~np.all((pts >= self.grid.lower) & (pts <= self.grid.upper), axis=-1)] = 0.0
         return out

@@ -35,23 +35,3 @@ def test_mc_ridgelet_field_matches_serial_loop(monkeypatch, sigma):
     assert np.iscomplexobj(got) == np.iscomplexobj(rho.real_eval(np.zeros(1)))
     np.testing.assert_array_equal(got, want)
     assert rng_par.bit_generator.state == rng_ser.bit_generator.state
-
-
-def test_run_lazy_builds_each_ghost_atom_once(monkeypatch, tmp_path):
-    """The trial ghosts are combinations of the same two atoms: at its
-    defaults (20 trials) run_lazy builds 3 atoms, not 3 per trial."""
-    from ghostlet import experiments
-    from ghostlet.experiments import ExperimentConfig
-
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return atom(*args, **kwargs)
-
-    atom = experiments.ridgelet_atom
-    monkeypatch.setattr(experiments, "ridgelet_atom", counting)
-    report = experiments.run_lazy(ExperimentConfig(experiment="lazy", seed=0,
-                                                   output_dir=str(tmp_path)))
-    assert report.metrics["trials"] == 20.0
-    assert len(calls) <= 3
