@@ -88,12 +88,13 @@ class NascentDelta:
         return vals.reshape(xi.shape[:-1])
 
 
-# Factors below this are set to 0, and so are row entries B·s'_k whose factor B
-# is below floor/|s'_k|, where s'_k = s_k·2^{-e}, s_k = w_k/(p·ε²) and 2^e brings
-# max|s_k| into [1/2, 1). So every product in `mollify`'s GEMM is ≳ 1e-300, a
-# normal double. The old rule floored only the factors, so factor·s_k fell
-# subnormal for small s_k (the roundoff-sized Im parts of real weights) and slowed
-# the GEMM several-fold. Each dropped term is below 1e-150·max_k|s_k| at its node.
+# Factors below this are set to 0, and so are entries of T·B below it. T is the
+# sparse table of s_k·2^{-e} summed on each point's distinct (a, b) pair, where
+# s_k = w_k/(p·ε²) and 2^e brings max|s_k| into [1/2, 1). So every product in
+# `mollify`'s GEMM Aᵀ·(T·B) is ≳ 1e-300, a normal double. Without the T·B floor,
+# products fall subnormal for small s_k (the roundoff-sized Im parts of real
+# weights) and slow the GEMM several-fold. Each dropped term is below
+# 1e-150·max_k|s_k| at its node.
 _FACTOR_FLOOR = _GAUSS_FLOOR
 
 
@@ -146,10 +147,12 @@ def mollify(model: FiniteModel, delta: NascentDelta, grid: Grid) -> ParamDistrib
 
     Points closer than 3ε to the box edge leave mass outside; that is
     recorded as a truncation warning in the field metadata rather than an
-    error. The 2-D Gaussian base is separable: the field is Aᵀ @ (s·B) for
-    per-point factor rows A, B (`_axis_factors`) and s_k = w_k/(p·ε²), two
-    real GEMMs (Re s, Im s) on rows floored as `_FACTOR_FLOOR` states; other
-    bases and dimensions sum δ^ε point by point.
+    error. The 2-D Gaussian base is separable, so the sum runs on the model's
+    distinct coordinates: the field is Aᵀ·(T·B) for axis factors A, B of the
+    distinct a and b values (`_axis_factors`) and T the sparse table of
+    s_k = w_k/(p·ε²) summed on each (a, b) pair, two real GEMMs (Re s, Im s)
+    floored as `_FACTOR_FLOOR` states. A model on grid nodes costs the same
+    for any p. Other bases and dimensions sum δ^ε point by point.
     """
     dim = grid.dim
     if model.points.shape[1] != dim:
@@ -159,15 +162,19 @@ def mollify(model: FiniteModel, delta: NascentDelta, grid: Grid) -> ParamDistrib
     margin = 3.0 * delta.epsilon
     clipped = np.any((model.points < lo + margin) | (model.points > hi - margin), axis=1)
     if delta.base_shape == GAUSSIAN and dim == 2:
-        a_fac = _axis_factors(grid.axis(0), model.points[:, 0], delta.epsilon)
-        b_fac = _axis_factors(grid.axis(1), model.points[:, 1], delta.epsilon)
+        from scipy.sparse import csr_matrix
+
+        ua, ia = np.unique(model.points[:, 0], return_inverse=True)
+        ub, ib = np.unique(model.points[:, 1], return_inverse=True)
+        a_fac = _axis_factors(grid.axis(0), ua, delta.epsilon)
+        b_fac = _axis_factors(grid.axis(1), ub, delta.epsilon)
         scale = model.weights / (model.p * delta.epsilon ** dim)
         shift = np.frexp(np.max(np.abs(scale)))[1]
         parts = []
         for part in (scale.real, scale.imag):
-            unit = np.ldexp(part, -shift)[:, None]
-            rows = b_fac * unit
-            rows[b_fac < _FACTOR_FLOOR / np.maximum(np.abs(unit), _FACTOR_FLOOR)] = 0.0
+            table = csr_matrix((np.ldexp(part, -shift), (ia, ib)), shape=(ua.size, ub.size))
+            rows = table @ b_fac
+            rows[np.abs(rows) < _FACTOR_FLOOR] = 0.0
             parts.append(np.ldexp(a_fac.T @ rows, shift))
         vals = parts[0] + 1j * parts[1]
     else:
@@ -193,10 +200,12 @@ def sample_parameters(gamma_smooth: ParamDistribution, p: int, seed: int,
     smoothed field.
 
     UniformBox: points uniform over the box, weights γ(point)·volume.
-    DensityProportional: grid cells sampled ∝ |γ| (with within-cell jitter);
-    the raw-γ weighting stated with the sampling assumption does not produce
-    the claimed limit, so the weights are the self-normalized importance form
-    Z·phase(γ(point)) with Z = ∫|γ|.
+    DensityProportional: grid nodes drawn ∝ |γ|·(trapezoid weight), so every
+    point is a node; the raw-γ weighting stated with the sampling assumption
+    does not produce the claimed limit, so the weights are the self-normalized
+    importance form Z·phase(γ(node)) with Z = ∫|γ|. The expectation of the
+    mollified model is then the grid quadrature of γ∗δ^ε; jittering the
+    points within their cells would bias it.
     """
     if p <= 0:
         raise DomainError("sample count p must be positive")
@@ -214,9 +223,7 @@ def sample_parameters(gamma_smooth: ParamDistribution, p: int, seed: int,
         if total <= 0.0:
             raise DomainError("cannot sample from an identically-zero field")
         idx = rng.choice(density.size, size=p, p=density / total)
-        nodes = grid.points()[idx]
-        jitter = (rng.random((p, grid.dim)) - 0.5) * np.asarray(grid.spacing)
-        pts = np.clip(nodes + jitter, np.asarray(grid.lower), np.asarray(grid.upper))
+        pts = grid.points()[idx]
         gvals = interpolate(gamma_smooth, pts)
         mags = np.abs(gvals)
         phase = np.where(mags > 1e-300, gvals / np.maximum(mags, 1e-300), 0.0)

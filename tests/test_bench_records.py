@@ -3,7 +3,8 @@
 Each record holds the final JSON line of `bench/run.py` for the parent and
 the change on every pair of runs, with the seeds and a held-out seed, and a
 summary of per-side medians and quartiles. A record stands for a claimed
-speed-up, so it must parse, have at least ten pairs, and show both sides
+speed-up, so it must parse, claim it on a workload and an end-to-end metric
+that `BENCHMARK.json` declares, have at least ten pairs, and show both sides
 correct on every run; its summary must be the one its runs give.
 """
 import json
@@ -14,11 +15,21 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
 
 
 def test_some_record_is_committed():
     assert RECORDS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_names_a_benchmark_workload_and_metric(path):
+    """A record claims a gain on a workload of `BENCHMARK.json`, in one of
+    its end-to-end metrics."""
+    record = json.loads(path.read_text())
+    assert record["workload"] in {w["name"] for w in BENCHMARK["workloads"]}
+    assert record["claim"]["metric"] in {m["name"] for m in BENCHMARK["end_to_end"]}
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)

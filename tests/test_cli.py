@@ -26,6 +26,12 @@ SMALL_APPENDIX = {
     "profiles": {"rho_max_k": 4},
 }
 
+# density sampling and the separable mollify on an 81×65 parameter grid
+SMALL_FINITE_MODEL = {
+    "experiment": "finite-model",
+    "grids": {"param": [[-10.0, -32.0], [10.0, 32.0], [81, 65]]},
+    "params": {"p_values": [100, 2000], "n_seeds": 3},
+}
 
 # the Appendix-C Monte Carlo study on a 25² parameter grid, one k
 SMALL_MONTE_CARLO = {
@@ -116,13 +122,13 @@ def _assert_same_outputs(out_a, out_b):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    cfg = _write_config(tmp_path, SMALL_APPENDIX)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["admissibility", "--config", str(cfg), "--seed", "7",
-                 "--out", str(out_a)]) == 0
-    assert main(["admissibility", "--config", str(cfg), "--seed", "7",
-                 "--out", str(out_b)]) == 0
-    _assert_same_outputs(out_a, out_b)
+    for payload in (SMALL_APPENDIX, SMALL_FINITE_MODEL):
+        name = payload["experiment"]
+        cfg = _write_config(tmp_path, payload)
+        out_a, out_b = tmp_path / name / "a", tmp_path / name / "b"
+        for out in (out_a, out_b):
+            assert main([name, "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+        _assert_same_outputs(out_a, out_b)
 
 
 def test_monte_carlo_reruns_are_byte_identical(tmp_path):

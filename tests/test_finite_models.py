@@ -146,50 +146,78 @@ def _brute_mollify(model, delta, grid):
 # ε = 0.25 on a b-range of ±10 reaches offsets of about 70ε, so the separable path
 # meets factors below the floor and exp arguments beyond its underflow point.
 MG = Grid((-4.0, -10.0), (4.0, 10.0), (33, 81))
+# Every 4th a node and 8th b node of MG, box edges included: p ≥ 100 draws from
+# these 99 nodes repeat nodes, as density sampling does.
+MG_COARSE = MG.points().reshape(33, 81, 2)[::4, ::8].reshape(-1, 2)
 
 
-def _random_model(rng, p, lo=(-3.0, -8.0), hi=(3.0, 8.0), imag_scale=0.0):
-    points = rng.uniform(lo, hi, (p, 2))
+def _random_model(rng, p, lo=(-3.0, -8.0), hi=(3.0, 8.0), imag_scale=0.0, nodes=None):
+    """p points uniform in [lo, hi], or drawn with repeats from the `nodes` there."""
+    if nodes is None:
+        points = rng.uniform(lo, hi, (p, 2))
+    else:
+        inside = nodes[np.all((nodes >= lo) & (nodes <= hi), axis=1)]
+        points = inside[rng.integers(len(inside), size=p)]
     re = rng.standard_normal(p)
     return FiniteModel(points=points, weights=re + 1j * imag_scale * rng.standard_normal(p))
 
 
-@pytest.mark.parametrize("kind", ["real", "near_real", "complex"])
+def _node_model(rng, p, nodes, lo=MG.lower, hi=MG.upper, imag_scale=0.0):
+    """A model on grid nodes that repeats nodes and holds some on the box edge."""
+    model = _random_model(rng, p, lo, hi, imag_scale, nodes)
+    assert len(np.unique(model.points, axis=0)) < p
+    assert np.any((model.points == MG.lower) | (model.points == MG.upper))
+    return model
+
+
+@pytest.mark.parametrize("kind", ["real", "near_real", "complex", "near_real_on_nodes"])
 def test_mollify_matches_brute_force_sum(kind):
     """The real separable path equals the point-by-point sum to 1e-12 in max
     norm, for real weights, weights whose Im parts are 1e-13 of their Re
-    parts (what density sampling of a real field gives) and complex ones."""
-    imag_scale = {"real": 0.0, "near_real": 1e-13, "complex": 1.0}[kind]
-    model = _random_model(np.random.default_rng(21), 300, imag_scale=imag_scale)
+    parts (what density sampling of a real field gives) and complex ones, and
+    for a density-sampling-like model on grid nodes, whose repeated nodes the
+    separable path sums into one table entry."""
+    imag_scale = {"real": 0.0, "complex": 1.0}.get(kind, 1e-13)
+    rng = np.random.default_rng(21)
+    on_nodes = kind.endswith("on_nodes")
+    model = (_node_model(rng, 300, MG_COARSE, imag_scale=imag_scale) if on_nodes
+             else _random_model(rng, 300, imag_scale=imag_scale))
     delta = NascentDelta("gaussian", 0.25)
     got = mollify(model, delta, MG)
     ref = _brute_mollify(model, delta, MG)
     assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
-    if kind == "near_real":
+    if kind.startswith("near_real"):
         assert np.max(np.abs(got.values.imag - ref.imag)) <= 1e-12 * np.max(np.abs(ref.imag))
-    assert "truncation_warning" not in got.meta
+    assert ("truncation_warning" in got.meta) == on_nodes
 
 
 def test_mollify_matches_brute_force_near_the_edge():
-    """Points within 3ε of the box edge: same sum, and the warning is set."""
+    """Points within 3ε of the box edge, drawn uniformly or from the grid
+    nodes with repeats and edge nodes: same sum, and the warning is set."""
     rng = np.random.default_rng(22)
     delta = NascentDelta("gaussian", 0.5)
-    model = _random_model(rng, 40, lo=(2.6, 8.6), hi=(4.0, 10.0), imag_scale=1.0)
-    got = mollify(model, delta, MG)
-    ref = _brute_mollify(model, delta, MG)
-    assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert got.meta["truncation_warning"] == "40 of 40 points within 3ε of the box edge"
+    lo, hi = (2.6, 8.6), (4.0, 10.0)
+    for model in (_random_model(rng, 40, lo, hi, imag_scale=1.0),
+                  _node_model(rng, 40, MG.points(), lo, hi, imag_scale=1.0)):
+        got = mollify(model, delta, MG)
+        ref = _brute_mollify(model, delta, MG)
+        assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert got.meta["truncation_warning"] == "40 of 40 points within 3ε of the box edge"
 
 
 def test_mollify_is_relative_to_the_weight_scale():
     """Weights scaled by 1e-200 give 1e-200 times the field: the floor is
-    relative to max|w|, so tiny weights are not zeroed."""
-    model = _random_model(np.random.default_rng(23), 200, imag_scale=1.0)
-    tiny = FiniteModel(points=model.points, weights=1e-200 * model.weights)
+    relative to max|w|, so tiny weights are not zeroed. Also on grid nodes."""
+    rng = np.random.default_rng(23)
     delta = NascentDelta("gaussian", 0.25)
-    unit = mollify(model, delta, MG).values
-    got = mollify(tiny, delta, MG).values
-    assert np.max(np.abs(got - 1e-200 * unit)) <= 1e-13 * 1e-200 * np.max(np.abs(unit))
+    for model in (_random_model(rng, 200, imag_scale=1.0),
+                  _node_model(rng, 200, MG_COARSE, imag_scale=1.0)):
+        tiny = FiniteModel(points=model.points, weights=1e-200 * model.weights)
+        unit = mollify(model, delta, MG).values
+        got = mollify(tiny, delta, MG).values
+        assert np.max(np.abs(got - 1e-200 * unit)) <= 1e-13 * 1e-200 * np.max(np.abs(unit))
+        ref = _brute_mollify(model, delta, MG)
+        assert np.max(np.abs(unit - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_axis_factors_floor_the_plain_formula():
