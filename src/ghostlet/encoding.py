@@ -41,14 +41,12 @@ from .transforms import NetworkOperator, forward_s_via_fourier, ridgelet_fourier
 class GhostCodebook:
     """sigma plus an orthonormal family whose slot 0 is the visible channel.
 
-    Invariants (checked at construction): |⟨⟨σ,ρ₀⟩⟩ − 1| ≤ tol,
-    |⟨⟨σ,ρ_i⟩⟩| ≤ tol for i ≥ 1, Gram matrix ≈ identity.
+    Invariants (checked at construction, m = 1): |⟨⟨σ,ρ₀⟩⟩ − 1| ≤ 1e-6,
+    |⟨⟨σ,ρ_i⟩⟩| ≤ 1e-6 for i ≥ 1, Gram matrix ≈ identity.
     """
 
     sigma: Profile1D
     rho_family: BasisFamily
-    m: int = 1
-    pairing_tolerance: float = 1e-6
 
     def __len__(self):
         return len(self.rho_family)
@@ -58,10 +56,7 @@ class GhostCodebook:
         return self.rho_family.members
 
 
-def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3, m: int = 1,
-                        omega_grid: Grid | None = None,
-                        candidates: list[Profile1D] | None = None,
-                        tol: float = 1e-6) -> GhostCodebook:
+def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3) -> GhostCodebook:
     """Build a codebook with 1 + n_ghosts slots from Dawson-derivative seeds.
 
     If σ has a finite weighted norm, slot 0 must be σ/‖σ‖ itself (the unit
@@ -71,9 +66,8 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3, m: int = 1,
     pairings and the stored activation is rescaled so slot 0 pairs to exactly
     1; the rescale is recorded in the profile notes.
     """
-    omega_grid = omega_grid or DEFAULT_OMEGA_GRID
-    if candidates is None:
-        candidates = [_rho_k_unnormalized(k) for k in range(1, n_ghosts + 3)]
+    m, omega_grid, tol = 1, DEFAULT_OMEGA_GRID, 1e-6
+    candidates = [_rho_k_unnormalized(k) for k in range(1, n_ghosts + 3)]
     sig_vals = sigma.spectral_values(omega_grid)
     sig_norm = weighted_space_norm(sig_vals, m, omega_grid)
     if sig_norm is not None:
@@ -121,8 +115,8 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3, m: int = 1,
         if abs(pv) > tol:
             raise DomainError(f"ghost slot {i} pairing {abs(pv):.3e} exceeds {tol:g}")
     family = BasisFamily(kind=DAWSON_DERIVATIVE_L2M, members=tuple(members),
-                         gram_tolerance=tol, gram_residual=resid, m=m)
-    return GhostCodebook(sigma=stored_sigma, rho_family=family, m=m, pairing_tolerance=tol)
+                         gram_residual=resid, m=m)
+    return GhostCodebook(sigma=stored_sigma, rho_family=family)
 
 
 def encode_series(codebook: GhostCodebook, functions: list[SampledFunction],

@@ -196,17 +196,16 @@ def _mc_forward_curve(field: ParamDistribution, sigma: Profile1D, x: np.ndarray,
     return _neuron_sum(pts[:, :1], pts[:, 1], gvals, x[:, None], sigma.real_eval)
 
 
-def _box_gain(sigma: Profile1D, rho: Profile1D, xi0: float, a_half: float,
-              m: int = 1) -> float:
-    """Per-frequency gain of the box-truncated reconstruction: the pairing
-    restricted to |ω| ≥ |ξ₀|/A (diagnostic for the truncation low-pass)."""
+def _box_gain(sigma: Profile1D, rho: Profile1D, xi0: float, a_half: float) -> float:
+    """Per-frequency gain of the box-truncated reconstruction: the m = 1
+    pairing restricted to |ω| ≥ |ξ₀|/A (diagnostic for the truncation low-pass)."""
     grid = DEFAULT_OMEGA_GRID
     omega = grid.axis(0)
     w = grid.axis_weights(0)
     integrand = sigma.spectral_values(grid) * np.conj(rho.spectral_values(grid)) \
-        * np.abs(omega) ** float(-m)
+        * np.abs(omega) ** -1.0
     keep = np.abs(omega) >= abs(xi0) / a_half
-    return float(np.abs((2 * np.pi) ** (m - 1) * np.sum((integrand * w)[keep])))
+    return float(np.abs(np.sum((integrand * w)[keep])))
 
 
 def _reconstruction_study(cfg: ExperimentConfig, emit_spectra: bool = True,

@@ -26,7 +26,7 @@ from .grids import (
     l2_norm,
 )
 from .profiles import _GAUSS_FLOOR, BasisFamily, Profile1D
-from .transforms import AdjointMode, NetworkOperator, _neuron_sum
+from .transforms import NetworkOperator, _neuron_sum
 from .nullspace import ExpansionCoefficients, build_atoms, project
 
 GAUSSIAN = "gaussian"
@@ -254,8 +254,7 @@ def smooth_convolve(gamma: ParamDistribution, delta: NascentDelta) -> ParamDistr
 
 def finite_ridgelet_coeffs(model: FiniteModel, delta: NascentDelta,
                            basis_e: BasisFamily, basis_rho: BasisFamily,
-                           truncation: tuple[int, int], grid: Grid,
-                           atoms: list | None = None):
+                           truncation: tuple[int, int], grid: Grid):
     """Finite-model expansion coefficients two ways:
 
         point formula   c_ij = (1/p) Σ_k w_k (δ^ε ∗ R[e_i;ρ_j])(v_k)
@@ -268,8 +267,7 @@ def finite_ridgelet_coeffs(model: FiniteModel, delta: NascentDelta,
     disagreement between the two, the mollified field).
     """
     I, J = truncation
-    if atoms is None:
-        atoms = build_atoms(basis_e, basis_rho, grid, truncation)
+    atoms = build_atoms(basis_e, basis_rho, grid, truncation)
     gamma_eps = mollify(model, delta, grid)
     c_point = np.zeros((I, J), dtype=complex)
     c_inner = np.zeros((I, J), dtype=complex)
@@ -327,10 +325,8 @@ def generalization_bound(layers: list[LayerSpec], B: float, n: int, d: int,
     return float(B * (np.sqrt(2.0 * d * np.log(2.0)) + 1.0) * prod / np.sqrt(n))
 
 
-def layer_norms(op: NetworkOperator, gamma: ParamDistribution,
-                mode: AdjointMode = AdjointMode.plain(),
-                use_fourier: bool = True) -> tuple[float, float]:
+def layer_norms(op: NetworkOperator, gamma: ParamDistribution) -> tuple[float, float]:
     """(inclusive, exclusive) = (‖γ‖, ‖P[γ]‖); regularizing the exclusive
     norm ignores the null components."""
-    principal, _ = project(op, gamma, mode, use_fourier=use_fourier)
+    principal, _ = project(op, gamma)
     return l2_norm(gamma), l2_norm(principal)

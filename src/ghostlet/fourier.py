@@ -140,20 +140,19 @@ def partial_flat_b(gamma_sharp: SpectralFunction, b_grid: Grid) -> ParamDistribu
     return ParamDistribution(gamma_sharp.grid.sub(slice(-1)).product(b_grid), vals)
 
 
-def fractional_bracket(phi_sharp: SpectralFunction, order: float,
-                       b_grid: Grid | None = None) -> SpectralFunction:
+def fractional_bracket(phi_sharp: SpectralFunction, order: float) -> SpectralFunction:
     """⟨∂_ω⟩^t as a Fourier multiplier: ⟨∂_ω⟩^t[φ♯] = (⟨·⟩^t φ)♯.
 
-    Pipeline: inverse transform to the b domain, multiply by ⟨b⟩^t, forward
-    transform back to the same ω grid. Inputs that do not decay at the ω
-    boundary get an accuracy warning in the result metadata.
+    Pipeline: inverse transform to the b domain (a line as wide as the ω box,
+    with as many nodes), multiply by ⟨b⟩^t, forward transform back to the same
+    ω grid. Inputs that do not decay at the ω boundary get an accuracy warning
+    in the result metadata.
     """
     if phi_sharp.grid.dim != 1:
         raise DomainError("fractional_bracket acts on 1-D spectra")
     grid = phi_sharp.grid
-    if b_grid is None:
-        half = max(abs(grid.lower[0]), abs(grid.upper[0]))
-        b_grid = Grid.line(-half, half, grid.counts[0])
+    half = max(abs(grid.lower[0]), abs(grid.upper[0]))
+    b_grid = Grid.line(-half, half, grid.counts[0])
     phi = flat(phi_sharp, b_grid)
     weighted = SampledFunction(b_grid, phi.values * bracket(b_grid.axis(0)) ** order)
     out = sharp(weighted, grid)
@@ -182,16 +181,11 @@ def bracket_self_adjoint_defect(phi_sharp: SpectralFunction, psi_sharp: Spectral
 _WH_DECAY_LIMIT = 0.25
 
 
-def wh_norm(sigma, orders: SobolevOrders, b_grid: Grid | None = None,
-            omega_grid: Grid | None = None) -> float:
+def wh_norm(sigma, orders: SobolevOrders) -> float:
     """Weighted Sobolev norm ‖σ‖ = ( ∫ |φ♯(ω)|² ⟨ω⟩^{2s} dω / 2π )^{1/2}
-    with φ := σ/⟨·⟩^t sampled on the b grid."""
-    from .profiles import DEFAULT_B_GRID, DEFAULT_OMEGA_GRID, Profile1D
+    with φ := σ/⟨·⟩^t sampled on `DEFAULT_B_GRID`."""
+    from .profiles import DEFAULT_B_GRID as b_grid, DEFAULT_OMEGA_GRID as omega_grid, Profile1D
 
-    if b_grid is None:
-        b_grid = DEFAULT_B_GRID
-    if omega_grid is None:
-        omega_grid = DEFAULT_OMEGA_GRID
     if isinstance(sigma, Profile1D):
         if sigma.real_eval is None:
             sigma_vals = flat(SpectralFunction(omega_grid, sigma.spectral_values(omega_grid)),

@@ -111,8 +111,9 @@ class Grid:
             w = np.multiply.outer(w, self.axis_weights(k))
         return w
 
-    def straddles_zero(self, k: int = 0) -> bool:
-        return not np.any(np.isclose(self.axis(k), 0.0, atol=1e-15 * max(1.0, abs(self.upper[k]))))
+    def straddles_zero(self) -> bool:
+        """Whether no node of the first axis sits on 0."""
+        return not np.any(np.isclose(self.axis(0), 0.0, atol=1e-15 * max(1.0, abs(self.upper[0]))))
 
     def sub(self, axes: slice) -> "Grid":
         """The grid of the axes `axes` selects: on a parameter grid,

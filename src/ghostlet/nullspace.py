@@ -45,15 +45,11 @@ from .grids import (
 )
 from .profiles import DEFAULT_OMEGA_GRID, BasisFamily, Profile1D, _interp_profile
 from .transforms import (
-    AdjointMode,
     NetworkOperator,
-    PLAIN_L2,
     _default_op_omega_grid,
     _slice_ridgelet,
     _spectrum_to_b,
-    forward_s,
     forward_s_via_fourier,
-    ridgelet,
     ridgelet_fourier,
 )
 
@@ -123,10 +119,9 @@ class LinearCombination:
     beta: complex = 1.0
 
 
-def make_nonadmissible(sigma: Profile1D, recipe, m: int = 1,
-                       omega_grid: Grid | None = None) -> Profile1D:
-    """Construct a profile with ⟨⟨σ, out⟩⟩ ≈ 0 by one of the three recipes."""
-    omega_grid = omega_grid or DEFAULT_OMEGA_GRID
+def make_nonadmissible(sigma: Profile1D, recipe) -> Profile1D:
+    """Construct a profile with ⟨⟨σ, out⟩⟩ ≈ 0 (m = 1) by one of the three recipes."""
+    m, omega_grid = 1, DEFAULT_OMEGA_GRID
     omega = omega_grid.axis(0)
 
     if isinstance(recipe, DisjointSupport):
@@ -183,48 +178,41 @@ def make_nonadmissible(sigma: Profile1D, recipe, m: int = 1,
     raise DomainError(f"unknown recipe {type(recipe).__name__}")
 
 
-def _require_plain_normalized(op: NetworkOperator, mode: AdjointMode):
-    if mode.kind != PLAIN_L2:
-        raise DomainError("projection machinery runs in plain-L² mode")
+def _require_plain_normalized(op: NetworkOperator):
+    """P = S*∘S is a projection only for a unit-norm σ, and it runs on the
+    Fourier-slice path, which needs σ's spectrum."""
     if not op.is_normalized:
         raise DomainError("plain-L² projection requires a unit-norm activation")
+    if op.sigma.spectral_eval is None:
+        raise UnsupportedProfileError(
+            f"projection needs the spectrum of {op.sigma.name!r}, which has no spectral evaluator")
 
 
-def project(op: NetworkOperator, gamma: ParamDistribution,
-            mode: AdjointMode = AdjointMode.plain(), use_fourier: bool = True):
-    """(P[γ], γ − P[γ]) with P = S*∘S; the ghost part is annihilated by S."""
-    _require_plain_normalized(op, mode)
-    if use_fourier and op.sigma.spectral_eval is not None:
-        f = forward_s_via_fourier(op, gamma)
-        principal = ridgelet_fourier(f, op.sigma, op.param_grid)
-    else:
-        f = forward_s(op, gamma)
-        principal = ridgelet(f, op.sigma, op.param_grid)
+def project(op: NetworkOperator, gamma: ParamDistribution):
+    """(P[γ], γ − P[γ]) with P = S*∘S on the Fourier-slice path; the ghost
+    part is annihilated by S."""
+    _require_plain_normalized(op)
+    principal = ridgelet_fourier(forward_s_via_fourier(op, gamma), op.sigma, op.param_grid)
     return principal, gamma - principal
 
 
-def lazy_solution(op: NetworkOperator, f: SampledFunction, gamma_init: ParamDistribution,
-                  use_fourier: bool = True) -> ParamDistribution:
+def lazy_solution(op: NetworkOperator, f: SampledFunction,
+                  gamma_init: ParamDistribution) -> ParamDistribution:
     """γ_lazy = S*[f] + (γ_init − P[γ_init]): solves S[γ] = f while staying
     closest to the initialization (the ghost part of γ_init is kept)."""
-    _require_plain_normalized(op, AdjointMode.plain())
-    if use_fourier and op.sigma.spectral_eval is not None:
-        principal_f = ridgelet_fourier(f, op.sigma, op.param_grid)
-    else:
-        principal_f = ridgelet(f, op.sigma, op.param_grid)
-    _, ghost_init = project(op, gamma_init, use_fourier=use_fourier)
-    return principal_f + ghost_init
+    _, ghost_init = project(op, gamma_init)
+    return ridgelet_fourier(f, op.sigma, op.param_grid) + ghost_init
 
 
-def ridgelet_atom(basis_e: BasisFamily, i: int, rho: Profile1D, param_grid: Grid,
-                  omega_grid: Grid | None = None) -> ParamDistribution:
+def ridgelet_atom(basis_e: BasisFamily, i: int, rho: Profile1D,
+                  param_grid: Grid) -> ParamDistribution:
     """R[e_i;ρ] built from the basis' analytic Fourier evaluator (fast path
     when available, falls back to the sampled-function slice path)."""
-    omega_grid = omega_grid or _default_op_omega_grid(param_grid)
     if basis_e.fourier_evaluators:
         ehat = basis_e.fourier_evaluators[i]
-        return _slice_ridgelet(lambda xi: ehat(xi[..., 0]), rho, param_grid, omega_grid)
-    return ridgelet_fourier(basis_e.members[i], rho, param_grid, omega_grid)
+        return _slice_ridgelet(lambda xi: ehat(xi[..., 0]), rho, param_grid,
+                               _default_op_omega_grid(param_grid))
+    return ridgelet_fourier(basis_e.members[i], rho, param_grid)
 
 
 @dataclass(frozen=True)
@@ -244,8 +232,7 @@ class StructureDecomposition:
 
 
 def structure_decompose(op: NetworkOperator, gamma: ParamDistribution,
-                        basis_e: BasisFamily, max_terms: int,
-                        use_fourier: bool = True) -> StructureDecomposition:
+                        basis_e: BasisFamily, max_terms: int) -> StructureDecomposition:
     """γ = S*[f] + (1/√(2π)) Σ c'_i R[e_i;ρ'_i] with f = S[γ].
 
     The per-index ghost profiles come from projecting the sheared spectrum of
@@ -263,7 +250,7 @@ def structure_decompose(op: NetworkOperator, gamma: ParamDistribution,
     m = op.m
     if m != 1:
         raise DomainError("structure extraction implemented for m = 1")
-    principal, ghost = project(op, gamma, use_fourier=use_fourier)
+    principal, ghost = project(op, gamma)
     omega_grid = _default_op_omega_grid(op.param_grid)
     omega = omega_grid.axis(0)
     gs = partial_sharp_b(ghost, omega_grid)          # (Na, Nω)
@@ -309,12 +296,15 @@ class ExpansionCoefficients:
     truncation: tuple[int, int]
 
     def partial_parseval(self) -> np.ndarray:
-        """Cumulative Σ|c_ij|² over growing rectangles (nondecreasing)."""
+        """Cumulative Σ|c_ij|² over growing rectangles (nondecreasing). For
+        Gram-solved c the exact bound is c^H G c ≤ 2π‖γ‖², not Σ|c|² ≤ 2π‖γ‖²:
+        Σ|c|² may reach 2π‖γ‖²/λ_min(G) (see the module docstring)."""
         mags = np.abs(self.c) ** 2
         return np.cumsum(np.cumsum(mags, axis=0), axis=1)
 
     @property
     def total(self) -> float:
+        """Σ|c_ij|², bounded by 2π‖γ‖²/λ_min(G), not by 2π‖γ‖²."""
         return float(np.sum(np.abs(self.c) ** 2))
 
 

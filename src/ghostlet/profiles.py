@@ -127,26 +127,24 @@ def numerical_parity(values: np.ndarray) -> str:
     return PARITY_NONE
 
 
-def self_test(profile: Profile1D, b_grid: Grid | None = None,
-              omega_grid: Grid | None = None, tol: float = 1e-5) -> float:
+def self_test(profile: Profile1D) -> float:
     """Verify real_eval against the inverse transform of spectral_eval.
 
-    Returns the max pointwise deviation on the comparison window; raises if it
-    exceeds tol. Profiles with slowly decaying real tails (the Dawson family
-    decays like 1/b) are compared through the spectral→real direction, which
-    only requires the spectrum to be integrable on the grid.
+    Returns the max pointwise deviation on the comparison window b ∈ [−10, 10];
+    raises if it exceeds 1e-5. Profiles with slowly decaying real tails (the
+    Dawson family decays like 1/b) are compared through the spectral→real
+    direction, which only requires the spectrum to be integrable on the grid.
     """
     if profile.real_eval is None or profile.spectral_eval is None:
         raise UnsupportedProfileError(f"profile {profile.name!r} lacks one evaluator")
-    omega_grid = omega_grid or Grid.line(-12.0, 12.0, 8192)
-    b_grid = b_grid or Grid.line(-10.0, 10.0, 801)
+    omega_grid = Grid.line(-12.0, 12.0, 8192)
+    b_grid = Grid.line(-10.0, 10.0, 801)
     spec = SpectralFunction(omega_grid, profile.spectral_values(omega_grid))
     recon = flat(spec, b_grid).values
     target = profile.real_values(b_grid)
     err = float(np.max(np.abs(recon - target)))
-    if err > tol:
-        raise AccuracyError(
-            f"profile {profile.name!r} round-trip error {err:.3e} exceeds {tol:g}")
+    if err > 1e-5:
+        raise AccuracyError(f"profile {profile.name!r} round-trip error {err:.3e} exceeds 1e-05")
     return err
 
 
@@ -357,9 +355,8 @@ def weighted_space_norm(spec: np.ndarray, m: int, omega_grid: Grid) -> float | N
     return None
 
 
-def make_rho_family(max_k: int, sigma: Profile1D | None = None, m: int = 1,
-                    omega_grid: Grid | None = None) -> list[Profile1D]:
-    """ρ₀ … ρ_{max_k} with ρ_k = c_k ρ₀^{(k)}.
+def make_rho_family(max_k: int, sigma: Profile1D | None = None) -> list[Profile1D]:
+    """ρ₀ … ρ_{max_k} with ρ_k = c_k ρ₀^{(k)}, at m = 1.
 
     c_k makes ⟨⟨σ, ρ_k⟩⟩ = 1 when that pairing is nonzero (admissible k),
     otherwise c_k normalizes the weighted norm to 1. ρ₀ is the unscaled
@@ -368,7 +365,7 @@ def make_rho_family(max_k: int, sigma: Profile1D | None = None, m: int = 1,
     if max_k > 8:
         raise DomainError("derivative order capped at 8 (series accuracy budget)")
     sigma = sigma or tanh_profile()
-    omega_grid = omega_grid or DEFAULT_OMEGA_GRID
+    m, omega_grid = 1, DEFAULT_OMEGA_GRID
     family = [rho0_profile()]
     for k in range(1, max_k + 1):
         raw = _rho_k_unnormalized(k)
@@ -399,16 +396,16 @@ def make_rho_family(max_k: int, sigma: Profile1D | None = None, m: int = 1,
 
 HERMITE_L2 = "hermite_l2"
 DAWSON_DERIVATIVE_L2M = "dawson_derivative_l2m"
+GRAM_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
 class BasisFamily:
     """Ordered orthonormal system, either {e_i} in L²(ℝ^m) or {ρ_j} in the
-    weighted spectral space. Gram products are checked at construction."""
+    weighted spectral space. Its builders check max |G − I| ≤ `GRAM_TOLERANCE`."""
 
     kind: str
     members: tuple
-    gram_tolerance: float = 1e-6
     gram_residual: float = 0.0
     m: int = 1
     evaluators: tuple = ()
@@ -418,49 +415,45 @@ class BasisFamily:
         return len(self.members)
 
 
-def hermite_function(n: int, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Orthonormal (scaled) Hermite functions, e_n(x/s)/√s, via the stable
-    normalized recurrence."""
-    x = np.asarray(x, dtype=float) / scale
+def hermite_function(n: int, x: np.ndarray) -> np.ndarray:
+    """Orthonormal Hermite functions e_n(x), via the stable normalized
+    recurrence."""
+    x = np.asarray(x, dtype=float)
     h_prev = np.zeros_like(x)
     h = np.pi ** (-0.25) * _gauss(x)
     for k in range(n):
         h_next = x * np.sqrt(2.0 / (k + 1)) * h - np.sqrt(k / (k + 1.0)) * h_prev
         h_prev, h = h, h_next
-    return h / np.sqrt(scale)
+    return h
 
 
-def hermite_fourier(n: int, xi: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """ê_n(ξ) = √(2π) (−i)^n e_n(ξ) in this package's transform convention
-    (scaled family: √(2πs)(−i)^n e_n(sξ))."""
-    return np.sqrt(2.0 * np.pi * scale) * (-1j) ** n * hermite_function(n, xi * scale, 1.0)
+def hermite_fourier(n: int, xi: np.ndarray) -> np.ndarray:
+    """ê_n(ξ) = √(2π) (−i)^n e_n(ξ) in this package's transform convention."""
+    return np.sqrt(2.0 * np.pi) * (-1j) ** n * hermite_function(n, xi)
 
 
-def hermite_basis(count: int, grid: Grid, gram_tolerance: float = 1e-6,
-                  scale: float = 1.0) -> BasisFamily:
-    """First `count` (scaled) Hermite functions sampled on a 1-D grid."""
+def hermite_basis(count: int, grid: Grid) -> BasisFamily:
+    """First `count` Hermite functions sampled on a 1-D grid."""
     if grid.dim != 1:
         raise DomainError("hermite_basis builds 1-D systems")
     x = grid.axis(0)
     half = min(abs(grid.lower[0]), abs(grid.upper[0]))
-    if half < scale * np.sqrt(2.0 * count + 1.0) + 2.0:
+    if half < np.sqrt(2.0 * count + 1.0) + 2.0:
         raise DomainError(
             f"grid half-width {half:g} too small for {count} Hermite functions")
     members = []
     for n in range(count):
-        members.append(SampledFunction(grid, hermite_function(n, x, scale) + 0.0j))
+        members.append(SampledFunction(grid, hermite_function(n, x) + 0.0j))
     w = grid.axis_weights(0)
     vals = np.stack([mbr.values for mbr in members])
     gram = (vals * w) @ np.conj(vals.T)
     resid = float(np.max(np.abs(gram - np.eye(count))))
-    if resid > gram_tolerance:
-        raise DomainError(f"Hermite Gram residual {resid:.2e} exceeds {gram_tolerance:g}")
+    if resid > GRAM_TOLERANCE:
+        raise DomainError(f"Hermite Gram residual {resid:.2e} exceeds {GRAM_TOLERANCE:g}")
     return BasisFamily(
-        kind=HERMITE_L2, members=tuple(members), gram_tolerance=gram_tolerance,
-        gram_residual=resid,
-        evaluators=tuple((lambda x, n=n: hermite_function(n, x, scale))
-                         for n in range(count)),
-        fourier_evaluators=tuple((lambda xi, n=n: hermite_fourier(n, xi, scale))
+        kind=HERMITE_L2, members=tuple(members), gram_residual=resid,
+        evaluators=tuple((lambda x, n=n: hermite_function(n, x)) for n in range(count)),
+        fourier_evaluators=tuple((lambda xi, n=n: hermite_fourier(n, xi))
                                  for n in range(count)),
     )
 
@@ -506,14 +499,12 @@ def gram_residual_l2m(vectors: Sequence[np.ndarray], m: int, omega_grid: Grid) -
     return float(np.max(np.abs(gram - np.eye(len(V)))))
 
 
-def gram_schmidt_l2m(candidates: Sequence[Profile1D], m: int,
-                     omega_grid: Grid | None = None,
-                     gram_tolerance: float = 1e-6) -> BasisFamily:
+def gram_schmidt_l2m(candidates: Sequence[Profile1D], m: int) -> BasisFamily:
     """Orthonormalize profiles under the |ω|^{-m}-weighted spectral product
-    (`orthonormalize_l2m`). A candidate that is numerically dependent on its
-    predecessors is reported by index.
+    (`orthonormalize_l2m`) on `DEFAULT_OMEGA_GRID`. A candidate that is
+    numerically dependent on its predecessors is reported by index.
     """
-    omega_grid = omega_grid or DEFAULT_OMEGA_GRID
+    omega_grid = DEFAULT_OMEGA_GRID
     if not candidates:
         raise DomainError("gram_schmidt_l2m needs at least one candidate")
     vectors = [cand.spectral_values(omega_grid) for cand in candidates]
@@ -528,11 +519,10 @@ def gram_schmidt_l2m(candidates: Sequence[Profile1D], m: int,
             f"candidate {idx} ({candidates[idx].name!r}) is numerically dependent on its "
             "predecessors")
     resid = gram_residual_l2m(basis_vals, m, omega_grid)
-    if resid > gram_tolerance:
-        raise DomainError(f"Gram residual {resid:.2e} exceeds {gram_tolerance:g}")
+    if resid > GRAM_TOLERANCE:
+        raise DomainError(f"Gram residual {resid:.2e} exceeds {GRAM_TOLERANCE:g}")
     members = tuple(
         _interp_profile(f"gs_{i}({cand.name})", omega_grid, v,
                         notes="Gram-Schmidt output in the weighted product")
         for i, (cand, v) in enumerate(zip(candidates, basis_vals)))
-    return BasisFamily(kind=DAWSON_DERIVATIVE_L2M, members=members,
-                       gram_tolerance=gram_tolerance, gram_residual=resid, m=m)
+    return BasisFamily(kind=DAWSON_DERIVATIVE_L2M, members=members, gram_residual=resid, m=m)

@@ -84,7 +84,6 @@ class NetworkOperator:
     input_grid: Grid
     norm_constant: float | None = None
     original_scale: float = 1.0
-    omega_grid: Grid = DEFAULT_OMEGA_GRID
     scheme = QuadratureScheme()  # a class constant, not a field: S uses the trapezoid rule only
 
     def __post_init__(self):
@@ -113,24 +112,21 @@ class NetworkOperator:
 
 
 def make_operator(sigma: Profile1D, param_grid: Grid, input_grid: Grid,
-                  normalize: bool = True,
-                  omega_grid: Grid | None = None) -> NetworkOperator:
+                  normalize: bool = True) -> NetworkOperator:
     """Build a NetworkOperator, normalizing σ in the weighted norm when it is
     finite there (tanh and ReLU are not; they keep norm_constant = None)."""
-    omega_grid = omega_grid or DEFAULT_OMEGA_GRID
     norm = None
     if sigma.spectral_eval is not None:
         try:
-            norm = weighted_space_norm(sigma.spectral_values(omega_grid), input_grid.dim,
-                                       omega_grid)
+            norm = weighted_space_norm(sigma.spectral_values(DEFAULT_OMEGA_GRID),
+                                       input_grid.dim, DEFAULT_OMEGA_GRID)
         except DomainError:  # also SingularPointError, UnsupportedProfileError
             norm = None
     if normalize and norm is not None:
         sigma = sigma.scaled(1.0 / norm, name=f"{sigma.name}~unit")
         return NetworkOperator(sigma, param_grid, input_grid, norm_constant=1.0,
-                               original_scale=norm, omega_grid=omega_grid)
-    return NetworkOperator(sigma, param_grid, input_grid, norm_constant=norm,
-                           original_scale=1.0, omega_grid=omega_grid)
+                               original_scale=norm)
+    return NetworkOperator(sigma, param_grid, input_grid, norm_constant=norm)
 
 
 # An operator whose σ(a·x − b) matrix has at most _CHUNK entries
@@ -321,16 +317,15 @@ def _spectrum_to_b(spec_vals: np.ndarray, param_grid: Grid,
     return partial_flat_b(spec, param_grid.sub(slice(-1, None)))
 
 
-def ridgelet_fourier(f: SampledFunction, rho: Profile1D, param_grid: Grid,
-                     omega_grid: Grid | None = None) -> ParamDistribution:
+def ridgelet_fourier(f: SampledFunction, rho: Profile1D, param_grid: Grid) -> ParamDistribution:
     """Fourier-slice path: build R♯(a,ω) = f̂(ωa)·conj(ρ♯(ω)) on the (a,ω)
     grid, then inverse-transform the ω axis to b."""
     if rho.spectral_eval is None:
         raise UnsupportedProfileError(f"profile {rho.name!r} has no spectral evaluator")
     if param_grid.dim != f.grid.dim + 1:
         raise DomainError("parameter grid dim must be f's dim + 1")
-    omega_grid = omega_grid or _default_op_omega_grid(param_grid)
-    return _slice_ridgelet(_fhat_evaluator(f), rho, param_grid, omega_grid)
+    return _slice_ridgelet(_fhat_evaluator(f), rho, param_grid,
+                           _default_op_omega_grid(param_grid))
 
 
 def _default_op_omega_grid(param_grid: Grid) -> Grid:
@@ -346,8 +341,7 @@ def _default_op_omega_grid(param_grid: Grid) -> Grid:
     return Grid.line(-half, half, n)
 
 
-def forward_s_fourier(op: NetworkOperator, gamma: ParamDistribution,
-                      output_grid: Grid | None = None) -> SpectralFunction:
+def forward_s_fourier(op: NetworkOperator, gamma: ParamDistribution) -> SpectralFunction:
     """Fourier-slice path for S: Ŝ[γ](ξ) = (2π)^{m−1} ∫ γ♯(ξ/ω,ω) σ♯(ω)
     |ω|^{−m} dω, with γ♯ sheared by one cubic spline over the a grid, ω as
     its batch axis and evaluated by `Spline.each` (zero outside the grid; the
@@ -362,8 +356,7 @@ def forward_s_fourier(op: NetworkOperator, gamma: ParamDistribution,
     gam_sharp = partial_sharp_b(gamma, omega_grid)
     weight = op.sigma.spectral_values(omega_grid) * np.abs(omega) ** (-m) \
         * omega_grid.axis_weights(0)
-    if output_grid is None:
-        output_grid = _default_xi_grid(op.input_grid)
+    output_grid = _default_xi_grid(op.input_grid)
     spline = cubic_spline(op.param_grid.sub(slice(-1)), gam_sharp.values)
     sheared = spline.each(output_grid.points() / omega[:, None, None])
     acc = np.zeros(sheared.shape[1], dtype=complex)
@@ -400,7 +393,7 @@ def reconstruct(op: NetworkOperator, f: SampledFunction, rho: Profile1D,
     With an admissible ρ normalized to unit pairing the output approximates f;
     with a non-admissible ρ it degenerates toward zero.
     """
-    pair = pairing(op.sigma, rho, op.m, op.omega_grid)
+    pair = pairing(op.sigma, rho, op.m)
     if use_fourier:
         gam = ridgelet_fourier(f, rho, op.param_grid)
         out = forward_s_via_fourier(op, gam)
@@ -410,8 +403,7 @@ def reconstruct(op: NetworkOperator, f: SampledFunction, rho: Profile1D,
     return out, pair
 
 
-def build_sigma_star(sigma: Profile1D, orders: SobolevOrders, m: int,
-                     omega_grid: Grid | None = None) -> Profile1D:
+def build_sigma_star(sigma: Profile1D, orders: SobolevOrders, m: int) -> Profile1D:
     """σ*♯(ω) = (2π)^{m−1} |ω|^m ⟨∂_ω⟩^{−t} ⟨ω⟩^{2s} ⟨∂_ω⟩^{−t} σ♯(ω).
 
     The bracket pipeline runs through the real domain, so σ♯ must decay at
@@ -420,7 +412,7 @@ def build_sigma_star(sigma: Profile1D, orders: SobolevOrders, m: int,
     from .fourier import _boundary_decay
     from .profiles import _interp_profile
 
-    omega_grid = omega_grid or DEFAULT_OMEGA_GRID
+    omega_grid = DEFAULT_OMEGA_GRID
     spec = SpectralFunction(omega_grid, sigma.spectral_values(omega_grid))
     if _boundary_decay(spec.values) > 1e-6:
         raise DomainError(
@@ -455,12 +447,12 @@ def adjoint(op: NetworkOperator, f: SampledFunction, mode: AdjointMode) -> Param
         if op.norm_constant is None:
             raise DomainError("plain-L² adjoint needs σ with a finite weighted norm")
         return ridgelet(f, op.sigma, op.param_grid)
-    star = build_sigma_star(op.sigma, mode.orders, op.m, op.omega_grid)
+    star = build_sigma_star(op.sigma, mode.orders, op.m)
     return ridgelet_fourier(f, star, op.param_grid)
 
 
 def hd_inner(phi: ParamDistribution, gamma: ParamDistribution, orders: SobolevOrders,
-             input_grid: Grid, omega_grid: Grid | None = None) -> complex:
+             input_grid: Grid) -> complex:
     """Inner product of the sheared-bracket weighted space (m = 1):
 
         ⟨φ, γ⟩ = ∫ ⟨∂_ω⟩^t[φ̌♯(ωx,ω)] conj(⟨∂_ω⟩^t[γ̌♯(ωx,ω)]) ⟨ω⟩^{−2s} dx dω
@@ -474,7 +466,7 @@ def hd_inner(phi: ParamDistribution, gamma: ParamDistribution, orders: SobolevOr
     m = phi.grid.dim - 1
     if m != 1:
         raise DomainError("hd_inner implemented for m = 1")
-    omega_grid = omega_grid or _default_op_omega_grid(phi.grid)
+    omega_grid = _default_op_omega_grid(phi.grid)
     omega = omega_grid.axis(0)
     x_pts = input_grid.points()
     y_grid = phi.grid.sub(slice(-1))

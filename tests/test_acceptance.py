@@ -222,7 +222,8 @@ def test_criterion_08_density_expansion(op3, hermite12, rho_basis6, atoms126):
     bounded = bool(partial[-1, -1] <= total * (1.0 + 1e-6))
     fraction = partial[-1, -1] / total
     ok, msg = check(
-        8, "partial Parseval sums monotone, bounded by 2π||γ||², ≥95% at (12,6)",
+        8, "partial Parseval sums Σ|c|² monotone, bounded by 2π||γ||² (for this "
+           "Gaussian γ; in general only c^H G c is), ≥95% at (12,6)",
         monotone and bounded and fraction >= 0.95,
         f"monotone={monotone}, bounded={bounded}, captured fraction = {fraction:.4f}")
     assert ok, msg

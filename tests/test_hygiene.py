@@ -1,14 +1,21 @@
-"""Source hygiene: every name a `ghostlet` module imports is used in it.
+"""Source hygiene.
 
-`__init__.py` is exempt, because its imports are the package's public names.
+- Every name a `ghostlet` module imports is used in it. `__init__.py` is
+  exempt, because its imports are the package's public names.
+- Every defaulted parameter of a `ghostlet` function or method is passed by
+  some call in `src/`, `tests/` or `bench/`, so no option lives on that no
+  caller chooses. Nested functions and lambdas are exempt: their defaults
+  capture closure values.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ghostlet"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ghostlet"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+CALLERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _imported_names(tree: ast.AST) -> dict[str, int]:
@@ -40,3 +47,63 @@ def test_every_import_is_used(path):
     unused = sorted(f"{name} (line {line})" for name, line in _imported_names(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _defaulted_parameters(tree: ast.AST):
+    """(owner, function, parameter, positional index or None) for every
+    defaulted parameter of a module-level function or a method. The index
+    counts from the first argument a call passes: `self`/`cls` of a method,
+    which a call never passes, is dropped."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if owner is not None and not static:
+                    positional = positional[1:]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                for name in defaulted:
+                    yield owner, child.name, name, positional.index(name)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield owner, child.name, arg.arg, None
+
+    yield from walk(tree, None)
+
+
+def _calls() -> dict[str, list[tuple[int, set[str], bool]]]:
+    """Called name -> (positional count, keywords, splat) for every call in
+    `src/`, `tests/` and `bench/`. A call is known by its bare name (`f(...)`
+    or `obj.f(...)`); `*args` or `**kwargs` in it counts as passing anything."""
+    calls: dict = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name is None:
+                continue
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            splat = (any(k.arg is None for k in node.keywords)
+                     or any(isinstance(a, ast.Starred) for a in node.args))
+            calls.setdefault(name, []).append((len(node.args), keywords, splat))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    calls = _calls()
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, func, param, index in _defaulted_parameters(tree):
+            called = owner if func == "__init__" else func
+            if not any(splat or param in keywords or (index is not None and count > index)
+                       for count, keywords, splat in calls.get(called, ())):
+                unset.append(f"{path.stem}.{owner + '.' if owner else ''}{func}({param})")
+    assert not unset, ("defaulted parameters no call sets (make each the constant it "
+                       f"is): {', '.join(unset)}")

@@ -7,6 +7,7 @@ from ghostlet import (
     DomainError,
     Grid,
     LinearCombination,
+    NetworkOperator,
     NormalizedDifference,
     ParamDistribution,
     SampledFunction,
@@ -30,7 +31,7 @@ from ghostlet import (
     tanh_profile,
 )
 from ghostlet.grids import UnsupportedProfileError, weighted_omega_norm
-from ghostlet.nullspace import ridgelet_atom
+from ghostlet.nullspace import _atom_matrix, ridgelet_atom
 from ghostlet.profiles import DEFAULT_OMEGA_GRID, relu_profile
 from ghostlet.transforms import _default_op_omega_grid
 
@@ -135,6 +136,17 @@ class TestProjection:
         with pytest.raises(DomainError):
             project(op, gam)
 
+    def test_unit_norm_sigma_without_spectrum_is_refused(self, param_grid, input_grid):
+        # make_operator gives a unit norm only to a σ with a spectrum; a
+        # hand-built one without it cannot take the Fourier-slice path
+        op = NetworkOperator(relu_profile(), param_grid, input_grid, norm_constant=1.0)
+        gam = ParamDistribution(param_grid, np.zeros(param_grid.counts))
+        f = SampledFunction(input_grid, np.zeros(input_grid.counts))
+        with pytest.raises(UnsupportedProfileError, match="spectrum of 'relu'"):
+            project(op, gam)
+        with pytest.raises(UnsupportedProfileError, match="spectrum of 'relu'"):
+            lazy_solution(op, f, gam)
+
 
 class TestStructure:
     def test_pure_principal_gives_zero_coefficients(self, op3, hermite12):
@@ -210,7 +222,25 @@ class TestDensityExpansion:
         assert np.all(np.diff(partial, axis=0) >= -1e-12)
         assert np.all(np.diff(partial, axis=1) >= -1e-12)
         total = 2 * np.pi * l2_norm(gam) ** 2
-        assert partial[-1, -1] <= total * (1 + 1e-6)
+        assert partial[-1, -1] <= total * (1 + 1e-6), (
+            "Σ|c|² ≤ 2π‖γ‖² holds for this Gaussian γ, not in general: the exact "
+            "bound is c^H G c ≤ 2π‖γ‖² (test_parseval_bound_is_on_the_gram_form)")
+
+    def test_parseval_bound_is_on_the_gram_form(self, op3, hermite12, rho_basis6, atoms126):
+        # γ along the λ_min eigenvector v of the atom Gram G has c = √(2π)·v:
+        # c^H G c meets 2π‖γ‖² exactly, Σ|c|² = 2π‖γ‖²/λ_min exceeds it
+        atoms = _atom_matrix(atoms126, (12, 6))
+        gram = np.conj(atoms) @ (atoms * op3.param_grid.weights().ravel()).T
+        lam, vecs = np.linalg.eigh(gram)
+        gam = ParamDistribution(op3.param_grid,
+                                (vecs[:, 0] @ atoms).reshape(op3.param_grid.counts))
+        coeffs = density_expand(gam, hermite12, rho_basis6, (12, 6), atoms=atoms126)
+        c = coeffs.c.ravel()
+        total = 2 * np.pi * l2_norm(gam) ** 2
+        assert np.vdot(c, gram @ c).real == pytest.approx(total, rel=1e-10)
+        assert lam[0] < 0.9
+        assert coeffs.total > total
+        assert coeffs.total == pytest.approx(total / lam[0], rel=1e-8)
 
     def test_synthesis_residual_shrinks(self, op3, hermite12, rho_basis6, atoms126):
         gam = atoms126[0][0] + 0.5 * atoms126[2][1] + 0.25 * atoms126[5][3]
