@@ -92,6 +92,7 @@ from .finite_models import (
     FiniteModel,
     LayerSpec,
     NascentDelta,
+    edge_points,
     finite_ridgelet_coeffs,
     generalization_bound,
     layer_norms,

@@ -179,5 +179,5 @@ def modulate(mod: ModulationMap, gamma: ParamDistribution, codebook: GhostCodebo
             continue
         coef = l2_inner(g, mod.basis_e.members[p])
         projected = projected + c * coef * mod.basis_e.members[q].values
-    relabeled = SampledFunction(input_grid, projected)
+    relabeled = SampledFunction._adopt(input_grid, projected)
     return ridgelet_fourier(relabeled, mod.write_profile, gamma.grid)

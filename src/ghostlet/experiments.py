@@ -243,7 +243,7 @@ def _reconstruction_study(cfg: ExperimentConfig, emit_spectra: bool = True,
         else:
             f_sampled = sample(x_grid, lambda xx: f_eval(xx))
             field_vals = ridgelet(f_sampled, rho, param_grid).values
-        field = ParamDistribution(param_grid, field_vals)
+        field = ParamDistribution._adopt(param_grid, field_vals)
         spectra[k] = field_vals.real
 
         if emit_spectra:
@@ -516,8 +516,9 @@ def run_bound(cfg: ExperimentConfig) -> RunReport:
         gamma = np.sqrt(1.0 - ghost_fraction) * (1.0 / l2_norm(principal)) * principal \
             + np.sqrt(ghost_fraction) * (1.0 / l2_norm(ghost)) * ghost
         inclusive, exclusive = layer_norms(op, gamma)
-        radius = float(np.hypot(max(map(abs, op.param_grid.lower)),
-                                max(map(abs, op.param_grid.upper))))
+        # The sup-radius of the (a, b) box: its farthest corner from the origin.
+        radius = float(np.linalg.norm(np.maximum(np.abs(op.param_grid.lower),
+                                                 np.abs(op.param_grid.upper))))
         layer = {"M": radius, "V": op.param_grid.volume,
                  "G_inclusive": inclusive, "G_exclusive": exclusive}
         layers_cfg = [layer] * int(params.get("depth", 3))

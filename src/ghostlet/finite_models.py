@@ -16,6 +16,7 @@ import numpy as np
 
 from .fourier import fourier_forward, fourier_inverse
 from .grids import (
+    DataError,
     DomainError,
     Grid,
     ParamDistribution,
@@ -76,12 +77,11 @@ class NascentDelta:
             return np.exp(-(self.epsilon ** 2) * np.sum(xi ** 2, axis=-1) / 2.0) + 0.0j
         dim = xi.shape[-1]
         g = Grid.symmetric([1.0] * dim, [129] * dim)
-        base = SampledFunction(g, self.base_values(g.points()).reshape(g.counts))
         flat_xi = xi.reshape(-1, dim) * self.epsilon
         vals = np.empty(flat_xi.shape[0], dtype=complex)
         pts = g.points()
         w = g.weights().ravel()
-        bv = base.values.ravel()
+        bv = self.base_values(pts).astype(complex)
         for idx in range(0, flat_xi.shape[0], 4096):
             chunk = flat_xi[idx:idx + 4096]
             vals[idx:idx + 4096] = np.exp(-1j * chunk @ pts.T) @ (w * bv)
@@ -133,7 +133,7 @@ class FiniteModel:
         if pts.shape[0] != w.shape[0] or pts.shape[0] == 0:
             raise DomainError("points and weights must be nonempty and aligned")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
-            raise DomainError("finite model contains non-finite entries")
+            raise DataError("finite model contains non-finite entries")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -145,22 +145,18 @@ class FiniteModel:
 def mollify(model: FiniteModel, delta: NascentDelta, grid: Grid) -> ParamDistribution:
     """γ^ε_p on the grid: (1/p) Σ_k w_k δ^ε(· − v_k).
 
-    Points closer than 3ε to the box edge leave mass outside; that is
-    recorded as a truncation warning in the field metadata rather than an
-    error. The 2-D Gaussian base is separable, so the sum runs on the model's
-    distinct coordinates: the field is Aᵀ·(T·B) for axis factors A, B of the
-    distinct a and b values (`_axis_factors`) and T the sparse table of
-    s_k = w_k/(p·ε²) summed on each (a, b) pair, two real GEMMs (Re s, Im s)
-    floored as `_FACTOR_FLOOR` states. A model on grid nodes costs the same
-    for any p. Other bases and dimensions sum δ^ε point by point.
+    Points closer than 3ε to the box edge leave mass outside the grid; that
+    is no error, and `edge_points` counts them. The 2-D Gaussian base is
+    separable, so the sum runs on the model's distinct coordinates: the field
+    is Aᵀ·(T·B) for axis factors A, B of the distinct a and b values
+    (`_axis_factors`) and T the sparse table of s_k = w_k/(p·ε²) summed on
+    each (a, b) pair, two real GEMMs (Re s, Im s) floored as `_FACTOR_FLOOR`
+    states. A model on grid nodes costs the same for any p. Other bases and
+    dimensions sum δ^ε point by point.
     """
     dim = grid.dim
     if model.points.shape[1] != dim:
         raise DomainError("model dimension does not match the grid")
-    lo = np.asarray(grid.lower)
-    hi = np.asarray(grid.upper)
-    margin = 3.0 * delta.epsilon
-    clipped = np.any((model.points < lo + margin) | (model.points > hi - margin), axis=1)
     if delta.base_shape == GAUSSIAN and dim == 2:
         from scipy.sparse import csr_matrix
 
@@ -183,11 +179,15 @@ def mollify(model: FiniteModel, delta: NascentDelta, grid: Grid) -> ParamDistrib
         for k in range(model.p):
             vals += (model.weights[k] / model.p) * delta.values(
                 nodes - model.points[k]).reshape(grid.counts)
-    out = ParamDistribution(grid, vals)
-    if np.any(clipped):
-        out.meta["truncation_warning"] = (
-            f"{int(np.sum(clipped))} of {model.p} points within 3ε of the box edge")
-    return out
+    return ParamDistribution._adopt(grid, vals)
+
+
+def edge_points(model: FiniteModel, delta: NascentDelta, grid: Grid) -> int:
+    """How many of the model's points lie within 3ε of the grid box's edge,
+    where `mollify` leaves part of their mass outside the grid."""
+    lo = np.asarray(grid.lower) + 3.0 * delta.epsilon
+    hi = np.asarray(grid.upper) - 3.0 * delta.epsilon
+    return int(np.count_nonzero(np.any((model.points < lo) | (model.points > hi), axis=1)))
 
 
 UNIFORM_BOX = "uniform_box"
@@ -239,17 +239,17 @@ def point_mass_network(model: FiniteModel, sigma: Profile1D,
         raise DomainError(f"{sigma.name!r} has no real-domain evaluator")
     vals = _neuron_sum(model.points[:, :-1], model.points[:, -1], model.weights / model.p,
                        input_grid.points(), sigma.real_eval)
-    return SampledFunction(input_grid, vals.reshape(input_grid.counts))
+    return SampledFunction._adopt(input_grid, vals)
 
 
 def smooth_convolve(gamma: ParamDistribution, delta: NascentDelta) -> ParamDistribution:
     """γ ∗ δ^ε via the spectral engine (multiply by δ̂^ε, transform back)."""
     grid = gamma.grid
     freq = Grid.symmetric([np.pi / d * 0.75 for d in grid.spacing], grid.counts)
-    spec = fourier_forward(SampledFunction(grid, gamma.values), freq)
+    spec = fourier_forward(gamma, freq)
     mult = delta.spectrum(freq.points()).reshape(freq.counts)
-    smoothed = fourier_inverse(SpectralFunction(freq, spec.values * mult), grid)
-    return ParamDistribution(grid, smoothed.values)
+    smoothed = fourier_inverse(SpectralFunction._adopt(freq, spec.values * mult), grid)
+    return ParamDistribution._adopt(grid, smoothed.values)
 
 
 def finite_ridgelet_coeffs(model: FiniteModel, delta: NascentDelta,

@@ -86,9 +86,7 @@ def fourier_forward(u: SampledFunction, output_grid: Grid) -> SpectralFunction:
     for ax in range(u.grid.dim):
         vals = _axis_transform(vals, ax, u.grid.sub(slice(ax, ax + 1)),
                                output_grid.sub(slice(ax, ax + 1)), -1.0)
-    out = SpectralFunction(output_grid, vals)
-    out.meta["boundary_decay"] = _boundary_decay(u.values)
-    return out
+    return SpectralFunction._adopt(output_grid, vals)
 
 
 def fourier_inverse(u: SpectralFunction, output_grid: Grid) -> SampledFunction:
@@ -98,10 +96,7 @@ def fourier_inverse(u: SpectralFunction, output_grid: Grid) -> SampledFunction:
     for ax in range(u.grid.dim):
         vals = _axis_transform(vals, ax, u.grid.sub(slice(ax, ax + 1)),
                                output_grid.sub(slice(ax, ax + 1)), +1.0)
-    vals = vals / (2.0 * np.pi) ** u.grid.dim
-    out = SampledFunction(output_grid, vals)
-    out.meta["boundary_decay"] = _boundary_decay(u.values)
-    return out
+    return SampledFunction._adopt(output_grid, vals / (2.0 * np.pi) ** u.grid.dim)
 
 
 def sharp(phi: SampledFunction, omega_grid: Grid) -> SpectralFunction:
@@ -124,9 +119,7 @@ def partial_sharp_b(gamma: ParamDistribution, omega_grid: Grid) -> SpectralFunct
         raise DomainError("omega_grid must be 1-D")
     vals = _axis_transform(gamma.values, gamma.grid.dim - 1, gamma.grid.sub(slice(-1, None)),
                            omega_grid, -1.0)
-    out = SpectralFunction(gamma.grid.sub(slice(-1)).product(omega_grid), vals)
-    out.meta["boundary_decay"] = _boundary_decay(gamma.values)
-    return out
+    return SpectralFunction._adopt(gamma.grid.sub(slice(-1)).product(omega_grid), vals)
 
 
 def partial_flat_b(gamma_sharp: SpectralFunction, b_grid: Grid) -> ParamDistribution:
@@ -136,8 +129,8 @@ def partial_flat_b(gamma_sharp: SpectralFunction, b_grid: Grid) -> ParamDistribu
     dim = gamma_sharp.grid.dim
     vals = _axis_transform(gamma_sharp.values, dim - 1, gamma_sharp.grid.sub(slice(-1, None)),
                            b_grid, +1.0)
-    vals = vals / (2.0 * np.pi)
-    return ParamDistribution(gamma_sharp.grid.sub(slice(-1)).product(b_grid), vals)
+    return ParamDistribution._adopt(gamma_sharp.grid.sub(slice(-1)).product(b_grid),
+                                   vals / (2.0 * np.pi))
 
 
 def fractional_bracket(phi_sharp: SpectralFunction, order: float) -> SpectralFunction:
@@ -145,8 +138,9 @@ def fractional_bracket(phi_sharp: SpectralFunction, order: float) -> SpectralFun
 
     Pipeline: inverse transform to the b domain (a line as wide as the ω box,
     with as many nodes), multiply by ⟨b⟩^t, forward transform back to the same
-    ω grid. Inputs that do not decay at the ω boundary get an accuracy warning
-    in the result metadata.
+    ω grid. Precondition: φ♯ decays at the ω boundary,
+    `_boundary_decay(phi_sharp.values) <= 1e-6`; above that the pipeline may
+    alias, and the result is not checked (`build_sigma_star` raises first).
     """
     if phi_sharp.grid.dim != 1:
         raise DomainError("fractional_bracket acts on 1-D spectra")
@@ -154,15 +148,8 @@ def fractional_bracket(phi_sharp: SpectralFunction, order: float) -> SpectralFun
     half = max(abs(grid.lower[0]), abs(grid.upper[0]))
     b_grid = Grid.line(-half, half, grid.counts[0])
     phi = flat(phi_sharp, b_grid)
-    weighted = SampledFunction(b_grid, phi.values * bracket(b_grid.axis(0)) ** order)
-    out = sharp(weighted, grid)
-    decay = _boundary_decay(phi_sharp.values)
-    out.meta["input_boundary_decay"] = decay
-    if decay > 1e-6:
-        out.meta["accuracy_warning"] = (
-            f"spectrum boundary decay {decay:.2e} above 1e-6; bracket pipeline may alias"
-        )
-    return out
+    weighted = SampledFunction._adopt(b_grid, phi.values * bracket(b_grid.axis(0)) ** order)
+    return sharp(weighted, grid)
 
 
 def bracket_self_adjoint_defect(phi_sharp: SpectralFunction, psi_sharp: SpectralFunction,
@@ -198,15 +185,13 @@ def wh_norm(sigma, orders: SobolevOrders) -> float:
         name = getattr(sigma, "__name__", "sigma")
     b = b_grid.axis(0)
     phi = sigma_vals / bracket(b) ** orders.t
-    peak = float(np.max(np.abs(phi)))
-    if peak > 0.0:
-        edge = max(abs(phi[0]), abs(phi[-1])) / peak
-        if edge > _WH_DECAY_LIMIT:
-            raise DomainError(
-                f"{name}/⟨b⟩^{orders.t} does not decay (boundary/peak = {edge:.3f}); "
-                f"t is too small for this profile to lie in the weighted space"
-            )
-    phi_sharp = sharp(SampledFunction(b_grid, phi), omega_grid)
+    edge = _boundary_decay(phi)
+    if edge > _WH_DECAY_LIMIT:
+        raise DomainError(
+            f"{name}/⟨b⟩^{orders.t} does not decay (boundary/peak = {edge:.3f}); "
+            f"t is too small for this profile to lie in the weighted space"
+        )
+    phi_sharp = sharp(SampledFunction._adopt(b_grid, phi), omega_grid)
     omega = omega_grid.axis(0)
     w = omega_grid.axis_weights(0)
     val = np.sum(np.abs(phi_sharp.values) ** 2 * bracket(omega) ** (2 * orders.s) * w)

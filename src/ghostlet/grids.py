@@ -16,10 +16,16 @@ grids and NdBSpline otherwise: at the 69,408 sheared (a, ω) points of a 1-D
 slice, BSpline takes 5.6 ms and NdBSpline 42 ms, with bit-identical values
 (2-vCPU Xeon). `Spline.each` serves per-entry points (the sheared slices of
 `forward_s_fourier` and `hd_inner`).
+
+A field owns finite, read-only values. The public constructors (the field
+classes and `sample`) copy the caller's array and scan it for NaN/Inf;
+`_Field._adopt` takes an array the program has just allocated (the results of
+arithmetic and operators) with the same scan and no copy. A profile's values
+count as the caller's: its evaluator may return an array it keeps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -136,28 +142,43 @@ class Grid:
         return Grid(tuple(-hw), tuple(hw), tuple(int(n) for n in ns))
 
 
-def _as_field_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+def _field_values(grid: Grid, values: np.ndarray, copy: bool) -> np.ndarray:
+    """`values` as the grid's read-only, finite, C-contiguous complex array (C order fixes
+    the summation order of later reductions): a copy, or else the array where it can be."""
     vals = np.asarray(values, dtype=complex)
     if vals.size != grid.total_points:
         raise DomainError(f"value count {vals.size} != grid point count {grid.total_points}")
     vals = vals.reshape(grid.counts)
+    vals = vals.copy() if copy else np.ascontiguousarray(vals)
     if not np.all(np.isfinite(vals)):
         raise DataError("field contains NaN/Inf values")
-    vals = vals.copy()
     vals.flags.writeable = False
     return vals
 
 
 @dataclass(frozen=True)
 class _Field:
-    """Complex values on a grid. Immutable; arithmetic returns new fields."""
+    """Complex values on a grid. Immutable; arithmetic returns new fields. The
+    constructor copies `values`, `_adopt` does not (see the module docstring)."""
 
     grid: Grid
     values: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_field_values(self.grid, self.values))
+        object.__setattr__(self, "values", _field_values(self.grid, self.values, copy=True))
+        self._check_grid()
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray) -> "_Field":
+        """The field of `values`, an array no one else writes to, without a copy."""
+        fld = object.__new__(cls)
+        object.__setattr__(fld, "grid", grid)
+        object.__setattr__(fld, "values", _field_values(grid, values, copy=False))
+        fld._check_grid()
+        return fld
+
+    def _check_grid(self):
+        """Raise DomainError if the grid does not suit this kind of field."""
 
     @cached_property
     def spline(self) -> "Spline":
@@ -165,7 +186,7 @@ class _Field:
         return cubic_spline(self.grid, self.values)
 
     def _wrap(self, values: np.ndarray) -> "_Field":
-        return type(self)(self.grid, values)
+        return self._adopt(self.grid, values)
 
     def __add__(self, other):
         self._require_same_grid(other)
@@ -195,8 +216,7 @@ class SampledFunction(_Field):
 class ParamDistribution(_Field):
     """γ sampled on a parameter grid over (a₁..a_m, b); dim = m + 1."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_grid(self):
         if self.grid.dim < 2:
             raise DomainError("parameter grids need dim >= 2 (a-axes plus b)")
 
@@ -411,11 +431,9 @@ def _omega_weights(grid: Grid, m: int) -> np.ndarray:
     return out
 
 
-def weighted_omega_inner(u, v, m: int, omega_grid: Grid | None = None) -> complex:
-    """(2π)^{m-1} ∫ u(ω) conj(v(ω)) |ω|^{-m} dω on a shared 1-D ω grid.
-
-    Accepts SpectralFunction fields (shared grid required) or plain value
-    arrays together with an explicit ω grid. The grid must straddle ω = 0.
+def weighted_omega_inner(u: np.ndarray, v: np.ndarray, m: int, omega_grid: Grid) -> complex:
+    """(2π)^{m-1} ∫ u(ω) conj(v(ω)) |ω|^{-m} dω for value arrays on the 1-D
+    grid `omega_grid`, which must straddle ω = 0.
 
     The integrand g = u·conj(v)·|ω|^{-m} has a kink at ω = 0 (|ω|·e^{-ω²} for
     a first-derivative spectrum at m = 1), where the plain trapezoid sum
@@ -430,23 +448,16 @@ def weighted_omega_inner(u, v, m: int, omega_grid: Grid | None = None) -> comple
     and 2048 nodes. The rule is linear in g, so Hermitian symmetry holds
     exactly and odd integrands still cancel to roundoff on symmetric grids.
     """
-    if isinstance(u, _Field):
-        u._require_same_grid(v)
-        grid, uv, vv = u.grid, u.values, v.values
-    else:
-        if omega_grid is None:
-            raise DomainError("array inputs require an explicit omega_grid")
-        grid = omega_grid
-        uv = np.asarray(u, dtype=complex)
-        vv = np.asarray(v, dtype=complex)
-        if uv.shape != vv.shape or uv.size != grid.total_points:
-            raise DomainError("value arrays must match each other and the grid")
-    if grid.dim != 1:
+    uv = np.asarray(u, dtype=complex)
+    vv = np.asarray(v, dtype=complex)
+    if uv.shape != vv.shape or uv.size != omega_grid.total_points:
+        raise DomainError("value arrays must match each other and the grid")
+    if omega_grid.dim != 1:
         raise DomainError("weighted ω inner product needs a 1-D grid")
-    if not grid.straddles_zero():
+    if not omega_grid.straddles_zero():
         raise DomainError("ω grid has a node at 0; use an even point count straddling grid")
-    return complex(np.sum(uv.ravel() * np.conj(vv.ravel()) * _omega_weights(grid, m)))
+    return complex(np.sum(uv.ravel() * np.conj(vv.ravel()) * _omega_weights(omega_grid, m)))
 
 
-def weighted_omega_norm(u, m: int, omega_grid: Grid | None = None) -> float:
+def weighted_omega_norm(u: np.ndarray, m: int, omega_grid: Grid) -> float:
     return float(np.sqrt(max(weighted_omega_inner(u, u, m, omega_grid).real, 0.0)))

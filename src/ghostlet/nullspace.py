@@ -345,7 +345,7 @@ def density_synthesize(coeffs: ExpansionCoefficients, basis_e: BasisFamily,
     if atoms is None:
         atoms = build_atoms(basis_e, basis_rho, param_grid, coeffs.truncation)
     vals = coeffs.c.ravel() @ _atom_matrix(atoms, coeffs.truncation) / np.sqrt(2.0 * np.pi)
-    return ParamDistribution(param_grid, vals.reshape(param_grid.counts))
+    return ParamDistribution._adopt(param_grid, vals)
 
 
 def build_atoms(basis_e: BasisFamily, basis_rho: BasisFamily, param_grid: Grid,

@@ -443,7 +443,7 @@ def hermite_basis(count: int, grid: Grid) -> BasisFamily:
             f"grid half-width {half:g} too small for {count} Hermite functions")
     members = []
     for n in range(count):
-        members.append(SampledFunction(grid, hermite_function(n, x) + 0.0j))
+        members.append(SampledFunction._adopt(grid, hermite_function(n, x) + 0.0j))
     w = grid.axis_weights(0)
     vals = np.stack([mbr.values for mbr in members])
     gram = (vals * w) @ np.conj(vals.T)

@@ -247,12 +247,11 @@ def forward_s(op: NetworkOperator, gamma: ParamDistribution) -> SampledFunction:
             f"activation {op.sigma.name!r} has no real-domain evaluator")
     coeff = (gamma.values * op.param_grid.weights()).ravel()
     if op.kernel is not None:
-        vals = _kernel_sum(coeff, op.kernel)
-        return SampledFunction(op.input_grid, vals.reshape(op.input_grid.counts))
+        return SampledFunction._adopt(op.input_grid, _kernel_sum(coeff, op.kernel))
     pts = op.param_grid.points()
     vals = _neuron_sum(pts[:, :-1], pts[:, -1], coeff, op.input_grid.points(),
                        op.sigma.real_eval)
-    return SampledFunction(op.input_grid, vals.reshape(op.input_grid.counts))
+    return SampledFunction._adopt(op.input_grid, vals)
 
 
 def ridgelet(f: SampledFunction, rho: Profile1D, param_grid: Grid,
@@ -281,7 +280,7 @@ def ridgelet(f: SampledFunction, rho: Profile1D, param_grid: Grid,
                                            else kernel).T)
 
     out = np.concatenate(list(_block_map(block, range(0, pts.shape[0], rows))))
-    return ParamDistribution(param_grid, out.reshape(param_grid.counts))
+    return ParamDistribution._adopt(param_grid, out)
 
 
 def _fhat_evaluator(f: SampledFunction):
@@ -313,7 +312,7 @@ def _spectrum_to_b(spec_vals: np.ndarray, param_grid: Grid,
     """The (a, ω) → (a, b) step: inverse-transform the ω axis of values on
     the a grid × ω grid onto the parameter grid's b line."""
     spec_grid = param_grid.sub(slice(-1)).product(omega_grid)
-    spec = SpectralFunction(spec_grid, spec_vals.reshape(spec_grid.counts))
+    spec = SpectralFunction._adopt(spec_grid, spec_vals)
     return partial_flat_b(spec, param_grid.sub(slice(-1, None)))
 
 
@@ -362,9 +361,7 @@ def forward_s_fourier(op: NetworkOperator, gamma: ParamDistribution) -> Spectral
     acc = np.zeros(sheared.shape[1], dtype=complex)
     for row, w in zip(sheared, weight):
         acc += row * w
-    out = SpectralFunction(output_grid, (2.0 * np.pi) ** (m - 1) * acc)
-    out.meta["boundary_decay"] = gam_sharp.meta.get("boundary_decay", 0.0)
-    return out
+    return SpectralFunction._adopt(output_grid, (2.0 * np.pi) ** (m - 1) * acc)
 
 
 def _default_xi_grid(input_grid: Grid) -> Grid:
@@ -427,8 +424,8 @@ def build_sigma_star(sigma: Profile1D, orders: SobolevOrders, m: int) -> Profile
             f"{sigma.name!r} spectrum blows up at ω = 0 (principal-value type); "
             "the bracket pipeline cannot represent it on a truncated grid")
     stage = fractional_bracket(spec, -orders.t)
-    stage = SpectralFunction(omega_grid,
-                             stage.values * bracket(omega_grid.axis(0)) ** (2 * orders.s))
+    stage = SpectralFunction._adopt(omega_grid,
+                                    stage.values * bracket(omega_grid.axis(0)) ** (2 * orders.s))
     stage = fractional_bracket(stage, -orders.t)
     omega = omega_grid.axis(0)
     vals = (2.0 * np.pi) ** (m - 1) * np.abs(omega) ** m * stage.values

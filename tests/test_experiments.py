@@ -46,3 +46,23 @@ def test_finite_model_error_keeps_falling_past_p_1000(tmp_path):
                            params={"p_values": [1000, 10_000]})
     metrics = run_subcommand(cfg).metrics
     assert metrics["error_ratio_last_over_first"] <= 0.5, metrics
+
+
+@pytest.mark.parametrize("param, corner", [
+    (None, (12.0, 48.0)),                                    # the default box
+    ([[-6.0, -40.0], [10.0, 24.0], [129, 129]], (10.0, 40.0)),
+], ids=["default", "asymmetric"])
+def test_measured_bound_uses_the_box_sup_radius(tmp_path, param, corner):
+    """`bound` with measure=true reports M = max |(a, b)| over the parameter
+    box: the norm of its farthest corner, |a| and |b| each at their largest."""
+    import csv
+
+    grids = {} if param is None else {"param": param}
+    cfg = ExperimentConfig(experiment="bound", output_dir=str(tmp_path),
+                           params={"measure": True}, grids=grids)
+    run_subcommand(cfg)
+    with open(tmp_path / "layers.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    for row in rows:
+        assert float(row["M"]) == pytest.approx(np.hypot(*corner), rel=1e-15)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from ghostlet import (
+    DataError,
     DomainError,
     FiniteModel,
     Grid,
     LayerSpec,
     NascentDelta,
     ParamDistribution,
+    edge_points,
     finite_ridgelet_coeffs,
     forward_s,
     gaussian_derivative_profile,
@@ -121,6 +123,19 @@ def test_mollify_zero_weights():
     assert l2_norm(mollify(model, delta, PG)) == 0.0
 
 
+@pytest.mark.parametrize("bad", ["point", "weight"])
+def test_finite_model_rejects_non_finite_entries(bad):
+    """NaN/Inf in a point or a weight is bad data (DataError), as in a field."""
+    points = np.array([[0.0, 0.0], [1.0, 1.0]])
+    weights = np.array([1.0, 1.0 + 0j])
+    if bad == "point":
+        points[1, 0] = np.nan
+    else:
+        weights[0] = np.inf
+    with pytest.raises(DataError):
+        FiniteModel(points=points, weights=weights)
+
+
 def test_mollify_mass_identity(gamma_smooth_pair):
     gamma, delta, _ = gamma_smooth_pair
     model = sample_parameters(gamma, 500, seed=1)
@@ -132,8 +147,9 @@ def test_mollify_mass_identity(gamma_smooth_pair):
 def test_mollify_margin_warning():
     delta = NascentDelta("gaussian", 0.5)
     model = FiniteModel(points=np.array([[9.9, 0.0]]), weights=np.array([1.0]))
-    emb = mollify(model, delta, PG)
-    assert "truncation_warning" in emb.meta
+    assert edge_points(model, delta, PG) == 1
+    assert edge_points(FiniteModel(points=np.array([[8.4, 0.0]]), weights=np.array([1.0])),
+                       delta, PG) == 0
 
 
 def _brute_mollify(model, delta, grid):
@@ -188,7 +204,7 @@ def test_mollify_matches_brute_force_sum(kind):
     assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
     if kind.startswith("near_real"):
         assert np.max(np.abs(got.values.imag - ref.imag)) <= 1e-12 * np.max(np.abs(ref.imag))
-    assert ("truncation_warning" in got.meta) == on_nodes
+    assert (edge_points(model, delta, MG) > 0) == on_nodes
 
 
 def test_mollify_matches_brute_force_near_the_edge():
@@ -202,7 +218,7 @@ def test_mollify_matches_brute_force_near_the_edge():
         got = mollify(model, delta, MG)
         ref = _brute_mollify(model, delta, MG)
         assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert got.meta["truncation_warning"] == "40 of 40 points within 3ε of the box edge"
+        assert edge_points(model, delta, MG) == model.p == 40
 
 
 def test_mollify_is_relative_to_the_weight_scale():

