@@ -4,10 +4,16 @@ Integral representations of shallow networks, ridgelet transforms and their
 Fourier-slice fast paths, admissibility and null-space (ghost) analysis,
 function-series encoding into ghosts, ε-mollified finite models, and the
 projected-norm generalization-bound calculator.
+
+Importing ghostlet makes numpy's and scipy's BLAS single-threaded for the
+whole process, where their bundled OpenBLAS allows it (`ghostlet.parallel`):
+the program's only worker threads are its own, and its results do not depend
+on the BLAS thread count.
 """
 
 __version__ = "0.1.0"
 
+from . import parallel  # first, so that no BLAS call runs before the pin
 from .grids import (
     AccuracyError,
     DataError,

@@ -4,9 +4,10 @@ Each runner takes an ExperimentConfig, computes its metrics, writes
 machine-readable artifacts (CSV curves/matrices, JSON reports, PGM heatmaps)
 under the output directory, and returns a RunReport echoing the fully
 resolved configuration. Reruns with the same config and seed are
-byte-identical, whatever the core count: every random draw is made on the
-calling thread, in a fixed order; the blocks that run on worker threads
-(`transforms._block_map`) are cut by array sizes alone; and partial sums are
+byte-identical, whatever the core count and the BLAS thread count: every
+random draw is made on the calling thread, in a fixed order; BLAS runs on one
+thread (`ghostlet.parallel`); the blocks that run on worker threads
+(`parallel._block_map`) are cut by array sizes alone; and partial sums are
 added in block order.
 """
 from __future__ import annotations
@@ -56,9 +57,9 @@ from .profiles import (
     make_rho_family,
     tanh_profile,
 )
+from .parallel import _block_map
 from .reporting import write_csv, write_json, write_matrix_csv, write_pgm
 from .transforms import (
-    _block_map,
     _neuron_sum,
     forward_s,
     make_operator,

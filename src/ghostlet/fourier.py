@@ -29,6 +29,7 @@ from .grids import (
     SampledFunction,
     SpectralFunction,
 )
+from .parallel import BLAS_PINNED, _block_map
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,14 @@ def bracket(y: np.ndarray) -> np.ndarray:
 # Kernels above 2²⁰ entries (16 MB of complex128) are built per call, so the 8 cached
 # ones hold at most 128 MB. The Fourier-slice path uses 4, the largest 1258 × 161.
 _KERNEL_CACHE_ENTRIES = 1 << 20
+# A transform of more kernel entries × batch columns than this runs as
+# `_TRANSFORM_BLOCKS` column blocks, which 1, 2 or 4 cores share evenly. On a
+# 2-core AMD EPYC VM with BLAS on one thread, 4 blocks took a 257 × 288 kernel
+# times 241 columns (1.8e7 entries) from 1.29 to 0.97 ms, and 3 blocks took a
+# 129 × 161 kernel times 161 columns (3.3e6) from 0.25 to 0.37 ms: below about
+# 1 ms of GEMM, starting the worker threads costs more than they save.
+_TRANSFORM_SPLIT = 1 << 23
+_TRANSFORM_BLOCKS = 4
 
 
 @lru_cache(maxsize=8)
@@ -58,11 +67,23 @@ def _axis_kernel(src: Grid, dst: Grid, sign: float) -> np.ndarray:
 
 def _axis_transform(values: np.ndarray, axis: int, src: Grid, dst: Grid,
                     sign: float) -> np.ndarray:
+    """kernel @ values along `axis`, the other axes flattened into a batch of
+    columns. With BLAS pinned to one thread, a transform of more than
+    `_TRANSFORM_SPLIT` kernel entries × columns runs as `_TRANSFORM_BLOCKS`
+    column blocks on `_block_map`, a split fixed by the array sizes alone, so
+    the result does not depend on the core count."""
     big = src.counts[0] * dst.counts[0] > _KERNEL_CACHE_ENTRIES
     kernel = (_axis_kernel.__wrapped__ if big else _axis_kernel)(src, dst, sign)
     moved = np.moveaxis(values, axis, 0)
-    out = np.tensordot(kernel, moved, axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
+    cols = moved.reshape(moved.shape[0], -1)
+    if BLAS_PINNED and kernel.size * cols.shape[1] > _TRANSFORM_SPLIT:
+        width = -(-cols.shape[1] // _TRANSFORM_BLOCKS)
+        blocks = _block_map(lambda start: kernel @ cols[:, start:start + width],
+                            range(0, cols.shape[1], width))
+        out = np.concatenate(list(blocks), axis=1)
+    else:
+        out = kernel @ cols
+    return np.moveaxis(out.reshape(kernel.shape[0], *moved.shape[1:]), 0, axis)
 
 
 def _boundary_decay(values: np.ndarray) -> float:

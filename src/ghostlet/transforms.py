@@ -15,9 +15,6 @@ zero outside the box).
 """
 from __future__ import annotations
 
-import itertools
-import os
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,6 +41,7 @@ from .grids import (
     UnsupportedProfileError,
     cubic_spline,
 )
+from .parallel import _block_map
 from .profiles import DEFAULT_OMEGA_GRID, Profile1D, pairing, weighted_space_norm
 
 PLAIN_L2 = "plain_l2"
@@ -143,34 +141,6 @@ _KERNEL_BLOCK = 1 << 16
 _BLOCK = 1 << 18
 
 
-def _block_map(fn, blocks):
-    """Yield fn(block) for each block, in block order.
-
-    The blocks run on one thread per usable core (`os.sched_getaffinity`),
-    with at most two blocks per thread in flight, so a lazy `blocks` iterable
-    is consumed only that far ahead of the results. A single block, or a
-    single core, runs inline. `fn` must not call BLAS: OpenBLAS runs each call
-    on its own threads as well, so calls from every worker oversubscribe the
-    cores.
-    """
-    blocks = iter(blocks)
-    head = list(itertools.islice(blocks, 2))
-    workers = len(os.sched_getaffinity(0))
-    if len(head) < 2 or workers == 1:
-        yield from map(fn, itertools.chain(head, blocks))
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
-        for block in itertools.chain(head, blocks):
-            pending.append(pool.submit(fn, block))
-            if len(pending) >= 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def _kernel_sum(coeff: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """coeff @ kernel for complex coeff. A real kernel takes one real GEMM on
     the stacked [Re; Im] coefficient rows."""
@@ -181,9 +151,9 @@ def _kernel_sum(coeff: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def _block_sum(coeff: np.ndarray, stacked: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """coeff @ kernel for one block, by `np.einsum` (no BLAS call, so it may
-    run on a worker thread). A real kernel contracts the [Re; Im] rows
-    `stacked` of the coefficients."""
+    """coeff @ kernel for one block, by `np.einsum`, which calls no BLAS, so
+    a worker thread may run it whether or not BLAS is pinned. A real kernel
+    contracts the [Re; Im] rows `stacked` of the coefficients."""
     if np.iscomplexobj(kernel):
         return np.einsum("k,kj->j", coeff, kernel)
     re, im = np.einsum("ck,kj->cj", stacked, kernel)

@@ -6,6 +6,9 @@ enough in a that the ridgelet fields' O(a^{-(2k+1)}) energy tails (k = number
 of vanishing moments of the activation) fall below the acceptance tolerances,
 and fine enough in b that the operator ω grid stays below the b Nyquist.
 """
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,3 +94,11 @@ def bump_mix(seed, grid=INPUT_GRID, n=3, width_min=1.3, center_max=2.0):
 
 def rel_l2(u, v):
     return l2_norm(u - v) / l2_norm(v)
+
+
+def blas_threads_env(threads: str) -> dict:
+    """The environment of a fresh Python process that imports this checkout's
+    ghostlet, with OpenBLAS started on `threads` threads."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}

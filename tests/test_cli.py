@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 from ghostlet.cli import main
 from ghostlet.experiments import ExperimentConfig, UsageError, run_subcommand
 from ghostlet.reporting import read_pgm, write_pgm
+
+from conftest import blas_threads_env
 
 BOUND_CONFIG = {
     "experiment": "bound",
@@ -141,6 +145,48 @@ def test_monte_carlo_reruns_are_byte_identical(tmp_path):
                      "--out", str(out)]) == 0
     assert (out_a / "reconstruction_rho2.csv").exists()
     _assert_same_outputs(out_a, out_b)
+
+
+# Every subcommand; the three of the Monte Carlo study at its small size.
+ALL_SUBCOMMANDS = {
+    "appendix-c": SMALL_MONTE_CARLO,
+    "spectrum": SMALL_MONTE_CARLO,
+    "reconstruct": SMALL_MONTE_CARLO,
+    "admissibility": {},
+    "decompose": {},
+    "encode-series": {},
+    "finite-model": {},
+    "lazy": {},
+    "bound": {"params": {"measure": True}},
+}
+
+_RUN_ALL = """
+import json, sys
+from pathlib import Path
+from ghostlet.cli import main
+root = Path(sys.argv[1])
+for name, payload in json.loads(sys.argv[2]).items():
+    cfg = root / f"{name}.json"
+    cfg.write_text(json.dumps({**payload, "experiment": name}))
+    if main([name, "--config", str(cfg), "--seed", "3", "--out", str(root / name)]) != 0:
+        sys.exit(f"{name} failed")
+"""
+
+
+def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path):
+    """The nine subcommands at seed 3 write the same bytes with OpenBLAS on
+    one thread and on two: importing ghostlet pins BLAS to one thread, so
+    no reduction's order depends on OPENBLAS_NUM_THREADS. Unpinned, eight
+    artifacts of decompose, encode-series, finite-model and lazy differed."""
+    for threads in ("1", "2"):
+        root = tmp_path / threads
+        root.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _RUN_ALL, str(root),
+                               json.dumps(ALL_SUBCOMMANDS)], env=blas_threads_env(threads),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    for name in ALL_SUBCOMMANDS:
+        _assert_same_outputs(tmp_path / "1" / name, tmp_path / "2" / name)
 
 
 def test_admissibility_zero_nonzero_pattern(tmp_path):

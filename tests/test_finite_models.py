@@ -271,6 +271,24 @@ def test_mollify_point_loop_matches_brute_force_sum(shape, grid):
     assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_bump_mass_is_computed_once_per_dimension(monkeypatch):
+    """A bump `mollify` computes the bump's mass once, not once per point,
+    and the field is the one the uncached mass gives, bit for bit."""
+    import ghostlet.finite_models as finite_models
+
+    grid = Grid((-3.0, -4.0), (3.0, 4.0), (49, 65))
+    rng = np.random.default_rng(26)
+    model = FiniteModel(points=rng.uniform((-2.0, -3.0), (2.0, 3.0), (30, 2)),
+                        weights=rng.standard_normal(30) + 1j * rng.standard_normal(30))
+    delta = NascentDelta("bump", 0.6)
+    finite_models._bump_mass.cache_clear()
+    cached = mollify(model, delta, grid).values
+    info = finite_models._bump_mass.cache_info()
+    assert (info.misses, info.hits) == (1, model.p - 1)
+    monkeypatch.setattr(finite_models, "_bump_mass", finite_models._bump_mass.__wrapped__)
+    np.testing.assert_array_equal(mollify(model, delta, grid).values, cached)
+
+
 def test_mollified_network_converges_to_point_masses(opf, gamma_smooth_pair):
     """ε-halving: S[γ^ε_p] forms a Cauchy sequence toward the exact
     point-mass network oracle."""

@@ -237,3 +237,19 @@ def test_kernel_above_the_cap_is_not_retained():
     assert _axis_kernel.cache_info().currsize == 0
     assert np.array_equal(got, np.tensordot(_plain_kernel(src, dst, -1.0), u.values,
                                             axes=(1, 0)))
+
+
+def test_blocked_axis_transform_matches_one_tensordot():
+    """The Fourier-slice testbed's (241, 288) → 257 step runs as column blocks
+    when BLAS is pinned to one thread; it agrees with one tensordot of the whole
+    batch to 1e-13 relative."""
+    from ghostlet.fourier import _TRANSFORM_SPLIT, _axis_kernel, _axis_transform
+
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((241, 288)) + 1j * rng.standard_normal((241, 288))
+    omega, b_line = Grid.line(-12.0, 12.0, 288), Grid.line(-16.0, 16.0, 257)
+    assert 257 * 288 * 241 > _TRANSFORM_SPLIT
+    got = _axis_transform(values, 1, omega, b_line, 1.0)
+    want = np.tensordot(values, _axis_kernel(omega, b_line, 1.0), axes=(1, 1))
+    assert got.shape == (241, 257)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

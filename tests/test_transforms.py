@@ -431,13 +431,15 @@ def test_blocked_kernel_sums_match_complex_sum(monkeypatch, m):
 def test_block_results_do_not_depend_on_core_count(monkeypatch):
     """The blocks are fixed by array sizes and partial sums are added in block
     order, so 1 reported core (inline) and 4 (pool) give the same bits; with 4
-    cores every block runs on a worker thread."""
+    cores every block runs on a worker thread. The blocked axis transform is
+    the Fourier-slice testbed's (241, 288) → 257 step."""
     import os
     import sys
     import threading
 
     import ghostlet.transforms as transforms
     from ghostlet.experiments import _mc_ridgelet_field
+    from ghostlet.fourier import _axis_transform
 
     monkeypatch.setattr(transforms, "_BLOCK", 2_000)
     pg = Grid((-3.0, -6.0), (3.0, 6.0), (31, 33))
@@ -448,6 +450,8 @@ def test_block_results_do_not_depend_on_core_count(monkeypatch):
     f = sample(ig, lambda x: np.exp(-x ** 2) * (1.0 + 0.5j * x))
     sigma = gaussian_derivative_profile(3)
     rho = make_rho_family(2)[2]
+    spectrum = rng.standard_normal((241, 288)) + 1j * rng.standard_normal((241, 288))
+    omega, b_line = Grid.line(-12.0, 12.0, 288), Grid.line(-16.0, 16.0, 257)
     threads = set()
 
     def tracked(prof):
@@ -469,6 +473,7 @@ def test_block_results_do_not_depend_on_core_count(monkeypatch):
                 ridgelet(f, rho, pg).values,
                 _mc_ridgelet_field(lambda xs: np.sin(2.0 * np.pi * xs), rho, pg, -1.0, 1.0,
                                    40, np.random.default_rng(3)),
+                _axis_transform(spectrum, 1, omega, b_line, 1.0),
             )
             main_only = threads == {threading.get_ident()}
             assert main_only == (cores == 1), cores
