@@ -7,8 +7,9 @@ projected-norm generalization-bound calculator.
 
 Importing ghostlet makes numpy's and scipy's BLAS single-threaded for the
 whole process, where their bundled OpenBLAS allows it (`ghostlet.parallel`):
-the program's only worker threads are its own, and its results do not depend
-on the BLAS thread count.
+the program's only worker threads are its own, they may call BLAS, and its
+results do not depend on the BLAS thread count. Where BLAS cannot be pinned,
+the program runs on the calling thread alone.
 """
 
 __version__ = "0.1.0"

@@ -5,10 +5,10 @@ machine-readable artifacts (CSV curves/matrices, JSON reports, PGM heatmaps)
 under the output directory, and returns a RunReport echoing the fully
 resolved configuration. Reruns with the same config and seed are
 byte-identical, whatever the core count and the BLAS thread count: every
-random draw is made on the calling thread, in a fixed order; BLAS runs on one
-thread (`ghostlet.parallel`); the blocks that run on worker threads
-(`parallel._block_map`) are cut by array sizes alone; and partial sums are
-added in block order.
+random draw is made on the calling thread, in a fixed order; the blocks that
+run on worker threads (`parallel._block_map`, which may call the pinned BLAS)
+are cut by array sizes alone; and partial sums are added in block order. A
+Monte Carlo S curve is a uniformly drawn finite model (`point_mass_network`).
 """
 from __future__ import annotations
 
@@ -23,12 +23,14 @@ from .encoding import make_ghost_codebook, encode_series, readout_mutate
 from .finite_models import (
     EXCLUSIVE,
     INCLUSIVE,
+    UNIFORM_BOX,
     LayerSpec,
     NascentDelta,
     finite_ridgelet_coeffs,
     generalization_bound,
     layer_norms,
     mollify,
+    point_mass_network,
     sample_parameters,
     smooth_convolve,
 )
@@ -36,7 +38,6 @@ from .grids import (
     Grid,
     ParamDistribution,
     SampledFunction,
-    interpolate,
     l2_norm,
     sample,
 )
@@ -60,7 +61,6 @@ from .profiles import (
 from .parallel import _block_map
 from .reporting import write_csv, write_json, write_matrix_csv, write_pgm
 from .transforms import (
-    _neuron_sum,
     forward_s,
     make_operator,
     ridgelet,
@@ -185,18 +185,6 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
     return np.stack(list(_block_map(row, draws())))
 
 
-def _mc_forward_curve(field: ParamDistribution, sigma: Profile1D, x: np.ndarray,
-                      n_samples: int, rng) -> np.ndarray:
-    """S[γ] at the curve nodes by Monte Carlo over (a,b), with γ read off the
-    grid by bicubic interpolation."""
-    pts = np.column_stack([
-        field.grid.lower[0] + (field.grid.upper[0] - field.grid.lower[0]) * rng.random(n_samples),
-        field.grid.lower[1] + (field.grid.upper[1] - field.grid.lower[1]) * rng.random(n_samples),
-    ])
-    gvals = interpolate(field, pts) * (field.grid.volume / n_samples)
-    return _neuron_sum(pts[:, :1], pts[:, 1], gvals, x[:, None], sigma.real_eval)
-
-
 def _box_gain(sigma: Profile1D, rho: Profile1D, xi0: float, a_half: float) -> float:
     """Per-frequency gain of the box-truncated reconstruction: the m = 1
     pairing restricted to |ω| ≥ |ξ₀|/A (diagnostic for the truncation low-pass)."""
@@ -218,11 +206,15 @@ def _reconstruction_study(cfg: ExperimentConfig, emit_spectra: bool = True,
     x_grid = _grid_from_spec(cfg.grids.get("input"), Grid.line(-1.0, 1.0, 201))
     max_k = int(cfg.profiles.get("rho_max_k", 4))
     ks = cfg.params.get("ks", list(range(1, max_k + 1)))
-    sigma = tanh_profile()
-    family = make_rho_family(max_k, sigma=sigma)
+    if not (isinstance(ks, list) and all(isinstance(k, int) and 1 <= k <= max_k for k in ks)):
+        raise UsageError(f"params.ks must be a list of integers in 1..{max_k}, not {ks!r}")
     quad_kind = cfg.quadrature.get("kind", "monte_carlo")
     r_samples = int(cfg.quadrature.get("r_samples", 4000))
     s_samples = int(cfg.quadrature.get("s_samples", 1_000_000))
+    if min(r_samples, s_samples) < 1:
+        raise UsageError("quadrature.r_samples and s_samples must be at least 1")
+    sigma = tanh_profile()
+    family = make_rho_family(max_k, sigma=sigma)
 
     x = x_grid.axis(0)
     wx = x_grid.axis_weights(0)
@@ -259,7 +251,8 @@ def _reconstruction_study(cfg: ExperimentConfig, emit_spectra: bool = True,
 
         if emit_curves:
             if quad_kind == "monte_carlo":
-                curve = _mc_forward_curve(field, sigma, x, s_samples, rng)
+                model = sample_parameters(field, s_samples, rng, UNIFORM_BOX)
+                curve = point_mass_network(model, sigma, x_grid).values
             else:
                 op = make_operator(sigma, param_grid, x_grid, normalize=False)
                 curve = forward_s(op, field).values
@@ -304,7 +297,9 @@ def run_appendix_c(cfg: ExperimentConfig) -> RunReport:
     """Reconstruction study: f(x) = sin(2πx) on [−1,1], σ = tanh, the Dawson
     family ρ₁..ρ₄ on (a,b) ∈ [−6,6]², pointwise Monte Carlo quadrature (the
     standard unbiased (measure/n)·Σ estimator with fresh per-node draws; the
-    printed (1/n)ΔxΣ form is scale-inconsistent and is not used).
+    printed (1/n)ΔxΣ form is scale-inconsistent and is not used). The curve
+    S[γ] is a finite model of `s_samples` neurons drawn uniformly in the (a, b)
+    box, weighted by γ·volume (`sample_parameters`, `point_mass_network`).
 
     Emits per k: the ridgelet spectrum (CSV + PGM), the reconstruction curve
     (CSV), an admissibility entry (JSON), and summary metrics. The box_gain

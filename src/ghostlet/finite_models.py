@@ -26,6 +26,7 @@ from .grids import (
     interpolate,
     l2_inner,
     l2_norm,
+    uniform_points,
 )
 from .profiles import _GAUSS_FLOOR, BasisFamily, Profile1D
 from .transforms import NetworkOperator, _neuron_sum
@@ -198,12 +199,12 @@ UNIFORM_BOX = "uniform_box"
 DENSITY_PROPORTIONAL = "density_proportional"
 
 
-def sample_parameters(gamma_smooth: ParamDistribution, p: int, seed: int,
+def sample_parameters(gamma_smooth: ParamDistribution, p: int, seed,
                       scheme: str = DENSITY_PROPORTIONAL) -> FiniteModel:
     """Draw a finite model whose mollified embedding is unbiased for the
-    smoothed field.
+    smoothed field, from `seed` (an int, or a Generator that the draw advances).
 
-    UniformBox: points uniform over the box, weights γ(point)·volume.
+    UniformBox: points uniform over the box (`uniform_points`), weights γ(point)·volume.
     DensityProportional: grid nodes drawn ∝ |γ|·(trapezoid weight), so every
     point is a node; the raw-γ weighting stated with the sampling assumption
     does not produce the claimed limit, so the weights are the self-normalized
@@ -216,9 +217,7 @@ def sample_parameters(gamma_smooth: ParamDistribution, p: int, seed: int,
     rng = np.random.default_rng(seed)
     grid = gamma_smooth.grid
     if scheme == UNIFORM_BOX:
-        lo = np.asarray(grid.lower)
-        hi = np.asarray(grid.upper)
-        pts = lo + rng.random((p, grid.dim)) * (hi - lo)
+        pts = uniform_points(grid, p, rng)
         weights = interpolate(gamma_smooth, pts) * grid.volume
         return FiniteModel(points=pts, weights=weights)
     if scheme == DENSITY_PROPORTIONAL:
@@ -241,8 +240,9 @@ def sample_parameters(gamma_smooth: ParamDistribution, p: int, seed: int,
 
 def point_mass_network(model: FiniteModel, sigma: Profile1D,
                        input_grid: Grid) -> SampledFunction:
-    """Exact (non-mollified) finite network S[γ_p](x) = (1/p) Σ w_k σ(a_k·x − b_k);
-    the oracle the mollified models converge to as ε → 0."""
+    """Exact (non-mollified) finite network S[γ_p](x) = (1/p) Σ w_k σ(a_k·x − b_k):
+    the oracle the mollified models converge to as ε → 0, and, drawn uniformly
+    in the box, appendix-c's Monte Carlo estimate of S[γ]."""
     if sigma.real_eval is None:
         raise DomainError(f"{sigma.name!r} has no real-domain evaluator")
     vals = _neuron_sum(model.points[:, :-1], model.points[:, -1], model.weights / model.p,

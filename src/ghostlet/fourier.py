@@ -29,7 +29,7 @@ from .grids import (
     SampledFunction,
     SpectralFunction,
 )
-from .parallel import BLAS_PINNED, _block_map
+from .parallel import _block_map
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,15 @@ def _axis_kernel(src: Grid, dst: Grid, sign: float) -> np.ndarray:
 def _axis_transform(values: np.ndarray, axis: int, src: Grid, dst: Grid,
                     sign: float) -> np.ndarray:
     """kernel @ values along `axis`, the other axes flattened into a batch of
-    columns. With BLAS pinned to one thread, a transform of more than
-    `_TRANSFORM_SPLIT` kernel entries × columns runs as `_TRANSFORM_BLOCKS`
-    column blocks on `_block_map`, a split fixed by the array sizes alone, so
-    the result does not depend on the core count."""
+    columns. A transform of more than `_TRANSFORM_SPLIT` kernel entries ×
+    columns runs as `_TRANSFORM_BLOCKS` column blocks on `_block_map`, a split
+    fixed by the array sizes alone, so the result does not depend on the core
+    count."""
     big = src.counts[0] * dst.counts[0] > _KERNEL_CACHE_ENTRIES
     kernel = (_axis_kernel.__wrapped__ if big else _axis_kernel)(src, dst, sign)
     moved = np.moveaxis(values, axis, 0)
     cols = moved.reshape(moved.shape[0], -1)
-    if BLAS_PINNED and kernel.size * cols.shape[1] > _TRANSFORM_SPLIT:
+    if kernel.size * cols.shape[1] > _TRANSFORM_SPLIT:
         width = -(-cols.shape[1] // _TRANSFORM_BLOCKS)
         blocks = _block_map(lambda start: kernel @ cols[:, start:start + width],
                             range(0, cols.shape[1], width))

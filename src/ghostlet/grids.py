@@ -260,12 +260,13 @@ class QuadratureScheme:
         return QuadratureScheme(MONTE_CARLO, sample_count, seed)
 
 
-def uniform_points(grid: Grid, n: int, seed: int) -> np.ndarray:
-    """n uniform points in the grid box, (n, dim), reproducible per seed."""
+def uniform_points(grid: Grid, n: int, seed) -> np.ndarray:
+    """n uniform points in the grid box, (n, dim), drawn one axis after the
+    other from `seed`: an int, or a `np.random.Generator`, which the draw
+    advances."""
     rng = np.random.default_rng(seed)
-    lo = np.asarray(grid.lower)
-    hi = np.asarray(grid.upper)
-    return lo + rng.random((n, grid.dim)) * (hi - lo)
+    return np.column_stack([lo + (hi - lo) * rng.random(n)
+                            for lo, hi in zip(grid.lower, grid.upper)])
 
 
 @dataclass(frozen=True)
@@ -345,8 +346,8 @@ def cubic_spline(grid: Grid, values: np.ndarray) -> Spline:
 
 
 def interpolate(fld: _Field, points: np.ndarray, method: str = "cubic") -> np.ndarray:
-    """Evaluate a field at off-grid points of shape (n, dim), 0 outside the
-    grid box.
+    """Evaluate a field at off-grid points of shape (n, dim), or at one point
+    of shape (dim,), 0 outside the grid box.
 
     Cubic (the default) evaluates the field's one spline (`_Field.spline`,
     the module's `cubic_spline`: exact not-a-knot, BSpline-evaluated on 1-D
@@ -355,7 +356,11 @@ def interpolate(fld: _Field, points: np.ndarray, method: str = "cubic") -> np.nd
     """
     from scipy.interpolate import RegularGridInterpolator
 
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
+    if pts.shape == (fld.grid.dim,):
+        pts = pts[None]
+    if pts.ndim != 2 or pts.shape[1] != fld.grid.dim:
+        raise DomainError(f"points of shape {pts.shape} are not (n, {fld.grid.dim})")
     if method == "cubic":
         return fld.spline(pts)
     return RegularGridInterpolator(fld.grid.axes(), fld.values, method=method,

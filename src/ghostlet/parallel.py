@@ -6,7 +6,7 @@ then runs on the thread that makes it and gives the same bits whatever
 `OPENBLAS_NUM_THREADS` says, and no BLAS thread spins on a core that a
 `_block_map` worker needs. Where numpy's BLAS exports no thread-count symbol
 (an MKL or a system BLAS build), it is left alone, `BLAS_PINNED` is False,
-and every BLAS call stays on the calling thread.
+and `_block_map` runs every block on the calling thread.
 """
 from __future__ import annotations
 
@@ -61,20 +61,20 @@ BLAS_PINNED = _pin_openblas()
 
 
 def _block_map(fn, blocks):
-    """Yield fn(block) for each block, in block order.
+    """Yield fn(block) for each block, in block order; `fn` may call BLAS.
 
-    The blocks run on one thread per usable core (`os.sched_getaffinity`),
-    with at most two blocks per thread in flight, so a lazy `blocks` iterable
-    is consumed only that far ahead of the results. A single block, or a
-    single core, runs inline. BLAS runs on one thread: `fn` may call numpy's
-    BLAS only when `BLAS_PINNED`, since an unpinned BLAS runs each call on
-    its own threads as well, and calls from every worker oversubscribe the
+    Where BLAS is pinned (`BLAS_PINNED`), the blocks run on one thread per
+    usable core (`os.sched_getaffinity`), with at most two blocks per thread
+    in flight, so a lazy `blocks` iterable is consumed only that far ahead of
+    the results. A single block or a single core runs inline, and so does
+    every block where BLAS is not pinned: that BLAS runs each call on its own
+    threads as well, and calls from every worker would oversubscribe the
     cores.
     """
     blocks = iter(blocks)
     head = list(itertools.islice(blocks, 2))
     workers = len(os.sched_getaffinity(0))
-    if len(head) < 2 or workers == 1:
+    if len(head) < 2 or workers == 1 or not BLAS_PINNED:
         yield from map(fn, itertools.chain(head, blocks))
         return
     from concurrent.futures import ThreadPoolExecutor

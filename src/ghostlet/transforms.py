@@ -133,11 +133,15 @@ def make_operator(sigma: Profile1D, param_grid: Grid, input_grid: Grid,
 # blocks on every call.
 _CHUNK = 1 << 22
 # Entries per evaluator call while a kept kernel is built, so the evaluator's
-# temporaries stay small next to the kernel itself.
+# temporaries stay small next to the kernel itself. The kept kernel is built
+# on the calling thread: built in `_BLOCK` blocks on `_block_map`, the
+# `direct-finite` workload's peak RSS rose from 115.8 to 134–148 MB, while
+# these blocks on one thread keep it at 115.7–116.1 MB (2-vCPU VM).
 _KERNEL_BLOCK = 1 << 16
-# Kernel entries per streamed block of `_neuron_sum` and `ridgelet` (2 MB in
-# float64): small enough that the blocks in flight stay a few tens of MB,
-# large enough that each block's work outweighs the cost of handing it out.
+# Kernel entries per block of `_kernel_blocks`, which `_neuron_sum` and
+# `ridgelet` stream (2 MB in float64): small enough that the blocks in flight
+# stay a few tens of MB, large enough that each block's work outweighs the
+# cost of handing it out.
 _BLOCK = 1 << 18
 
 
@@ -150,18 +154,8 @@ def _kernel_sum(coeff: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def _block_sum(coeff: np.ndarray, stacked: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """coeff @ kernel for one block, by `np.einsum`, which calls no BLAS, so
-    a worker thread may run it whether or not BLAS is pinned. A real kernel
-    contracts the [Re; Im] rows `stacked` of the coefficients."""
-    if np.iscomplexobj(kernel):
-        return np.einsum("k,kj->j", coeff, kernel)
-    re, im = np.einsum("ck,kj->cj", stacked, kernel)
-    return re + 1j * im
-
-
 def _affine(points_a: np.ndarray, points_b: np.ndarray, x_nodes: np.ndarray) -> np.ndarray:
-    """a_k·x_j − b_k over (k, j), by broadcasting (no BLAS call)."""
+    """a_k·x_j − b_k over (k, j), by broadcasting."""
     arg = points_a[:, :1] * x_nodes[:, 0]
     for d in range(1, points_a.shape[1]):
         arg += points_a[:, d:d + 1] * x_nodes[:, d]
@@ -171,8 +165,8 @@ def _affine(points_a: np.ndarray, points_b: np.ndarray, x_nodes: np.ndarray) -> 
 
 def _kernel_matrix(points_a: np.ndarray, points_b: np.ndarray, x_nodes: np.ndarray,
                    profile_eval) -> np.ndarray:
-    """σ(a_k·x − b_k) over (k, x node), evaluated in row blocks of about
-    `_KERNEL_BLOCK` entries."""
+    """σ(a_k·x − b_k) over (k, x node), evaluated on the calling thread in row
+    blocks of about `_KERNEL_BLOCK` entries (see there)."""
     n = points_a.shape[0]
     rows = max(1, _KERNEL_BLOCK // max(x_nodes.shape[0], 1))
     out = None
@@ -185,25 +179,30 @@ def _kernel_matrix(points_a: np.ndarray, points_b: np.ndarray, x_nodes: np.ndarr
     return out
 
 
-def _neuron_sum(points_a: np.ndarray, points_b: np.ndarray, coeff: np.ndarray,
-                x_nodes: np.ndarray, profile_eval) -> np.ndarray:
-    """Σ_k coeff_k · σ(a_k·x − b_k) evaluated for every x node.
-
-    The neurons are cut into blocks of about `_BLOCK` kernel entries, a
-    partition fixed by the array sizes alone; the blocks run on `_block_map`
-    and their partial sums are added in block order, so the result does not
-    depend on the core count. The [Re; Im] coefficient rows are stacked once."""
-    n, n_x = points_a.shape[0], x_nodes.shape[0]
-    rows = max(1, _BLOCK // max(n_x, 1))
-    stacked = np.stack([coeff.real, coeff.imag])
+def _kernel_blocks(fn, points_a: np.ndarray, points_b: np.ndarray, x_nodes: np.ndarray,
+                   profile_eval):
+    """Yield fn(rows, block), in row order, for the row blocks of about
+    `_BLOCK` entries of the kernel σ(a_k·x − b_k) over (k, x node); `block`
+    holds the kernel's `rows`. The partition is fixed by the array sizes
+    alone, and the blocks run on `_block_map`."""
+    step = max(1, _BLOCK // max(x_nodes.shape[0], 1))
 
     def block(start):
-        part = slice(start, start + rows)
-        kernel = np.asarray(profile_eval(_affine(points_a[part], points_b[part], x_nodes)))
-        return _block_sum(coeff[part], stacked[:, part], kernel)
+        rows = slice(start, start + step)
+        return fn(rows, np.asarray(profile_eval(_affine(points_a[rows], points_b[rows],
+                                                        x_nodes))))
 
-    out = np.zeros(n_x, dtype=complex)
-    for partial in _block_map(block, range(0, n, rows)):
+    return _block_map(block, range(0, points_a.shape[0], step))
+
+
+def _neuron_sum(points_a: np.ndarray, points_b: np.ndarray, coeff: np.ndarray,
+                x_nodes: np.ndarray, profile_eval) -> np.ndarray:
+    """Σ_k coeff_k · σ(a_k·x − b_k) evaluated for every x node: the partial
+    sums of `_kernel_blocks` added in block order, so the result does not
+    depend on the core count."""
+    out = np.zeros(x_nodes.shape[0], dtype=complex)
+    for partial in _kernel_blocks(lambda rows, kernel: _kernel_sum(coeff[rows], kernel),
+                                  points_a, points_b, x_nodes, profile_eval):
         out += partial
     return out
 
@@ -235,21 +234,12 @@ def ridgelet(f: SampledFunction, rho: Profile1D, param_grid: Grid,
     if param_grid.dim != f.grid.dim + 1:
         raise DomainError("parameter grid dim must be f's dim + 1")
     pts = param_grid.points()
-    pa, pb = pts[:, :-1], pts[:, -1]
-    x_nodes = f.grid.points()
     coeff = (f.values * f.grid.weights()).ravel()
-    # Same kernel sum with roles swapped: output over (a,b) in row blocks,
-    # reduction over x within each block.
-    rows = max(1, _BLOCK // max(x_nodes.shape[0], 1))
-    stacked = np.stack([coeff.real, coeff.imag])
-
-    def block(start):
-        part = slice(start, start + rows)
-        kernel = np.asarray(rho.real_eval(_affine(pa[part], pb[part], x_nodes)))
-        return _block_sum(coeff, stacked, (np.conj(kernel) if np.iscomplexobj(kernel)
-                                           else kernel).T)
-
-    out = np.concatenate(list(_block_map(block, range(0, pts.shape[0], rows))))
+    # The same kernel blocks with roles swapped: each block's rows are
+    # parameter nodes, summed over x.
+    out = np.concatenate(list(_kernel_blocks(
+        lambda rows, kernel: _kernel_sum(coeff, kernel.conj().T),
+        pts[:, :-1], pts[:, -1], f.grid.points(), rho.real_eval)))
     return ParamDistribution._adopt(param_grid, out)
 
 

@@ -189,6 +189,27 @@ def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path):
         _assert_same_outputs(tmp_path / "1" / name, tmp_path / "2" / name)
 
 
+@pytest.mark.parametrize("change", [
+    {"params": {"ks": [5]}},
+    {"params": {"ks": [-1]}},
+    {"params": {"ks": [0]}},
+    {"params": {"ks": [2.0]}},
+    {"params": {"ks": 2}},
+    {"profiles": {"rho_max_k": 2}, "params": {"ks": [3]}},
+    {"quadrature": {"r_samples": 0}},
+    {"quadrature": {"s_samples": -5}},
+], ids=["k5", "k-1", "k0", "k-float", "ks-scalar", "k-above-max", "r0", "s-neg"])
+def test_bad_reconstruction_config_is_usage_error(tmp_path, capsys, change):
+    """ks outside 1..rho_max_k and sample counts below 1 exit 2 before any
+    work, with a message: ks = [5] ended in an IndexError, and ks = [-1] read
+    ρ₄ and then gave default_rng a negative seed."""
+    payload = {**SMALL_MONTE_CARLO, **change}
+    cfg = _write_config(tmp_path, payload)
+    assert main(["appendix-c", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_admissibility_zero_nonzero_pattern(tmp_path):
     cfg = ExperimentConfig(experiment="admissibility", output_dir=str(tmp_path / "adm"))
     report = run_subcommand(cfg)

@@ -486,3 +486,35 @@ def test_layer_norms(opf, gamma_smooth_pair):
     mix = gamma + 0.8 * ghost                     # Pythagoras
     inc, exc = layer_norms(opf, mix)
     assert exc ** 2 + (0.8 * l2_norm(ghost)) ** 2 == pytest.approx(inc ** 2, rel=1e-2)
+
+
+def _mc_forward_curve(field, sigma, x, n_samples, rng):
+    """The appendix-c Monte Carlo S curve as it was written before it became
+    a uniformly drawn finite model (kept here as the reference)."""
+    from ghostlet.grids import interpolate
+    from ghostlet.transforms import _neuron_sum
+
+    pts = np.column_stack([
+        field.grid.lower[0] + (field.grid.upper[0] - field.grid.lower[0]) * rng.random(n_samples),
+        field.grid.lower[1] + (field.grid.upper[1] - field.grid.lower[1]) * rng.random(n_samples),
+    ])
+    gvals = interpolate(field, pts) * (field.grid.volume / n_samples)
+    return _neuron_sum(pts[:, :1], pts[:, 1], gvals, x[:, None], sigma.real_eval)
+
+
+def test_uniform_finite_model_is_the_appendix_c_curve():
+    """point_mass_network of a UNIFORM_BOX draw is the old Monte Carlo curve
+    to roundoff (γ·V/p against γ·(V/p)), and advances the generator alike."""
+    from ghostlet import tanh_profile
+
+    grid = Grid((-6.0, -6.0), (6.0, 6.0), (25, 25))
+    a, b = grid.mesh()
+    field = ParamDistribution(grid, np.exp(-(a / 3.0) ** 2 - (b / 2.0) ** 2) * np.sin(a - b))
+    x_grid = Grid.line(-1.0, 1.0, 41)
+    sigma = tanh_profile()
+    rng_new, rng_old = np.random.default_rng(11), np.random.default_rng(11)
+    model = sample_parameters(field, 20_000, rng_new, UNIFORM_BOX)
+    got = point_mass_network(model, sigma, x_grid).values
+    want = _mc_forward_curve(field, sigma, x_grid.axis(0), 20_000, rng_old)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state

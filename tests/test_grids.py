@@ -17,7 +17,7 @@ from ghostlet import (
     sample,
     weighted_omega_inner,
 )
-from ghostlet.grids import cubic_spline, interpolate
+from ghostlet.grids import cubic_spline, interpolate, uniform_points
 from ghostlet.profiles import hermite_function
 
 
@@ -56,6 +56,39 @@ def test_integrate_monte_carlo_reproducible():
     b = integrate(f, scheme)
     assert a == b
     assert abs(a - integrate(f)) < 0.05
+
+
+def test_uniform_points_draw_one_axis_after_the_other():
+    """With a Generator, uniform_points is the column draw the appendix-c
+    Monte Carlo curve used (kept here as the reference), bit for bit, and
+    leaves the generator in the same state; an int seed starts a fresh one."""
+    g = Grid((-6.0, -5.0), (6.0, 7.0), (9, 11))
+    rng_new, rng_old = np.random.default_rng(17), np.random.default_rng(17)
+    got = uniform_points(g, 1000, rng_new)
+    want = np.column_stack([
+        g.lower[0] + (g.upper[0] - g.lower[0]) * rng_old.random(1000),
+        g.lower[1] + (g.upper[1] - g.lower[1]) * rng_old.random(1000),
+    ])
+    np.testing.assert_array_equal(got, want)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    np.testing.assert_array_equal(uniform_points(g, 1000, 17), want)
+
+
+def test_interpolate_rejects_points_of_the_wrong_shape():
+    """n points on a 1-D grid are (n, 1): a flat (n,) array used to read as
+    one point of dimension n, and only its first entry was evaluated."""
+    g = Grid.line(-1.0, 1.0, 21)
+    f = sample(g, lambda x: x ** 2)
+    x = np.array([0.1, 0.5, 0.9])
+    assert_allclose(interpolate(f, x[:, None]), x ** 2, atol=1e-14)
+    with pytest.raises(DomainError):
+        interpolate(f, x)
+    assert_allclose(interpolate(f, np.array([0.5])), [0.25], atol=1e-14)
+    fld = ParamDistribution(Grid((-1.0, -1.0), (1.0, 1.0), (9, 9)), np.ones((9, 9)))
+    assert_allclose(interpolate(fld, np.array([0.1, 0.2])), [1.0], atol=1e-14)
+    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(DomainError):
+            interpolate(fld, bad)
 
 
 def test_integrate_refinement_is_second_order():

@@ -431,12 +431,15 @@ def test_blocked_kernel_sums_match_complex_sum(monkeypatch, m):
 def test_block_results_do_not_depend_on_core_count(monkeypatch):
     """The blocks are fixed by array sizes and partial sums are added in block
     order, so 1 reported core (inline) and 4 (pool) give the same bits; with 4
-    cores every block runs on a worker thread. The blocked axis transform is
-    the Fourier-slice testbed's (241, 288) → 257 step."""
+    cores every block runs on a worker thread where BLAS is pinned, and on the
+    calling thread where it is not. `BLAS_PINNED` is set here, so the pool is
+    exercised on any BLAS build. The blocked axis transform is the
+    Fourier-slice testbed's (241, 288) → 257 step."""
     import os
     import sys
     import threading
 
+    import ghostlet.parallel as parallel
     import ghostlet.transforms as transforms
     from ghostlet.experiments import _mc_ridgelet_field
     from ghostlet.fourier import _axis_transform
@@ -464,10 +467,11 @@ def test_block_results_do_not_depend_on_core_count(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
-        for cores in (1, 4):
+        for pinned, cores in ((True, 1), (True, 4), (False, 4)):
+            monkeypatch.setattr(parallel, "BLAS_PINNED", pinned)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
             threads.clear()
-            runs[cores] = (
+            runs[pinned, cores] = (
                 transforms._neuron_sum(pts[:, :1], pts[:, 1], coeff, ig.points(),
                                        tracked(sigma)),
                 ridgelet(f, rho, pg).values,
@@ -476,12 +480,13 @@ def test_block_results_do_not_depend_on_core_count(monkeypatch):
                 _axis_transform(spectrum, 1, omega, b_line, 1.0),
             )
             main_only = threads == {threading.get_ident()}
-            assert main_only == (cores == 1), cores
+            assert main_only == (not pinned or cores == 1), (pinned, cores)
     finally:
         sys.setswitchinterval(interval)
-    for one, four in zip(runs[1], runs[4]):
-        assert one.dtype == four.dtype
-        np.testing.assert_array_equal(one, four)
+    for run in ((True, 4), (False, 4)):
+        for one, other in zip(runs[True, 1], runs[run]):
+            assert one.dtype == other.dtype
+            np.testing.assert_array_equal(one, other)
 
 
 def test_make_operator_propagates_evaluator_bugs(param_grid, input_grid):
