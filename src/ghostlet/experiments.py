@@ -35,6 +35,8 @@ from .finite_models import (
     smooth_convolve,
 )
 from .grids import (
+    MONTE_CARLO,
+    TRAPEZOID,
     Grid,
     ParamDistribution,
     SampledFunction,
@@ -51,6 +53,7 @@ from .nullspace import (
 )
 from .profiles import (
     DEFAULT_OMEGA_GRID,
+    RHO_MAX_ORDER,
     Profile1D,
     gaussian_derivative_profile,
     gaussian_profile,
@@ -147,6 +150,17 @@ def _grid_from_spec(spec, default: Grid) -> Grid:
     return Grid(tuple(lo), tuple(hi), tuple(int(v) for v in n))
 
 
+def _rho_max_k(cfg: ExperimentConfig) -> int:
+    """`profiles.rho_max_k`: the highest ρ_k of the family, an integer in
+    1..`RHO_MAX_ORDER`."""
+    max_k = cfg.profiles.get("rho_max_k", 4)
+    if isinstance(max_k, bool) or not isinstance(max_k, int) \
+            or not 1 <= max_k <= RHO_MAX_ORDER:
+        raise UsageError(
+            f"profiles.rho_max_k must be an integer in 1..{RHO_MAX_ORDER}, not {max_k!r}")
+    return max_k
+
+
 def _rel_l2(u: SampledFunction, v: SampledFunction) -> float:
     return l2_norm(u - v) / l2_norm(v)
 
@@ -163,7 +177,15 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
     printed ΔxΣ/n form).
 
     The calling thread draws each a-node's block in node order; the rows
-    are computed on `_block_map`. The field is real when f and ρ are."""
+    are computed on `_block_map`. The field is real when f and ρ are.
+
+    Each (a, b) node's draws are sorted before they are evaluated. The
+    estimate is a mean, so it averages the same samples; only the summation
+    order changes (4e-16 of max|field| at the defaults). Both `dawsn` (in
+    `dawson_derivative`) and `sin` branch on the argument's range, and on
+    monotone arguments those branches are predicted: on one 145 × 4000 row
+    ρ₂ took 28.5 → 10.7 ms and sin(2πx) 20.6 → 8.7 ms, for a 4.0 ms sort
+    (one thread, 2-vCPU Xeon, numpy 2.4.6, scipy 1.17.1)."""
     a = param_grid.axis(0)
     b = param_grid.axis(1)
     measure = x_hi - x_lo
@@ -174,6 +196,7 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
 
     def row(node):
         ai, xs = node
+        xs.sort(axis=1)
         xs *= x_hi - x_lo  # in place: the same values as x_lo + (x_hi − x_lo)·u
         xs += x_lo
         arg = ai * xs
@@ -204,11 +227,14 @@ def _reconstruction_study(cfg: ExperimentConfig, emit_spectra: bool = True,
     param_grid = _grid_from_spec(cfg.grids.get("param"),
                                  Grid((-6.0, -6.0), (6.0, 6.0), (145, 145)))
     x_grid = _grid_from_spec(cfg.grids.get("input"), Grid.line(-1.0, 1.0, 201))
-    max_k = int(cfg.profiles.get("rho_max_k", 4))
+    max_k = _rho_max_k(cfg)
     ks = cfg.params.get("ks", list(range(1, max_k + 1)))
     if not (isinstance(ks, list) and all(isinstance(k, int) and 1 <= k <= max_k for k in ks)):
         raise UsageError(f"params.ks must be a list of integers in 1..{max_k}, not {ks!r}")
-    quad_kind = cfg.quadrature.get("kind", "monte_carlo")
+    quad_kind = cfg.quadrature.get("kind", MONTE_CARLO)
+    if quad_kind not in (MONTE_CARLO, TRAPEZOID):
+        raise UsageError(f"quadrature.kind must be {MONTE_CARLO!r} or {TRAPEZOID!r}, "
+                         f"not {quad_kind!r}")
     r_samples = int(cfg.quadrature.get("r_samples", 4000))
     s_samples = int(cfg.quadrature.get("s_samples", 1_000_000))
     if min(r_samples, s_samples) < 1:
@@ -229,7 +255,7 @@ def _reconstruction_study(cfg: ExperimentConfig, emit_spectra: bool = True,
     for k in ks:
         rho = family[k]
         rng = np.random.default_rng(cfg.seed + 1000 * k)
-        if quad_kind == "monte_carlo":
+        if quad_kind == MONTE_CARLO:
             field_vals = _mc_ridgelet_field(f_eval, rho, param_grid,
                                             x_grid.lower[0], x_grid.upper[0],
                                             r_samples, rng)
@@ -250,7 +276,7 @@ def _reconstruction_study(cfg: ExperimentConfig, emit_spectra: bool = True,
             metrics[f"spectrum_rho{k}_max_imag"] = float(np.max(np.abs(field_vals.imag)))
 
         if emit_curves:
-            if quad_kind == "monte_carlo":
+            if quad_kind == MONTE_CARLO:
                 model = sample_parameters(field, s_samples, rng, UNIFORM_BOX)
                 curve = point_mass_network(model, sigma, x_grid).values
             else:
@@ -297,7 +323,10 @@ def run_appendix_c(cfg: ExperimentConfig) -> RunReport:
     """Reconstruction study: f(x) = sin(2πx) on [−1,1], σ = tanh, the Dawson
     family ρ₁..ρ₄ on (a,b) ∈ [−6,6]², pointwise Monte Carlo quadrature (the
     standard unbiased (measure/n)·Σ estimator with fresh per-node draws; the
-    printed (1/n)ΔxΣ form is scale-inconsistent and is not used). The curve
+    printed (1/n)ΔxΣ form is scale-inconsistent and is not used). Each node's
+    draws are evaluated in sorted order: the mean does not depend on it, and
+    the range branches of `dawsn` and `sin` are then predicted, which more
+    than halves their cost (`_mc_ridgelet_field`). The curve
     S[γ] is a finite model of `s_samples` neurons drawn uniformly in the (a, b)
     box, weighted by γ·volume (`sample_parameters`, `point_mass_network`).
 
@@ -325,7 +354,7 @@ def run_reconstruct(cfg: ExperimentConfig) -> RunReport:
 
 def run_admissibility(cfg: ExperimentConfig) -> RunReport:
     out_dir = Path(cfg.output_dir)
-    max_k = int(cfg.profiles.get("rho_max_k", 4))
+    max_k = _rho_max_k(cfg)
     sigma_name = cfg.profiles.get("sigma", "tanh")
     sigma = _named_sigma(sigma_name)
     family = make_rho_family(max_k, sigma=sigma)

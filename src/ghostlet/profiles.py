@@ -355,6 +355,9 @@ def weighted_space_norm(spec: np.ndarray, m: int, omega_grid: Grid) -> float | N
     return None
 
 
+RHO_MAX_ORDER = 8  # the series accuracy budget of ρ₀'s derivatives
+
+
 def make_rho_family(max_k: int, sigma: Profile1D | None = None) -> list[Profile1D]:
     """ρ₀ … ρ_{max_k} with ρ_k = c_k ρ₀^{(k)}, at m = 1.
 
@@ -362,8 +365,8 @@ def make_rho_family(max_k: int, sigma: Profile1D | None = None) -> list[Profile1
     otherwise c_k normalizes the weighted norm to 1. ρ₀ is the unscaled
     reference profile. σ defaults to tanh as in the reconstruction study.
     """
-    if max_k > 8:
-        raise DomainError("derivative order capped at 8 (series accuracy budget)")
+    if max_k > RHO_MAX_ORDER:
+        raise DomainError(f"derivative order capped at {RHO_MAX_ORDER} (series accuracy budget)")
     sigma = sigma or tanh_profile()
     m, omega_grid = 1, DEFAULT_OMEGA_GRID
     family = [rho0_profile()]

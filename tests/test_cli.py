@@ -198,16 +198,54 @@ def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path):
     {"profiles": {"rho_max_k": 2}, "params": {"ks": [3]}},
     {"quadrature": {"r_samples": 0}},
     {"quadrature": {"s_samples": -5}},
-], ids=["k5", "k-1", "k0", "k-float", "ks-scalar", "k-above-max", "r0", "s-neg"])
+    {"profiles": {"rho_max_k": 0}, "params": {}},
+    {"profiles": {"rho_max_k": -2}, "params": {}},
+    {"profiles": {"rho_max_k": 40}, "params": {}},
+    {"profiles": {"rho_max_k": 2.0}},
+    {"quadrature": {"kind": "montecarlo", "r_samples": 200, "s_samples": 20_000}},
+], ids=["k5", "k-1", "k0", "k-float", "ks-scalar", "k-above-max", "r0", "s-neg",
+        "max-k0", "max-k-neg", "max-k40", "max-k-float", "kind-misspelled"])
 def test_bad_reconstruction_config_is_usage_error(tmp_path, capsys, change):
-    """ks outside 1..rho_max_k and sample counts below 1 exit 2 before any
-    work, with a message: ks = [5] ended in an IndexError, and ks = [-1] read
-    ρ₄ and then gave default_rng a negative seed."""
+    """ks outside 1..rho_max_k, rho_max_k outside 1..8, sample counts below 1
+    and an unknown quadrature kind exit 2 before any work, with a message:
+    ks = [5] ended in an IndexError, ks = [-1] read ρ₄ and then gave
+    default_rng a negative seed, rho_max_k = 0 wrote an empty report, and a
+    misspelled kind ran the trapezoid rule."""
     payload = {**SMALL_MONTE_CARLO, **change}
     cfg = _write_config(tmp_path, payload)
     assert main(["appendix-c", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("max_k", [0, -2, 9, 40, 4.0, True])
+def test_admissibility_rho_max_k_outside_1_to_8_is_usage_error(tmp_path, capsys, max_k):
+    """0 and −2 wrote an empty report and exited 0; 40 ended in a DomainError
+    traceback from make_rho_family."""
+    cfg = _write_config(tmp_path, {**SMALL_APPENDIX, "profiles": {"rho_max_k": max_k}})
+    assert main(["admissibility", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "rho_max_k" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_trapezoid_quadrature_runs_the_deterministic_study(tmp_path):
+    """`quadrature.kind = "trapezoid"` computes R[f;ρ] and S[γ] by the grid
+    rules. Its spectrum draws nothing, so it is the same at every seed, and
+    it agrees with the 200-draw Monte Carlo spectrum to within its noise
+    (RMS difference 0.19 of the RMS spectrum)."""
+    spectra = {}
+    for kind, seed in (("trapezoid", 0), ("trapezoid", 5), ("monte_carlo", 0)):
+        out = tmp_path / f"{kind}{seed}"
+        cfg = ExperimentConfig.from_dict({**SMALL_MONTE_CARLO, "seed": seed,
+                                          "output_dir": str(out),
+                                          "quadrature": {**SMALL_MONTE_CARLO["quadrature"],
+                                                         "kind": kind}})
+        run_subcommand(cfg)
+        spectra[kind, seed] = np.loadtxt(out / "spectrum_rho2.csv", delimiter=",",
+                                         skiprows=1)[:, 1:]
+    trap, mc = spectra["trapezoid", 0], spectra["monte_carlo", 0]
+    np.testing.assert_array_equal(trap, spectra["trapezoid", 5])
+    assert 0.0 < np.linalg.norm(trap - mc) <= 0.5 * np.linalg.norm(trap)
 
 
 def test_admissibility_zero_nonzero_pattern(tmp_path):

@@ -5,13 +5,17 @@ from ghostlet import Grid, gaussian_profile, make_rho_family, tanh_profile
 from ghostlet.experiments import ExperimentConfig, _mc_ridgelet_field, run_subcommand
 
 
-def _serial_field(f_eval, rho, param_grid, x_lo, x_hi, n_per_node, rng):
+def _serial_field(f_eval, rho, param_grid, x_lo, x_hi, n_per_node, rng, ordered=True):
     """The per-node Monte Carlo estimator as a plain serial loop: fresh draws
-    per a-node, in node order."""
+    per a-node, in node order, each (a, b) node's draws sorted when
+    `ordered` and in draw order otherwise."""
     a, b = param_grid.axis(0), param_grid.axis(1)
     rows = []
     for ai in a:
-        xs = x_lo + (x_hi - x_lo) * rng.random((len(b), n_per_node))
+        u = rng.random((len(b), n_per_node))
+        if ordered:
+            u = np.sort(u, axis=1)
+        xs = x_lo + (x_hi - x_lo) * u
         vals = f_eval(xs) * np.conj(rho.real_eval(ai * xs - b[:, None]))
         rows.append((x_hi - x_lo) * np.mean(vals, axis=1))
     return np.array(rows)
@@ -20,8 +24,10 @@ def _serial_field(f_eval, rho, param_grid, x_lo, x_hi, n_per_node, rng):
 @pytest.mark.parametrize("sigma", [tanh_profile(), gaussian_profile(center=0.5)],
                          ids=["tanh", "gaussian-shifted"])
 def test_mc_ridgelet_field_matches_serial_loop(monkeypatch, sigma):
-    """The block-parallel field equals the serial loop bit for bit, and the
-    generator ends in the same state, for a real and a complex ρ."""
+    """The block-parallel field equals the serial loop over sorted draws bit
+    for bit, and the generator ends in the same state, for a real and a
+    complex ρ. Against the draw-order loop only the summation order of each
+    node's mean differs, so the fields agree to roundoff."""
     import os
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
@@ -35,6 +41,9 @@ def test_mc_ridgelet_field_matches_serial_loop(monkeypatch, sigma):
     assert np.iscomplexobj(got) == np.iscomplexobj(rho.real_eval(np.zeros(1)))
     np.testing.assert_array_equal(got, want)
     assert rng_par.bit_generator.state == rng_ser.bit_generator.state
+    draw_order = _serial_field(f_eval, rho, grid, -1.0, 1.0, 50,
+                               np.random.default_rng(42), ordered=False)
+    assert np.max(np.abs(got - draw_order)) <= 1e-14 * np.max(np.abs(got))
 
 
 def test_finite_model_error_keeps_falling_past_p_1000(tmp_path):
