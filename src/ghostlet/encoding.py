@@ -25,7 +25,6 @@ from .grids import (
 from .profiles import (
     DEFAULT_OMEGA_GRID,
     BasisFamily,
-    DAWSON_DERIVATIVE_L2M,
     Profile1D,
     _interp_profile,
     _rho_k_unnormalized,
@@ -114,8 +113,7 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3) -> GhostCodebook:
     for i, pv in enumerate(pairs[1:], start=1):
         if abs(pv) > tol:
             raise DomainError(f"ghost slot {i} pairing {abs(pv):.3e} exceeds {tol:g}")
-    family = BasisFamily(kind=DAWSON_DERIVATIVE_L2M, members=tuple(members),
-                         gram_residual=resid, m=m)
+    family = BasisFamily(members=tuple(members), gram_residual=resid)
     return GhostCodebook(sigma=stored_sigma, rho_family=family)
 
 

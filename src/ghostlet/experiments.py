@@ -1,18 +1,25 @@
 """Configuration-driven experiment runners behind the CLI.
 
-Each runner takes an ExperimentConfig, computes its metrics, writes
-machine-readable artifacts (CSV curves/matrices, JSON reports, PGM heatmaps)
-under the output directory, and returns a RunReport echoing the fully
-resolved configuration. Reruns with the same config and seed are
-byte-identical, whatever the core count and the BLAS thread count: every
-random draw is made on the calling thread, in a fixed order; the blocks that
-run on worker threads (`parallel._block_map`, which may call the pinned BLAS)
-are cut by array sizes alone; and partial sums are added in block order. A
-Monte Carlo S curve is a uniformly drawn finite model (`point_mass_network`).
+One protocol serves every subcommand. A runner takes an ExperimentConfig,
+computes its metrics, writes its machine-readable artifacts (CSV
+curves/matrices, JSON tables, PGM heatmaps) under the output directory, and
+returns `(metrics, artifacts)`. `run_subcommand` alone turns that into a
+RunReport echoing the fully resolved configuration: it writes `report.json`,
+checks that every artifact exists and enforces the configured tolerances.
+Integer settings are read through `_int_setting`, so a bool, a float or a
+value out of range is a UsageError before any work.
+
+Reruns with the same config and seed are byte-identical, whatever the core
+count and the BLAS thread count: every random draw is made on the calling
+thread, in a fixed order; the blocks that run on worker threads
+(`parallel._block_map`, which may call the pinned BLAS) are cut by array
+sizes alone; and partial sums are added in block order. A Monte Carlo S
+curve is a uniformly drawn finite model (`point_mass_network`).
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +51,7 @@ from .grids import (
     sample,
 )
 from .nullspace import (
+    AdmissibilityReport,
     LinearCombination,
     admissibility,
     lazy_solution,
@@ -69,10 +77,6 @@ from .transforms import (
     ridgelet,
     ridgelet_fourier,
 )
-
-EXPERIMENTS = ("appendix-c", "spectrum", "reconstruct", "admissibility", "decompose",
-               "encode-series", "finite-model", "lazy", "bound")
-
 
 class UsageError(ValueError):
     """Bad configuration or unknown experiment (CLI exit code 2)."""
@@ -150,15 +154,35 @@ def _grid_from_spec(spec, default: Grid) -> Grid:
     return Grid(tuple(lo), tuple(hi), tuple(int(v) for v in n))
 
 
+def _int_setting(value, name: str, lo: int = 1, hi: float = np.inf) -> int:
+    """An integer setting: an `int`, not a `bool`, in lo..hi."""
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        span = f"in {lo}..{hi}" if hi < np.inf else f"at least {lo}"
+        raise UsageError(f"{name} must be an integer {span}, not {value!r}")
+    return value
+
+
+def _int_list(value, name: str, hi: float = np.inf) -> list[int]:
+    """A list of integer settings, each at least 1 and at most hi."""
+    if not isinstance(value, (list, tuple)):
+        raise UsageError(f"{name} must be a list of integers, not {value!r}")
+    return [_int_setting(v, f"{name} entry", hi=hi) for v in value]
+
+
 def _rho_max_k(cfg: ExperimentConfig) -> int:
-    """`profiles.rho_max_k`: the highest ρ_k of the family, an integer in
-    1..`RHO_MAX_ORDER`."""
-    max_k = cfg.profiles.get("rho_max_k", 4)
-    if isinstance(max_k, bool) or not isinstance(max_k, int) \
-            or not 1 <= max_k <= RHO_MAX_ORDER:
-        raise UsageError(
-            f"profiles.rho_max_k must be an integer in 1..{RHO_MAX_ORDER}, not {max_k!r}")
-    return max_k
+    """`profiles.rho_max_k`: the highest ρ_k of the family (`make_rho_family`
+    builds up to `RHO_MAX_ORDER`)."""
+    return _int_setting(cfg.profiles.get("rho_max_k", 4), "profiles.rho_max_k",
+                        hi=RHO_MAX_ORDER)
+
+
+def _admissibility_row(report: AdmissibilityReport) -> dict:
+    return {
+        "pairing": report.pairing,
+        "parity_forced_zero": report.parity_forced_zero,
+        "error_estimate": report.error_estimate,
+        "numerically_zero": report.numerically_zero,
+    }
 
 
 def _rel_l2(u: SampledFunction, v: SampledFunction) -> float:
@@ -173,7 +197,7 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
                        x_hi: float, n_per_node: int, rng) -> np.ndarray:
     """R[f;ρ] on the grid by per-node Monte Carlo over x:
     R(a,b) ≈ (measure/n)·Σ f(x_i)·conj(ρ(a·x_i − b)) with fresh draws per
-    node (the standard unbiased estimator; see `run_appendix_c` on the
+    node (the standard unbiased estimator; see `_reconstruction_study` on the
     printed ΔxΣ/n form).
 
     The calling thread draws each a-node's block in node order; the rows
@@ -220,25 +244,39 @@ def _box_gain(sigma: Profile1D, rho: Profile1D, xi0: float, a_half: float) -> fl
     return float(np.abs(np.sum((integrand * w)[keep])))
 
 
-def _reconstruction_study(cfg: ExperimentConfig, emit_spectra: bool = True,
-                          emit_curves: bool = True):
-    """Shared core of the appendix-c / spectrum / reconstruct experiments."""
+def _reconstruction_study(cfg: ExperimentConfig):
+    """Reconstruction study behind appendix-c, spectrum and reconstruct:
+    f(x) = sin(2πx) on [−1,1], σ = tanh, the Dawson family ρ₁..ρ₄ on
+    (a,b) ∈ [−6,6]², pointwise Monte Carlo quadrature (the standard unbiased
+    (measure/n)·Σ estimator with fresh per-node draws; the printed (1/n)ΔxΣ
+    form is scale-inconsistent and is not used). Each node's draws are
+    evaluated in sorted order: the mean does not depend on it, and the range
+    branches of `dawsn` and `sin` are then predicted, which more than halves
+    their cost (`_mc_ridgelet_field`). The curve S[γ] is a finite model of
+    `s_samples` neurons drawn uniformly in the (a, b) box, weighted by
+    γ·volume (`sample_parameters`, `point_mass_network`).
+
+    Emits per k: the ridgelet spectrum (CSV + PGM; not for reconstruct), the
+    reconstruction curve (CSV; not for spectrum), an admissibility entry
+    (JSON), and summary metrics. The box_gain diagnostics quantify how much
+    of each pairing survives the |a| ≤ 6 truncation at the dominant
+    frequency 2π.
+    """
     out_dir = Path(cfg.output_dir)
+    emit_spectra = cfg.experiment != "reconstruct"
+    emit_curves = cfg.experiment != "spectrum"
     param_grid = _grid_from_spec(cfg.grids.get("param"),
                                  Grid((-6.0, -6.0), (6.0, 6.0), (145, 145)))
     x_grid = _grid_from_spec(cfg.grids.get("input"), Grid.line(-1.0, 1.0, 201))
     max_k = _rho_max_k(cfg)
-    ks = cfg.params.get("ks", list(range(1, max_k + 1)))
-    if not (isinstance(ks, list) and all(isinstance(k, int) and 1 <= k <= max_k for k in ks)):
-        raise UsageError(f"params.ks must be a list of integers in 1..{max_k}, not {ks!r}")
+    ks = _int_list(cfg.params.get("ks", list(range(1, max_k + 1))), "params.ks", hi=max_k)
     quad_kind = cfg.quadrature.get("kind", MONTE_CARLO)
     if quad_kind not in (MONTE_CARLO, TRAPEZOID):
         raise UsageError(f"quadrature.kind must be {MONTE_CARLO!r} or {TRAPEZOID!r}, "
                          f"not {quad_kind!r}")
-    r_samples = int(cfg.quadrature.get("r_samples", 4000))
-    s_samples = int(cfg.quadrature.get("s_samples", 1_000_000))
-    if min(r_samples, s_samples) < 1:
-        raise UsageError("quadrature.r_samples and s_samples must be at least 1")
+    r_samples = _int_setting(cfg.quadrature.get("r_samples", 4000), "quadrature.r_samples")
+    s_samples = _int_setting(cfg.quadrature.get("s_samples", 1_000_000),
+                             "quadrature.s_samples")
     sigma = tanh_profile()
     family = make_rho_family(max_k, sigma=sigma)
 
@@ -260,8 +298,7 @@ def _reconstruction_study(cfg: ExperimentConfig, emit_spectra: bool = True,
                                             x_grid.lower[0], x_grid.upper[0],
                                             r_samples, rng)
         else:
-            f_sampled = sample(x_grid, lambda xx: f_eval(xx))
-            field_vals = ridgelet(f_sampled, rho, param_grid).values
+            field_vals = ridgelet(sample(x_grid, f_eval), rho, param_grid).values
         field = ParamDistribution._adopt(param_grid, field_vals)
         spectra[k] = field_vals.real
 
@@ -295,23 +332,14 @@ def _reconstruction_study(cfg: ExperimentConfig, emit_spectra: bool = True,
                                                     param_grid.upper[0])
 
         report = admissibility(sigma, rho, m=1)
-        admissibility_table[f"rho{k}"] = {
-            "pairing": report.pairing,
-            "parity_forced_zero": report.parity_forced_zero,
-            "error_estimate": report.error_estimate,
-            "numerically_zero": report.numerically_zero,
-            "method": report.method,
-        }
+        admissibility_table[f"rho{k}"] = {**_admissibility_row(report), "method": report.method}
         metrics[f"pairing_abs_rho{k}"] = abs(report.pairing)
 
-    ks_list = list(ks)
     distinct = np.inf
-    for i in range(len(ks_list)):
-        for j in range(i + 1, len(ks_list)):
-            diff = float(np.max(np.abs(spectra[ks_list[i]] - spectra[ks_list[j]])))
-            scale = max(np.max(np.abs(spectra[ks_list[i]])),
-                        np.max(np.abs(spectra[ks_list[j]])))
-            distinct = min(distinct, diff / scale)
+    for i, j in itertools.combinations(ks, 2):
+        diff = float(np.max(np.abs(spectra[i] - spectra[j])))
+        scale = max(np.max(np.abs(spectra[i])), np.max(np.abs(spectra[j])))
+        distinct = min(distinct, diff / scale)
     if np.isfinite(distinct):
         metrics["spectra_min_pairwise_distinctness"] = distinct
 
@@ -319,59 +347,14 @@ def _reconstruction_study(cfg: ExperimentConfig, emit_spectra: bool = True,
     return metrics, artifacts
 
 
-def run_appendix_c(cfg: ExperimentConfig) -> RunReport:
-    """Reconstruction study: f(x) = sin(2πx) on [−1,1], σ = tanh, the Dawson
-    family ρ₁..ρ₄ on (a,b) ∈ [−6,6]², pointwise Monte Carlo quadrature (the
-    standard unbiased (measure/n)·Σ estimator with fresh per-node draws; the
-    printed (1/n)ΔxΣ form is scale-inconsistent and is not used). Each node's
-    draws are evaluated in sorted order: the mean does not depend on it, and
-    the range branches of `dawsn` and `sin` are then predicted, which more
-    than halves their cost (`_mc_ridgelet_field`). The curve
-    S[γ] is a finite model of `s_samples` neurons drawn uniformly in the (a, b)
-    box, weighted by γ·volume (`sample_parameters`, `point_mass_network`).
-
-    Emits per k: the ridgelet spectrum (CSV + PGM), the reconstruction curve
-    (CSV), an admissibility entry (JSON), and summary metrics. The box_gain
-    diagnostics quantify how much of each pairing survives the |a| ≤ 6
-    truncation at the dominant frequency 2π.
-    """
-    metrics, artifacts = _reconstruction_study(cfg)
-    report = RunReport("appendix-c", metrics, artifacts, cfg.to_dict())
-    return report.finish(Path(cfg.output_dir), cfg.tolerances)
-
-
-def run_spectrum(cfg: ExperimentConfig) -> RunReport:
-    metrics, artifacts = _reconstruction_study(cfg, emit_curves=False)
-    report = RunReport("spectrum", metrics, artifacts, cfg.to_dict())
-    return report.finish(Path(cfg.output_dir), cfg.tolerances)
-
-
-def run_reconstruct(cfg: ExperimentConfig) -> RunReport:
-    metrics, artifacts = _reconstruction_study(cfg, emit_spectra=False)
-    report = RunReport("reconstruct", metrics, artifacts, cfg.to_dict())
-    return report.finish(Path(cfg.output_dir), cfg.tolerances)
-
-
-def run_admissibility(cfg: ExperimentConfig) -> RunReport:
-    out_dir = Path(cfg.output_dir)
+def run_admissibility(cfg: ExperimentConfig):
     max_k = _rho_max_k(cfg)
-    sigma_name = cfg.profiles.get("sigma", "tanh")
-    sigma = _named_sigma(sigma_name)
+    sigma = _named_sigma(cfg.profiles.get("sigma", "tanh"))
     family = make_rho_family(max_k, sigma=sigma)
-    table = {}
-    metrics = {}
-    for k in range(1, max_k + 1):
-        rep = admissibility(sigma, family[k], m=1)
-        table[f"rho{k}"] = {
-            "pairing": rep.pairing,
-            "parity_forced_zero": rep.parity_forced_zero,
-            "error_estimate": rep.error_estimate,
-            "numerically_zero": rep.numerically_zero,
-        }
-        metrics[f"pairing_abs_rho{k}"] = abs(rep.pairing)
-    artifacts = [write_json(out_dir / "admissibility.json", table)]
-    return RunReport("admissibility", metrics, artifacts, cfg.to_dict()).finish(
-        out_dir, cfg.tolerances)
+    reports = {k: admissibility(sigma, family[k], m=1) for k in range(1, max_k + 1)}
+    table = {f"rho{k}": _admissibility_row(rep) for k, rep in reports.items()}
+    metrics = {f"pairing_abs_rho{k}": abs(rep.pairing) for k, rep in reports.items()}
+    return metrics, [write_json(Path(cfg.output_dir) / "admissibility.json", table)]
 
 
 def _named_sigma(name: str) -> Profile1D:
@@ -413,16 +396,18 @@ def _bump(grid: Grid, center: float, width: float) -> SampledFunction:
     return f * (1.0 / l2_norm(f))
 
 
-def run_decompose(cfg: ExperimentConfig) -> RunReport:
+def run_decompose(cfg: ExperimentConfig):
     """Plant a principal + ghost mixture, decompose it, and report the
     structure-theorem checks (Parseval, ghost pairings, residual)."""
-    out_dir = Path(cfg.output_dir)
-    op, basis, ghost_profile = _ghost_testbed(cfg, int(cfg.params.get("basis_size", 8)))
+    # the planted ghosts sit on e₁ and e₂, so the basis needs e₀..e₂
+    basis_size = _int_setting(cfg.params.get("basis_size", 8), "params.basis_size", lo=3)
+    terms = _int_setting(cfg.params.get("terms", 6), "params.terms", hi=basis_size)
+    op, basis, ghost_profile = _ghost_testbed(cfg, basis_size)
     f0 = _bump(op.input_grid, 0.4, 1.3)
     gamma = ridgelet_fourier(f0, op.sigma, op.param_grid) \
         + 0.8 * ridgelet_atom(basis, 1, ghost_profile, op.param_grid) \
         + 0.5 * ridgelet_atom(basis, 2, ghost_profile, op.param_grid)
-    deco = structure_decompose(op, gamma, basis, max_terms=int(cfg.params.get("terms", 6)))
+    deco = structure_decompose(op, gamma, basis, max_terms=terms)
     ghost_pairings = [abs(admissibility(op.sigma, r, 1).pairing)
                       for r in deco.ghost_ridgelets if r is not None]
     metrics = {
@@ -433,14 +418,11 @@ def run_decompose(cfg: ExperimentConfig) -> RunReport:
         "principal_norm": l2_norm(deco.principal),
     }
     rows = [(i, abs(c)) for i, c in enumerate(deco.coefficients)]
-    artifacts = [write_csv(out_dir / "structure_coefficients.csv",
-                           ["index", "abs_coefficient"], rows)]
-    return RunReport("decompose", metrics, artifacts, cfg.to_dict()).finish(
-        out_dir, cfg.tolerances)
+    return metrics, [write_csv(Path(cfg.output_dir) / "structure_coefficients.csv",
+                               ["index", "abs_coefficient"], rows)]
 
 
-def run_encode_series(cfg: ExperimentConfig) -> RunReport:
-    out_dir = Path(cfg.output_dir)
+def run_encode_series(cfg: ExperimentConfig):
     op = _compact_testbed(cfg)
     codebook = make_ghost_codebook(op.sigma, n_ghosts=2)
     funcs = [_bump(op.input_grid, c, w) for c, w in ((0.0, 1.3), (1.0, 1.6), (-1.2, 1.4))]
@@ -452,15 +434,15 @@ def run_encode_series(cfg: ExperimentConfig) -> RunReport:
         err = _rel_l2(got, f_i)
         metrics[f"readout_rel_error_{i}"] = err
         rows.append((i, err))
-    artifacts = [write_csv(out_dir / "readout_errors.csv", ["slot", "rel_error"], rows)]
-    return RunReport("encode-series", metrics, artifacts, cfg.to_dict()).finish(
-        out_dir, cfg.tolerances)
+    return metrics, [write_csv(Path(cfg.output_dir) / "readout_errors.csv",
+                               ["slot", "rel_error"], rows)]
 
 
-def run_finite_model(cfg: ExperimentConfig) -> RunReport:
+def run_finite_model(cfg: ExperimentConfig):
     """Sampling-convergence study: ‖S[γ^ε_p] − S[γ∗δ^ε]‖ across p, median
     over seeds, plus the two-formula coefficient cross-check."""
-    out_dir = Path(cfg.output_dir)
+    p_values = _int_list(cfg.params.get("p_values", (100, 10_000)), "params.p_values")
+    n_seeds = _int_setting(cfg.params.get("n_seeds", 10), "params.n_seeds")
     input_grid = _grid_from_spec(cfg.grids.get("input"), Grid.line(-6.0, 6.0, 121))
     param_grid = _grid_from_spec(cfg.grids.get("param"),
                                  Grid((-10.0, -32.0), (10.0, 32.0), (161, 129)))
@@ -472,8 +454,6 @@ def run_finite_model(cfg: ExperimentConfig) -> RunReport:
     delta = NascentDelta(cfg.params.get("delta_shape", "gaussian"), eps)
     smooth = smooth_convolve(gamma, delta)
     target = forward_s(op, smooth)
-    p_values = [int(v) for v in cfg.params.get("p_values", (100, 10_000))]
-    n_seeds = int(cfg.params.get("n_seeds", 10))
     rows = []
     med = {}
     for p in p_values:
@@ -494,13 +474,12 @@ def run_finite_model(cfg: ExperimentConfig) -> RunReport:
     model = sample_parameters(smooth, 64, seed=cfg.seed)
     _, gap, _ = finite_ridgelet_coeffs(model, delta, basis, rho_basis, (3, 2), grid)
     metrics["coeff_formula_gap"] = gap
-    artifacts = [write_csv(out_dir / "convergence.csv", ["p", "median_error"], rows)]
-    return RunReport("finite-model", metrics, artifacts, cfg.to_dict()).finish(
-        out_dir, cfg.tolerances)
+    return metrics, [write_csv(Path(cfg.output_dir) / "convergence.csv",
+                               ["p", "median_error"], rows)]
 
 
-def run_lazy(cfg: ExperimentConfig) -> RunReport:
-    out_dir = Path(cfg.output_dir)
+def run_lazy(cfg: ExperimentConfig):
+    n_trials = _int_setting(cfg.params.get("n_trials", 20), "params.n_trials")
     op, basis, ghost_profile = _ghost_testbed(cfg)
     f = _bump(op.input_grid, 0.5, 1.3)
     rng = np.random.default_rng(cfg.seed)
@@ -509,7 +488,6 @@ def run_lazy(cfg: ExperimentConfig) -> RunReport:
     gamma_lazy = lazy_solution(op, f, gamma_init)
     fit = _rel_l2(forward_s(op, gamma_lazy), f)
     base_dist = l2_norm(gamma_lazy - gamma_init)
-    n_trials = int(cfg.params.get("n_trials", 20))
     wins = 0
     for trial in range(n_trials):
         coeffs = rng.normal(size=2)
@@ -524,16 +502,16 @@ def run_lazy(cfg: ExperimentConfig) -> RunReport:
         "wins_vs_random_ghosts": float(wins),
         "trials": float(n_trials),
     }
-    artifacts = [write_json(out_dir / "lazy.json", metrics)]
-    return RunReport("lazy", metrics, artifacts, cfg.to_dict()).finish(out_dir, cfg.tolerances)
+    return metrics, [write_json(Path(cfg.output_dir) / "lazy.json", metrics)]
 
 
-def run_bound(cfg: ExperimentConfig) -> RunReport:
+def run_bound(cfg: ExperimentConfig):
     """Norm-bound calculator. Layer specs come from the config, or from a
     planted ghost-heavy model when params.measure is true."""
-    out_dir = Path(cfg.output_dir)
     params = cfg.params
+    n = _int_setting(params.get("n", 1024), "params.n")
     if params.get("measure", False):
+        depth = _int_setting(params.get("depth", 3), "params.depth")
         op, basis, ghost_profile = _ghost_testbed(cfg)
         ghost_fraction = float(params.get("ghost_energy_fraction", 0.9))
         principal = ridgelet_fourier(_bump(op.input_grid, 0.0, 1.4), op.sigma, op.param_grid)
@@ -546,7 +524,7 @@ def run_bound(cfg: ExperimentConfig) -> RunReport:
                                                  np.abs(op.param_grid.upper))))
         layer = {"M": radius, "V": op.param_grid.volume,
                  "G_inclusive": inclusive, "G_exclusive": exclusive}
-        layers_cfg = [layer] * int(params.get("depth", 3))
+        layers_cfg = [layer] * depth
     else:
         layers_cfg = params.get("layers")
         if not layers_cfg:
@@ -554,7 +532,6 @@ def run_bound(cfg: ExperimentConfig) -> RunReport:
     layers = [LayerSpec(**spec) for spec in layers_cfg]
     d = len(layers)
     B = float(params.get("B", 1.0))
-    n = int(params.get("n", 1024))
     inc = generalization_bound(layers, B, n, d, INCLUSIVE)
     exc = generalization_bound(layers, B, n, d, EXCLUSIVE)
     metrics = {
@@ -564,15 +541,14 @@ def run_bound(cfg: ExperimentConfig) -> RunReport:
         "depth": float(d),
     }
     rows = [(i, sp.M, sp.V, sp.G_inclusive, sp.G_exclusive) for i, sp in enumerate(layers)]
-    artifacts = [write_csv(out_dir / "layers.csv",
-                           ["layer", "M", "V", "G_inclusive", "G_exclusive"], rows)]
-    return RunReport("bound", metrics, artifacts, cfg.to_dict()).finish(out_dir, cfg.tolerances)
+    return metrics, [write_csv(Path(cfg.output_dir) / "layers.csv",
+                               ["layer", "M", "V", "G_inclusive", "G_exclusive"], rows)]
 
 
 _RUNNERS = {
-    "appendix-c": run_appendix_c,
-    "spectrum": run_spectrum,
-    "reconstruct": run_reconstruct,
+    "appendix-c": _reconstruction_study,
+    "spectrum": _reconstruction_study,
+    "reconstruct": _reconstruction_study,
     "admissibility": run_admissibility,
     "decompose": run_decompose,
     "encode-series": run_encode_series,
@@ -582,10 +558,12 @@ _RUNNERS = {
 }
 
 
+EXPERIMENTS = tuple(_RUNNERS)
+
+
 def run_subcommand(cfg: ExperimentConfig) -> RunReport:
-    try:
-        runner = _RUNNERS[cfg.experiment]
-    except KeyError:
-        raise UsageError(
-            f"unknown experiment {cfg.experiment!r}; valid: {', '.join(EXPERIMENTS)}")
-    return runner(cfg)
+    """Run `cfg.experiment`; then write its report.json, check that every
+    artifact exists and enforce `cfg.tolerances`."""
+    metrics, artifacts = _RUNNERS[cfg.experiment](cfg)
+    return RunReport(cfg.experiment, metrics, artifacts, cfg.to_dict()).finish(
+        Path(cfg.output_dir), cfg.tolerances)

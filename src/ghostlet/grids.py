@@ -220,10 +220,6 @@ class ParamDistribution(_Field):
         if self.grid.dim < 2:
             raise DomainError("parameter grids need dim >= 2 (a-axes plus b)")
 
-    @property
-    def m(self) -> int:
-        return self.grid.dim - 1
-
 
 class SpectralFunction(_Field):
     """Values on a frequency grid (ξ axes, ω axis, or (a, ω))."""

@@ -54,7 +54,6 @@ from .transforms import (
 )
 
 ANALYTIC_SPECTRA = "analytic_spectra"
-GRID_SPECTRA = "grid_spectra"
 
 
 @dataclass(frozen=True)

@@ -397,8 +397,6 @@ def make_rho_family(max_k: int, sigma: Profile1D | None = None) -> list[Profile1
 # Orthonormal systems
 
 
-HERMITE_L2 = "hermite_l2"
-DAWSON_DERIVATIVE_L2M = "dawson_derivative_l2m"
 GRAM_TOLERANCE = 1e-6
 
 
@@ -407,11 +405,8 @@ class BasisFamily:
     """Ordered orthonormal system, either {e_i} in L²(ℝ^m) or {ρ_j} in the
     weighted spectral space. Its builders check max |G − I| ≤ `GRAM_TOLERANCE`."""
 
-    kind: str
     members: tuple
-    gram_residual: float = 0.0
-    m: int = 1
-    evaluators: tuple = ()
+    gram_residual: float
     fourier_evaluators: tuple = ()
 
     def __len__(self):
@@ -454,8 +449,7 @@ def hermite_basis(count: int, grid: Grid) -> BasisFamily:
     if resid > GRAM_TOLERANCE:
         raise DomainError(f"Hermite Gram residual {resid:.2e} exceeds {GRAM_TOLERANCE:g}")
     return BasisFamily(
-        kind=HERMITE_L2, members=tuple(members), gram_residual=resid,
-        evaluators=tuple((lambda x, n=n: hermite_function(n, x)) for n in range(count)),
+        members=tuple(members), gram_residual=resid,
         fourier_evaluators=tuple((lambda xi, n=n: hermite_fourier(n, xi))
                                  for n in range(count)),
     )
@@ -528,4 +522,4 @@ def gram_schmidt_l2m(candidates: Sequence[Profile1D], m: int) -> BasisFamily:
         _interp_profile(f"gs_{i}({cand.name})", omega_grid, v,
                         notes="Gram-Schmidt output in the weighted product")
         for i, (cand, v) in enumerate(zip(candidates, basis_vals)))
-    return BasisFamily(kind=DAWSON_DERIVATIVE_L2M, members=members, gram_residual=resid, m=m)
+    return BasisFamily(members=members, gram_residual=resid)

@@ -46,7 +46,7 @@ from ghostlet import (
     structure_decompose,
     weighted_omega_inner,
 )
-from ghostlet.experiments import ExperimentConfig, run_appendix_c
+from ghostlet.experiments import ExperimentConfig, run_subcommand
 from ghostlet.finite_models import EXCLUSIVE, INCLUSIVE, finite_ridgelet_coeffs
 from ghostlet.grids import weighted_omega_norm
 from ghostlet.nullspace import build_atoms, ridgelet_atom
@@ -66,7 +66,7 @@ def appendix_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("appendix_c")
     cfg = ExperimentConfig(experiment="appendix-c", seed=20210604, output_dir=str(out))
     start = time.time()
-    report = run_appendix_c(cfg)
+    report = run_subcommand(cfg)
     report.metrics["_wall_seconds"] = time.time() - start
     return report
 

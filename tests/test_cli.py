@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghostlet.cli import main
-from ghostlet.experiments import ExperimentConfig, UsageError, run_subcommand
+from ghostlet.cli import build_parser, main
+from ghostlet.experiments import EXPERIMENTS, ExperimentConfig, UsageError, run_subcommand
 from ghostlet.reporting import read_pgm, write_pgm
 
 from conftest import blas_threads_env
@@ -173,6 +173,36 @@ for name, payload in json.loads(sys.argv[2]).items():
 """
 
 
+def test_every_experiment_is_a_subcommand():
+    """ALL_SUBCOMMANDS covers the registry, and the CLI offers exactly it."""
+    assert set(ALL_SUBCOMMANDS) == set(EXPERIMENTS)
+    subparsers = next(a for a in build_parser()._actions if a.dest == "experiment")
+    assert tuple(subparsers.choices) == EXPERIMENTS
+
+
+@pytest.mark.parametrize("name, files, spectra, curves", [
+    ("appendix-c", ["admissibility.json", "reconstruction_rho2.csv", "report.json",
+                    "spectrum_rho2.csv", "spectrum_rho2.pgm"], True, True),
+    ("spectrum", ["admissibility.json", "report.json", "spectrum_rho2.csv",
+                  "spectrum_rho2.pgm"], True, False),
+    ("reconstruct", ["admissibility.json", "reconstruction_rho2.csv", "report.json"],
+     False, True),
+])
+def test_study_subcommands_write_their_share(tmp_path, name, files, spectra, curves):
+    """appendix-c, spectrum and reconstruct run one study: spectrum writes no
+    curves and reconstruct no spectra, and each reports what it wrote."""
+    cfg = ExperimentConfig.from_dict({**SMALL_MONTE_CARLO, "experiment": name,
+                                      "output_dir": str(tmp_path)})
+    report = run_subcommand(cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    assert sorted(Path(a).name for a in report.artifacts) == files
+    assert report.experiment == name
+    for key in ("pgm_lo", "pgm_hi", "max_imag"):
+        assert (f"spectrum_rho2_{key}" in report.metrics) == spectra
+    assert ("recon_rel_error_rho2" in report.metrics) == curves
+    assert "pairing_abs_rho2" in report.metrics
+
+
 def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path):
     """The nine subcommands at seed 3 write the same bytes with OpenBLAS on
     one thread and on two: importing ghostlet pins BLAS to one thread, so
@@ -194,27 +224,53 @@ def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path):
     {"params": {"ks": [-1]}},
     {"params": {"ks": [0]}},
     {"params": {"ks": [2.0]}},
+    {"params": {"ks": [True]}},
     {"params": {"ks": 2}},
     {"profiles": {"rho_max_k": 2}, "params": {"ks": [3]}},
     {"quadrature": {"r_samples": 0}},
+    {"quadrature": {"r_samples": 200.7}},
     {"quadrature": {"s_samples": -5}},
     {"profiles": {"rho_max_k": 0}, "params": {}},
     {"profiles": {"rho_max_k": -2}, "params": {}},
     {"profiles": {"rho_max_k": 40}, "params": {}},
     {"profiles": {"rho_max_k": 2.0}},
     {"quadrature": {"kind": "montecarlo", "r_samples": 200, "s_samples": 20_000}},
-], ids=["k5", "k-1", "k0", "k-float", "ks-scalar", "k-above-max", "r0", "s-neg",
-        "max-k0", "max-k-neg", "max-k40", "max-k-float", "kind-misspelled"])
+], ids=["k5", "k-1", "k0", "k-float", "k-bool", "ks-scalar", "k-above-max", "r0",
+        "r-float", "s-neg", "max-k0", "max-k-neg", "max-k40", "max-k-float",
+        "kind-misspelled"])
 def test_bad_reconstruction_config_is_usage_error(tmp_path, capsys, change):
     """ks outside 1..rho_max_k, rho_max_k outside 1..8, sample counts below 1
-    and an unknown quadrature kind exit 2 before any work, with a message:
-    ks = [5] ended in an IndexError, ks = [-1] read ρ₄ and then gave
-    default_rng a negative seed, rho_max_k = 0 wrote an empty report, and a
-    misspelled kind ran the trapezoid rule."""
+    or not integers, and an unknown quadrature kind exit 2 before any work,
+    with a message: ks = [5] ended in an IndexError, ks = [-1] read ρ₄ and
+    then gave default_rng a negative seed, ks = [true] wrote
+    spectrum_rhoTrue.csv, r_samples = 200.7 ran 200 draws per node and echoed
+    200.7, rho_max_k = 0 wrote an empty report, and a misspelled kind ran the
+    trapezoid rule."""
     payload = {**SMALL_MONTE_CARLO, **change}
     cfg = _write_config(tmp_path, payload)
     assert main(["appendix-c", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment, params, key", [
+    ("finite-model", {"n_seeds": 2.5}, "params.n_seeds"),
+    ("finite-model", {"p_values": [100, True]}, "params.p_values"),
+    ("finite-model", {"p_values": 100}, "params.p_values"),
+    ("decompose", {"basis_size": 2}, "params.basis_size"),
+    ("decompose", {"terms": 9}, "params.terms"),
+    ("lazy", {"n_trials": 0}, "params.n_trials"),
+    ("bound", {"measure": True, "depth": True}, "params.depth"),
+    ("bound", {**BOUND_CONFIG["params"], "n": 256.5}, "params.n"),
+], ids=["n-seeds-float", "p-bool", "p-scalar", "basis-2", "terms-above-basis",
+        "trials-0", "depth-bool", "n-float"])
+def test_bad_integer_setting_is_usage_error(tmp_path, capsys, experiment, params, key):
+    """Every integer setting is read by one checked reader: a float, a bool or
+    a value out of range exits 2 with the setting's name, before any work.
+    n_seeds = 2.5 used to run 2 seeds and echo 2.5."""
+    cfg = _write_config(tmp_path, {"experiment": experiment, "params": params})
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -8,6 +8,9 @@
   capture closure values.
 - No frozen dataclass declares a dict, list or set field: freezing such an
   object does not freeze what the field holds.
+- Every module-level function, class and constant of a `ghostlet` module is
+  referenced somewhere in `src/`, `tests/` or `bench/` beyond its own
+  definition, so no definition lives on that nothing reads.
 """
 import ast
 from pathlib import Path
@@ -141,3 +144,39 @@ def test_frozen_dataclasses_hold_no_mutable_containers():
                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                           and (_mutable_type(stmt.annotation) or _mutable_type(stmt.value))]
     assert not found, f"frozen dataclasses with dict/list/set fields: {', '.join(found)}"
+
+
+def _module_definitions(tree: ast.Module):
+    """(name, line) of every module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+
+
+def _references() -> set[str]:
+    """Every name read, attribute read or name imported in `src/`, `tests/`
+    and `bench/`. A definition binds its name without reading it, so it does
+    not count as its own reference."""
+    refs = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_module_definition_is_referenced():
+    refs = _references()
+    dead = [f"{path.stem}.{name} (line {line})" for path in MODULES
+            for name, line in _module_definitions(ast.parse(path.read_text()))
+            if name not in refs]
+    assert not dead, f"module-level definitions nothing references: {', '.join(dead)}"
