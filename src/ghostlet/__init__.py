@@ -33,7 +33,6 @@ from .grids import (
     weighted_omega_norm,
 )
 from .fourier import (
-    SobolevOrders,
     fourier_forward,
     fourier_inverse,
     flat,
@@ -41,12 +40,10 @@ from .fourier import (
     partial_flat_b,
     partial_sharp_b,
     sharp,
-    wh_norm,
 )
 from .profiles import (
     BasisFamily,
     Profile1D,
-    dawson,
     gaussian_derivative_profile,
     gaussian_profile,
     gram_schmidt_l2m,
@@ -58,14 +55,11 @@ from .profiles import (
     tanh_profile,
 )
 from .transforms import (
-    AdjointMode,
     NetworkOperator,
     adjoint,
-    build_sigma_star,
     forward_s,
     forward_s_fourier,
     forward_s_via_fourier,
-    hd_inner,
     make_operator,
     reconstruct,
     ridgelet,

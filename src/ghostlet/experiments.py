@@ -6,8 +6,9 @@ curves/matrices, JSON tables, PGM heatmaps) under the output directory, and
 returns `(metrics, artifacts)`. `run_subcommand` alone turns that into a
 RunReport echoing the fully resolved configuration: it writes `report.json`,
 checks that every artifact exists and enforces the configured tolerances.
-Integer settings are read through `_int_setting`, so a bool, a float or a
-value out of range is a UsageError before any work.
+Settings are read through checked readers (`_int_setting`, `_float_setting`,
+`_grid_setting`), so a bool, a non-integral count, a non-finite number or a
+value out of range is a UsageError that names the setting, before any work.
 
 Reruns with the same config and seed are byte-identical, whatever the core
 count and the BLAS thread count: every random draw is made on the calling
@@ -28,7 +29,9 @@ import numpy as np
 from . import __version__
 from .encoding import make_ghost_codebook, encode_series, readout_mutate
 from .finite_models import (
+    BUMP,
     EXCLUSIVE,
+    GAUSSIAN,
     INCLUSIVE,
     UNIFORM_BOX,
     LayerSpec,
@@ -66,6 +69,7 @@ from .profiles import (
     gaussian_derivative_profile,
     gaussian_profile,
     hermite_basis,
+    hermite_capacity,
     make_rho_family,
     tanh_profile,
 )
@@ -145,13 +149,17 @@ class RunReport:
         return self
 
 
-def _grid_from_spec(spec, default: Grid) -> Grid:
+def _grid_setting(cfg: ExperimentConfig, key: str, default: Grid) -> Grid:
+    """`grids.<key>`: [lo, hi, n] for a line or [[lo, ...], [hi, ...], [n, ...]]
+    for a box, each node count an integer of at least 2."""
+    spec = cfg.grids.get(key)
     if spec is None:
         return default
     lo, hi, n = spec
+    name = f"grids.{key} node count"
     if np.isscalar(lo):
-        return Grid.line(float(lo), float(hi), int(n))
-    return Grid(tuple(lo), tuple(hi), tuple(int(v) for v in n))
+        return Grid.line(float(lo), float(hi), _int_setting(n, name, lo=2))
+    return Grid(tuple(lo), tuple(hi), tuple(_int_setting(v, name, lo=2) for v in n))
 
 
 def _int_setting(value, name: str, lo: int = 1, hi: float = np.inf) -> int:
@@ -160,6 +168,19 @@ def _int_setting(value, name: str, lo: int = 1, hi: float = np.inf) -> int:
         span = f"in {lo}..{hi}" if hi < np.inf else f"at least {lo}"
         raise UsageError(f"{name} must be an integer {span}, not {value!r}")
     return value
+
+
+def _float_setting(value, name: str, hi: float = np.inf, zero_ok: bool = False) -> float:
+    """A real setting: an `int` or a `float`, not a `bool`, finite, above 0
+    (at least 0 when `zero_ok`) and at most hi."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value) or not (0 <= value if zero_ok else 0 < value)
+            or value > hi):
+        span = "at least 0" if zero_ok else "above 0"
+        if hi < np.inf:
+            span += f" and at most {hi:g}"
+        raise UsageError(f"{name} must be a finite number {span}, not {value!r}")
+    return float(value)
 
 
 def _int_list(value, name: str, hi: float = np.inf) -> list[int]:
@@ -265,9 +286,8 @@ def _reconstruction_study(cfg: ExperimentConfig):
     out_dir = Path(cfg.output_dir)
     emit_spectra = cfg.experiment != "reconstruct"
     emit_curves = cfg.experiment != "spectrum"
-    param_grid = _grid_from_spec(cfg.grids.get("param"),
-                                 Grid((-6.0, -6.0), (6.0, 6.0), (145, 145)))
-    x_grid = _grid_from_spec(cfg.grids.get("input"), Grid.line(-1.0, 1.0, 201))
+    param_grid = _grid_setting(cfg, "param", Grid((-6.0, -6.0), (6.0, 6.0), (145, 145)))
+    x_grid = _grid_setting(cfg, "input", Grid.line(-1.0, 1.0, 201))
     max_k = _rho_max_k(cfg)
     ks = _int_list(cfg.params.get("ks", list(range(1, max_k + 1))), "params.ks", hi=max_k)
     quad_kind = cfg.quadrature.get("kind", MONTE_CARLO)
@@ -372,23 +392,21 @@ def _named_sigma(name: str) -> Profile1D:
 
 
 def _compact_testbed(cfg: ExperimentConfig):
-    input_grid = _grid_from_spec(cfg.grids.get("input"), Grid.line(-8.0, 8.0, 161))
-    param_grid = _grid_from_spec(cfg.grids.get("param"),
-                                 Grid((-12.0, -48.0), (12.0, 48.0), (241, 257)))
+    input_grid = _grid_setting(cfg, "input", Grid.line(-8.0, 8.0, 161))
+    param_grid = _grid_setting(cfg, "param", Grid((-12.0, -48.0), (12.0, 48.0), (241, 257)))
     sigma = _named_sigma(cfg.profiles.get("sigma", "gauss_d3"))
     op = make_operator(sigma, param_grid, input_grid)
     return op
 
 
-def _ghost_testbed(cfg: ExperimentConfig, basis_size: int = 4):
-    """The compact operator, the first `basis_size` Hermite functions on its
-    input grid, and the ghost profile: the non-admissible combination of ρ₁
-    and ρ₃ against the operator's σ."""
-    op = _compact_testbed(cfg)
+def _ghost_testbed(op, basis_size: int = 4):
+    """The first `basis_size` Hermite functions on the operator's input grid,
+    and the ghost profile: the non-admissible combination of ρ₁ and ρ₃
+    against the operator's σ."""
     basis = hermite_basis(basis_size, op.input_grid)
     family = make_rho_family(4, sigma=op.sigma)
     ghost_profile = make_nonadmissible(op.sigma, LinearCombination(family[1], family[3]))
-    return op, basis, ghost_profile
+    return basis, ghost_profile
 
 
 def _bump(grid: Grid, center: float, width: float) -> SampledFunction:
@@ -399,10 +417,12 @@ def _bump(grid: Grid, center: float, width: float) -> SampledFunction:
 def run_decompose(cfg: ExperimentConfig):
     """Plant a principal + ghost mixture, decompose it, and report the
     structure-theorem checks (Parseval, ghost pairings, residual)."""
+    op = _compact_testbed(cfg)
     # the planted ghosts sit on e₁ and e₂, so the basis needs e₀..e₂
-    basis_size = _int_setting(cfg.params.get("basis_size", 8), "params.basis_size", lo=3)
+    basis_size = _int_setting(cfg.params.get("basis_size", 8), "params.basis_size", lo=3,
+                              hi=hermite_capacity(op.input_grid))
     terms = _int_setting(cfg.params.get("terms", 6), "params.terms", hi=basis_size)
-    op, basis, ghost_profile = _ghost_testbed(cfg, basis_size)
+    basis, ghost_profile = _ghost_testbed(op, basis_size)
     f0 = _bump(op.input_grid, 0.4, 1.3)
     gamma = ridgelet_fourier(f0, op.sigma, op.param_grid) \
         + 0.8 * ridgelet_atom(basis, 1, ghost_profile, op.param_grid) \
@@ -443,15 +463,16 @@ def run_finite_model(cfg: ExperimentConfig):
     over seeds, plus the two-formula coefficient cross-check."""
     p_values = _int_list(cfg.params.get("p_values", (100, 10_000)), "params.p_values")
     n_seeds = _int_setting(cfg.params.get("n_seeds", 10), "params.n_seeds")
-    input_grid = _grid_from_spec(cfg.grids.get("input"), Grid.line(-6.0, 6.0, 121))
-    param_grid = _grid_from_spec(cfg.grids.get("param"),
-                                 Grid((-10.0, -32.0), (10.0, 32.0), (161, 129)))
+    input_grid = _grid_setting(cfg, "input", Grid.line(-6.0, 6.0, 121))
+    grid = _grid_setting(cfg, "param", Grid((-10.0, -32.0), (10.0, 32.0), (161, 129)))
+    eps = _float_setting(cfg.params.get("epsilon", 4.0 * min(grid.spacing)), "params.epsilon")
+    shape = cfg.params.get("delta_shape", GAUSSIAN)
+    if shape not in (GAUSSIAN, BUMP):
+        raise UsageError(f"params.delta_shape must be {GAUSSIAN!r} or {BUMP!r}, not {shape!r}")
+    delta = NascentDelta(shape, eps)
     sigma = _named_sigma(cfg.profiles.get("sigma", "gauss_d3"))
-    op = make_operator(sigma, param_grid, input_grid)
-    grid = op.param_grid
+    op = make_operator(sigma, grid, input_grid)
     gamma = ridgelet_fourier(_bump(op.input_grid, 0.0, 1.4), op.sigma, grid)
-    eps = float(cfg.params.get("epsilon", 4.0 * min(grid.spacing)))
-    delta = NascentDelta(cfg.params.get("delta_shape", "gaussian"), eps)
     smooth = smooth_convolve(gamma, delta)
     target = forward_s(op, smooth)
     rows = []
@@ -480,7 +501,8 @@ def run_finite_model(cfg: ExperimentConfig):
 
 def run_lazy(cfg: ExperimentConfig):
     n_trials = _int_setting(cfg.params.get("n_trials", 20), "params.n_trials")
-    op, basis, ghost_profile = _ghost_testbed(cfg)
+    op = _compact_testbed(cfg)
+    basis, ghost_profile = _ghost_testbed(op)
     f = _bump(op.input_grid, 0.5, 1.3)
     rng = np.random.default_rng(cfg.seed)
     gamma_init = ridgelet_fourier(_bump(op.input_grid, -0.4, 1.5), op.sigma, op.param_grid) \
@@ -510,10 +532,13 @@ def run_bound(cfg: ExperimentConfig):
     planted ghost-heavy model when params.measure is true."""
     params = cfg.params
     n = _int_setting(params.get("n", 1024), "params.n")
+    B = _float_setting(params.get("B", 1.0), "params.B")
     if params.get("measure", False):
         depth = _int_setting(params.get("depth", 3), "params.depth")
-        op, basis, ghost_profile = _ghost_testbed(cfg)
-        ghost_fraction = float(params.get("ghost_energy_fraction", 0.9))
+        ghost_fraction = _float_setting(params.get("ghost_energy_fraction", 0.9),
+                                        "params.ghost_energy_fraction", hi=1.0, zero_ok=True)
+        op = _compact_testbed(cfg)
+        basis, ghost_profile = _ghost_testbed(op)
         principal = ridgelet_fourier(_bump(op.input_grid, 0.0, 1.4), op.sigma, op.param_grid)
         ghost = ridgelet_atom(basis, 1, ghost_profile, op.param_grid)
         gamma = np.sqrt(1.0 - ghost_fraction) * (1.0 / l2_norm(principal)) * principal \
@@ -531,7 +556,6 @@ def run_bound(cfg: ExperimentConfig):
             raise UsageError("bound experiment needs params.layers or params.measure=true")
     layers = [LayerSpec(**spec) for spec in layers_cfg]
     d = len(layers)
-    B = float(params.get("B", 1.0))
     inc = generalization_bound(layers, B, n, d, INCLUSIVE)
     exc = generalization_bound(layers, B, n, d, EXCLUSIVE)
     metrics = {

@@ -1,5 +1,5 @@
-"""Continuous Fourier transforms on grids, multipliers, and the weighted
-Sobolev machinery.
+"""Continuous Fourier transforms on grids, and the fractional bracket
+multiplier ⟨∂_ω⟩^t (`fractional_bracket`).
 
 Conventions (all transforms are weighted discrete sums with true phases, not
 bare cyclic FFTs, so identities hold in the continuous normalization):
@@ -17,7 +17,6 @@ at most 8 kernels of at most 2²⁰ entries each; a larger one is built on every
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,14 +29,6 @@ from .grids import (
     SpectralFunction,
 )
 from .parallel import _block_map
-
-
-@dataclass(frozen=True)
-class SobolevOrders:
-    """(t, s) of the weighted space: σ(b) = ⟨b⟩^t φ(b) with φ of H-order s."""
-
-    t: float
-    s: float
 
 
 def bracket(y: np.ndarray) -> np.ndarray:
@@ -161,7 +152,10 @@ def fractional_bracket(phi_sharp: SpectralFunction, order: float) -> SpectralFun
     with as many nodes), multiply by ⟨b⟩^t, forward transform back to the same
     ω grid. Precondition: φ♯ decays at the ω boundary,
     `_boundary_decay(phi_sharp.values) <= 1e-6`; above that the pipeline may
-    alias, and the result is not checked (`build_sigma_star` raises first).
+    alias, and the result is not checked.
+
+    No program path calls it. It is kept for the layer trace: the benchmark's
+    `bench/layertrace.py` lists it among the traced fourier primitives.
     """
     if phi_sharp.grid.dim != 1:
         raise DomainError("fractional_bracket acts on 1-D spectra")
@@ -171,49 +165,3 @@ def fractional_bracket(phi_sharp: SpectralFunction, order: float) -> SpectralFun
     phi = flat(phi_sharp, b_grid)
     weighted = SampledFunction._adopt(b_grid, phi.values * bracket(b_grid.axis(0)) ** order)
     return sharp(weighted, grid)
-
-
-def bracket_self_adjoint_defect(phi_sharp: SpectralFunction, psi_sharp: SpectralFunction,
-                                order: float) -> float:
-    """|∫ φ♯ conj(⟨∂⟩^t ψ♯) − ∫ ⟨∂⟩^t φ♯ conj(ψ♯)| (should vanish)."""
-    from .grids import l2_inner
-
-    lhs = l2_inner(phi_sharp, fractional_bracket(psi_sharp, order))
-    rhs = l2_inner(fractional_bracket(phi_sharp, order), psi_sharp)
-    return abs(lhs - rhs)
-
-
-# A boundary/peak ratio this large means σ(b)/⟨b⟩^t does not decay, i.e. the
-# declared t is too small for σ to sit in the weighted space (ReLU needs
-# t > 3/2; t = 2 decays like 1/b and passes, t = 1 tends to a constant).
-_WH_DECAY_LIMIT = 0.25
-
-
-def wh_norm(sigma, orders: SobolevOrders) -> float:
-    """Weighted Sobolev norm ‖σ‖ = ( ∫ |φ♯(ω)|² ⟨ω⟩^{2s} dω / 2π )^{1/2}
-    with φ := σ/⟨·⟩^t sampled on `DEFAULT_B_GRID`."""
-    from .profiles import DEFAULT_B_GRID as b_grid, DEFAULT_OMEGA_GRID as omega_grid, Profile1D
-
-    if isinstance(sigma, Profile1D):
-        if sigma.real_eval is None:
-            sigma_vals = flat(SpectralFunction(omega_grid, sigma.spectral_values(omega_grid)),
-                              b_grid).values
-        else:
-            sigma_vals = sigma.real_values(b_grid)
-        name = sigma.name
-    else:
-        sigma_vals = np.asarray(sigma(b_grid.axis(0)), dtype=complex)
-        name = getattr(sigma, "__name__", "sigma")
-    b = b_grid.axis(0)
-    phi = sigma_vals / bracket(b) ** orders.t
-    edge = _boundary_decay(phi)
-    if edge > _WH_DECAY_LIMIT:
-        raise DomainError(
-            f"{name}/⟨b⟩^{orders.t} does not decay (boundary/peak = {edge:.3f}); "
-            f"t is too small for this profile to lie in the weighted space"
-        )
-    phi_sharp = sharp(SampledFunction._adopt(b_grid, phi), omega_grid)
-    omega = omega_grid.axis(0)
-    w = omega_grid.axis_weights(0)
-    val = np.sum(np.abs(phi_sharp.values) ** 2 * bracket(omega) ** (2 * orders.s) * w)
-    return float(np.sqrt(val / (2.0 * np.pi)))

@@ -15,7 +15,7 @@ serves shared points (`interpolate`, the profiles) by scipy's BSpline on 1-D
 grids and NdBSpline otherwise: at the 69,408 sheared (a, ω) points of a 1-D
 slice, BSpline takes 5.6 ms and NdBSpline 42 ms, with bit-identical values
 (2-vCPU Xeon). `Spline.each` serves per-entry points (the sheared slices of
-`forward_s_fourier` and `hd_inner`).
+`forward_s_fourier`).
 
 A field owns finite, read-only values. The public constructors (the field
 classes and `sample`) copy the caller's array and scan it for NaN/Inf;

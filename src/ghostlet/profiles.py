@@ -22,13 +22,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import dawsn
 
-from .fourier import SobolevOrders, flat
 from .grids import (
-    AccuracyError,
     DomainError,
     Grid,
     SampledFunction,
-    SpectralFunction,
     UnsupportedProfileError,
     _omega_weights,
     cubic_spline,
@@ -36,11 +33,10 @@ from .grids import (
     weighted_omega_norm,
 )
 
-# Default boxes: every stock profile decays below 1e-10 by |ω| = 12 (Gaussian
+# Default ω box: every stock profile decays below 1e-10 by |ω| = 12 (Gaussian
 # envelopes) and the pairing integrands are resolved at Δω ≈ 0.012. 2048 points
 # keep the origin straddled at ±Δω/2.
 DEFAULT_OMEGA_GRID = Grid.line(-12.0, 12.0, 2048)
-DEFAULT_B_GRID = Grid.line(-12.0, 12.0, 2048)
 
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
@@ -85,7 +81,6 @@ class Profile1D:
     real_eval: Callable[[np.ndarray], np.ndarray] | None = None
     spectral_eval: Callable[[np.ndarray], np.ndarray] | None = None
     parity: str = PARITY_NONE
-    orders: SobolevOrders | None = None
     notes: str = ""
 
     def __post_init__(self):
@@ -110,51 +105,12 @@ class Profile1D:
         re = None if self.real_eval is None else (lambda b, f=self.real_eval: k * np.asarray(f(b)))
         sp = None if self.spectral_eval is None else (
             lambda w, f=self.spectral_eval: c * np.asarray(f(w)))
-        return Profile1D(name or f"{c:g}*{self.name}", re, sp, self.parity, self.orders,
+        return Profile1D(name or f"{c:g}*{self.name}", re, sp, self.parity,
                          self.notes + f" [scaled by {c:.6g}]")
-
-
-def numerical_parity(values: np.ndarray) -> str:
-    """Classify even/odd from samples on a symmetric grid (1e-10 tolerance)."""
-    rev = values[::-1]
-    scale = np.max(np.abs(values))
-    if scale == 0.0:
-        return PARITY_EVEN
-    if np.max(np.abs(values - rev)) <= 1e-10 * scale:
-        return PARITY_EVEN
-    if np.max(np.abs(values + rev)) <= 1e-10 * scale:
-        return PARITY_ODD
-    return PARITY_NONE
-
-
-def self_test(profile: Profile1D) -> float:
-    """Verify real_eval against the inverse transform of spectral_eval.
-
-    Returns the max pointwise deviation on the comparison window b ∈ [−10, 10];
-    raises if it exceeds 1e-5. Profiles with slowly decaying real tails (the
-    Dawson family decays like 1/b) are compared through the spectral→real
-    direction, which only requires the spectrum to be integrable on the grid.
-    """
-    if profile.real_eval is None or profile.spectral_eval is None:
-        raise UnsupportedProfileError(f"profile {profile.name!r} lacks one evaluator")
-    omega_grid = Grid.line(-12.0, 12.0, 8192)
-    b_grid = Grid.line(-10.0, 10.0, 801)
-    spec = SpectralFunction(omega_grid, profile.spectral_values(omega_grid))
-    recon = flat(spec, b_grid).values
-    target = profile.real_values(b_grid)
-    err = float(np.max(np.abs(recon - target)))
-    if err > 1e-5:
-        raise AccuracyError(f"profile {profile.name!r} round-trip error {err:.3e} exceeds 1e-05")
-    return err
 
 
 # ---------------------------------------------------------------------------
 # Dawson function and the ρ_k ridgelet family
-
-
-def dawson(x):
-    """Dawson integral F(x) = e^{-x²} ∫₀ˣ e^{t²} dt (odd, |err| ≤ 1e-12)."""
-    return dawsn(x)
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +234,6 @@ def relu_profile() -> Profile1D:
         name="relu",
         real_eval=lambda b: np.maximum(np.asarray(b, dtype=float), 0.0),
         parity=PARITY_NONE,
-        orders=SobolevOrders(t=2.0, s=0.0),
         notes="real evaluator only; spectrum is distributional, pairings must reject it",
     )
 
@@ -325,8 +280,7 @@ def gaussian_derivative_profile(k: int = 1) -> Profile1D:
         return (1j * w) ** k * np.sqrt(2.0 * np.pi) * _gauss(w)
 
     return Profile1D(name=f"gauss_d{k}", real_eval=lambda b: _gaussian_derivative_real(b, k),
-                     spectral_eval=spec, parity=PARITY_ODD if k % 2 == 1 else PARITY_EVEN,
-                     orders=SobolevOrders(t=0.0, s=0.0))
+                     spectral_eval=spec, parity=PARITY_ODD if k % 2 == 1 else PARITY_EVEN)
 
 
 def pairing(sigma: Profile1D, rho: Profile1D, m: int,
@@ -430,13 +384,20 @@ def hermite_fourier(n: int, xi: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * np.pi) * (-1j) ** n * hermite_function(n, xi)
 
 
+def hermite_capacity(grid: Grid) -> int:
+    """The most Hermite functions `hermite_basis` builds on a 1-D grid: n of
+    them need a half-width of at least √(2n + 1) + 2."""
+    reach = min(abs(grid.lower[0]), abs(grid.upper[0])) - 2.0
+    return int((reach * reach - 1.0) // 2.0) if reach >= 1.0 else 0
+
+
 def hermite_basis(count: int, grid: Grid) -> BasisFamily:
     """First `count` Hermite functions sampled on a 1-D grid."""
     if grid.dim != 1:
         raise DomainError("hermite_basis builds 1-D systems")
     x = grid.axis(0)
-    half = min(abs(grid.lower[0]), abs(grid.upper[0]))
-    if half < np.sqrt(2.0 * count + 1.0) + 2.0:
+    if count > hermite_capacity(grid):
+        half = min(abs(grid.lower[0]), abs(grid.upper[0]))
         raise DomainError(
             f"grid half-width {half:g} too small for {count} Hermite functions")
     members = []

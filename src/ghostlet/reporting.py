@@ -80,11 +80,3 @@ def write_pgm(path, matrix: np.ndarray) -> tuple[str, float, float]:
     _atomic_write(Path(path), header + scaled.tobytes())
     return str(path), lo, hi
 
-
-def read_pgm(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    magic, dims, maxval, rest = raw.split(b"\n", 3)
-    if magic != b"P5":
-        raise ValueError("not a binary PGM")
-    w, h = (int(v) for v in dims.split())
-    return np.frombuffer(rest, dtype=np.uint8, count=w * h).reshape(h, w)

@@ -1,8 +1,9 @@
 """The integral representation S, the ridgelet transform R, their
-Fourier-slice fast paths, and the adjoint machinery.
+Fourier-slice fast paths, and the adjoint S*.
 
     S[γ](x)    = ∫ γ(a,b) σ(a·x − b) da db
     R[f;ρ](a,b) = ∫ f(x) conj(ρ(a·x − b)) dx
+    S*[f]      = R[f;σ]   (σ normalized in the weighted norm)
 
 Disentangled spectral forms (the fast paths):
 
@@ -21,12 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import (
-    SobolevOrders,
-    _axis_transform,
-    bracket,
     fourier_forward,
     fourier_inverse,
-    fractional_bracket,
     partial_flat_b,
     partial_sharp_b,
 )
@@ -44,37 +41,14 @@ from .grids import (
 from .parallel import _block_map
 from .profiles import DEFAULT_OMEGA_GRID, Profile1D, pairing, weighted_space_norm
 
-PLAIN_L2 = "plain_l2"
-WEIGHTED_SOBOLEV = "weighted_sobolev"
-
-
-@dataclass(frozen=True)
-class AdjointMode:
-    kind: str = PLAIN_L2
-    orders: SobolevOrders | None = None
-
-    def __post_init__(self):
-        if self.kind not in (PLAIN_L2, WEIGHTED_SOBOLEV):
-            raise DomainError(f"unknown adjoint mode {self.kind!r}")
-        if self.kind == WEIGHTED_SOBOLEV and self.orders is None:
-            raise DomainError("WeightedSobolev mode requires Sobolev orders")
-
-    @staticmethod
-    def plain() -> "AdjointMode":
-        return AdjointMode(PLAIN_L2)
-
-    @staticmethod
-    def weighted(orders: SobolevOrders) -> "AdjointMode":
-        return AdjointMode(WEIGHTED_SOBOLEV, orders)
-
 
 @dataclass(frozen=True)
 class NetworkOperator:
     """S with a fixed activation, parameter grid, input grid and trapezoid rule.
 
     When `normalize` is requested at construction the activation is rescaled
-    so its weighted norm is 1 (this is what makes P = S*∘S a projection in
-    plain-L² mode); the original scale is kept for reporting.
+    so its weighted norm is 1 (this is what makes P = S*∘S a projection);
+    the original scale is kept for reporting.
     """
 
     sigma: Profile1D
@@ -360,87 +334,9 @@ def reconstruct(op: NetworkOperator, f: SampledFunction, rho: Profile1D,
     return out, pair
 
 
-def build_sigma_star(sigma: Profile1D, orders: SobolevOrders, m: int) -> Profile1D:
-    """σ*♯(ω) = (2π)^{m−1} |ω|^m ⟨∂_ω⟩^{−t} ⟨ω⟩^{2s} ⟨∂_ω⟩^{−t} σ♯(ω).
-
-    The bracket pipeline runs through the real domain, so σ♯ must decay at
-    the ω boundary.
-    """
-    from .fourier import _boundary_decay
-    from .profiles import _interp_profile
-
-    omega_grid = DEFAULT_OMEGA_GRID
-    spec = SpectralFunction(omega_grid, sigma.spectral_values(omega_grid))
-    if _boundary_decay(spec.values) > 1e-6:
-        raise DomainError(
-            f"{sigma.name!r} spectrum does not decay at the ω boundary; "
-            "the fractional bracket pipeline would alias")
-    omega_axis = omega_grid.axis(0)
-    inner = np.max(np.abs(spec.values[np.abs(omega_axis) <= 1.5 * omega_grid.spacing[0]]))
-    unit_band = np.max(np.abs(spec.values[(np.abs(omega_axis) > 0.9)
-                                          & (np.abs(omega_axis) < 1.1)]))
-    if inner > 100.0 * max(unit_band, 1e-300):
-        raise DomainError(
-            f"{sigma.name!r} spectrum blows up at ω = 0 (principal-value type); "
-            "the bracket pipeline cannot represent it on a truncated grid")
-    stage = fractional_bracket(spec, -orders.t)
-    stage = SpectralFunction._adopt(omega_grid,
-                                    stage.values * bracket(omega_grid.axis(0)) ** (2 * orders.s))
-    stage = fractional_bracket(stage, -orders.t)
-    omega = omega_grid.axis(0)
-    vals = (2.0 * np.pi) ** (m - 1) * np.abs(omega) ** m * stage.values
-    return _interp_profile(f"{sigma.name}*", omega_grid, vals,
-                           notes=f"adjoint profile at orders (t={orders.t:g}, s={orders.s:g})")
-
-
-def adjoint(op: NetworkOperator, f: SampledFunction, mode: AdjointMode) -> ParamDistribution:
-    """S*[f].
-
-    Plain-L² mode (σ in the weighted space, normalized): S* = R[·;σ].
-    Weighted-Sobolev mode: S* = R[·;σ*] with σ* from build_sigma_star; the
-    duality then holds against the sheared-bracket inner product (hd_inner).
-    """
-    if mode.kind == PLAIN_L2:
-        if op.norm_constant is None:
-            raise DomainError("plain-L² adjoint needs σ with a finite weighted norm")
-        return ridgelet(f, op.sigma, op.param_grid)
-    star = build_sigma_star(op.sigma, mode.orders, op.m)
-    return ridgelet_fourier(f, star, op.param_grid)
-
-
-def hd_inner(phi: ParamDistribution, gamma: ParamDistribution, orders: SobolevOrders,
-             input_grid: Grid) -> complex:
-    """Inner product of the sheared-bracket weighted space (m = 1):
-
-        ⟨φ, γ⟩ = ∫ ⟨∂_ω⟩^t[φ̌♯(ωx,ω)] conj(⟨∂_ω⟩^t[γ̌♯(ωx,ω)]) ⟨ω⟩^{−2s} dx dω
-
-    γ̌♯ is the inverse transform along a composed with the forward transform
-    along b, evaluated on the native (y, ω) grid (y reuses the a axis) and
-    sheared to (ωx, ω) by one cubic spline over y, ω as its batch axis.
-    """
-    if phi.grid != gamma.grid:
-        raise DomainError("fields live on different grids")
-    m = phi.grid.dim - 1
-    if m != 1:
-        raise DomainError("hd_inner implemented for m = 1")
-    omega_grid = _default_op_omega_grid(phi.grid)
-    omega = omega_grid.axis(0)
-    x_pts = input_grid.points()
-    y_grid = phi.grid.sub(slice(-1))
-
-    def sheared(field: ParamDistribution) -> np.ndarray:
-        vals = _axis_transform(field.values, 0, y_grid, y_grid, +1.0) / (2.0 * np.pi)
-        vals = _axis_transform(vals, 1, field.grid.sub(slice(-1, None)), omega_grid, -1.0)
-        out = cubic_spline(y_grid, vals).each(omega[:, None, None] * x_pts).T
-        if orders.t != 0.0:
-            for j in range(len(x_pts)):
-                out[j, :] = fractional_bracket(SpectralFunction(omega_grid, out[j, :]),
-                                               orders.t).values
-        return out
-
-    pv = sheared(phi)
-    gv = sheared(gamma)
-    wx = input_grid.axis_weights(0)
-    ww = omega_grid.axis_weights(0)
-    weight = np.outer(wx, ww) * bracket(omega)[None, :] ** (-2 * orders.s)
-    return complex(np.sum(pv * np.conj(gv) * weight))
+def adjoint(op: NetworkOperator, f: SampledFunction) -> ParamDistribution:
+    """S*[f] = R[f;σ], for σ with a finite weighted norm. With σ normalized to
+    unit norm (`make_operator`'s default), P = S*∘S is a projection."""
+    if op.norm_constant is None:
+        raise DomainError("the adjoint needs σ with a finite weighted norm")
+    return ridgelet(f, op.sigma, op.param_grid)

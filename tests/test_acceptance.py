@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from ghostlet import (
-    AdjointMode,
     Grid,
     LayerSpec,
     NascentDelta,
@@ -147,7 +146,7 @@ def test_criterion_05_adjoint_plancherel(op3):
     worst_iso = worst_rec = worst_dual = 0.0
     for seed in range(10):
         f = bump_mix(500 + seed)
-        sf = adjoint(op3, f, AdjointMode.plain())
+        sf = adjoint(op3, f)
         worst_iso = max(worst_iso, abs(l2_norm(sf) / l2_norm(f) - 1.0))
         worst_rec = max(worst_rec, rel_l2(forward_s(op3, sf), f))
         gam = ridgelet_fourier(bump_mix(550 + seed), op3.sigma, op3.param_grid)

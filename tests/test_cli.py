@@ -8,7 +8,7 @@ import pytest
 
 from ghostlet.cli import build_parser, main
 from ghostlet.experiments import EXPERIMENTS, ExperimentConfig, UsageError, run_subcommand
-from ghostlet.reporting import read_pgm, write_pgm
+from ghostlet.reporting import write_pgm
 
 from conftest import blas_threads_env
 
@@ -235,17 +235,19 @@ def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path):
     {"profiles": {"rho_max_k": 40}, "params": {}},
     {"profiles": {"rho_max_k": 2.0}},
     {"quadrature": {"kind": "montecarlo", "r_samples": 200, "s_samples": 20_000}},
+    {"grids": {"param": [[-6.0, -6.0], [6.0, 6.0], [25.7, 25]]}},
+    {"grids": {"param": [[-6.0, -6.0], [6.0, 6.0], [True, 25]]}},
 ], ids=["k5", "k-1", "k0", "k-float", "k-bool", "ks-scalar", "k-above-max", "r0",
         "r-float", "s-neg", "max-k0", "max-k-neg", "max-k40", "max-k-float",
-        "kind-misspelled"])
+        "kind-misspelled", "grid-count-float", "grid-count-bool"])
 def test_bad_reconstruction_config_is_usage_error(tmp_path, capsys, change):
     """ks outside 1..rho_max_k, rho_max_k outside 1..8, sample counts below 1
     or not integers, and an unknown quadrature kind exit 2 before any work,
     with a message: ks = [5] ended in an IndexError, ks = [-1] read ρ₄ and
     then gave default_rng a negative seed, ks = [true] wrote
     spectrum_rhoTrue.csv, r_samples = 200.7 ran 200 draws per node and echoed
-    200.7, rho_max_k = 0 wrote an empty report, and a misspelled kind ran the
-    trapezoid rule."""
+    200.7, rho_max_k = 0 wrote an empty report, a misspelled kind ran the
+    trapezoid rule, and grid counts [25.7, 25] ran on a 25 × 25 grid."""
     payload = {**SMALL_MONTE_CARLO, **change}
     cfg = _write_config(tmp_path, payload)
     assert main(["appendix-c", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -258,16 +260,34 @@ def test_bad_reconstruction_config_is_usage_error(tmp_path, capsys, change):
     ("finite-model", {"p_values": [100, True]}, "params.p_values"),
     ("finite-model", {"p_values": 100}, "params.p_values"),
     ("decompose", {"basis_size": 2}, "params.basis_size"),
+    ("decompose", {"basis_size": 40}, "params.basis_size"),
     ("decompose", {"terms": 9}, "params.terms"),
     ("lazy", {"n_trials": 0}, "params.n_trials"),
     ("bound", {"measure": True, "depth": True}, "params.depth"),
     ("bound", {**BOUND_CONFIG["params"], "n": 256.5}, "params.n"),
-], ids=["n-seeds-float", "p-bool", "p-scalar", "basis-2", "terms-above-basis",
-        "trials-0", "depth-bool", "n-float"])
+    ("bound", {"measure": True, "ghost_energy_fraction": 1.5}, "params.ghost_energy_fraction"),
+    ("bound", {"measure": True, "ghost_energy_fraction": -0.1},
+     "params.ghost_energy_fraction"),
+    ("bound", {"measure": True, "ghost_energy_fraction": True},
+     "params.ghost_energy_fraction"),
+    ("bound", {**BOUND_CONFIG["params"], "B": 0}, "params.B"),
+    ("bound", {**BOUND_CONFIG["params"], "B": float("inf")}, "params.B"),
+    ("finite-model", {"epsilon": -1}, "params.epsilon"),
+    ("finite-model", {"epsilon": float("nan")}, "params.epsilon"),
+    ("finite-model", {"epsilon": "0.5"}, "params.epsilon"),
+    ("finite-model", {"delta_shape": "box"}, "params.delta_shape"),
+], ids=["n-seeds-float", "p-bool", "p-scalar", "basis-2", "basis-above-grid",
+        "terms-above-basis", "trials-0", "depth-bool", "n-float", "fraction-above-1",
+        "fraction-neg", "fraction-bool", "B-0", "B-inf", "epsilon-neg", "epsilon-nan",
+        "epsilon-str", "delta-box"])
 def test_bad_integer_setting_is_usage_error(tmp_path, capsys, experiment, params, key):
-    """Every integer setting is read by one checked reader: a float, a bool or
-    a value out of range exits 2 with the setting's name, before any work.
-    n_seeds = 2.5 used to run 2 seeds and echo 2.5."""
+    """Every integer setting is read by one checked reader, and every real one
+    by another (finite, in range); delta_shape must name a shape. A bad value
+    exits 2 with the setting's name, before any work. n_seeds = 2.5 used to
+    run 2 seeds and echo 2.5; ghost_energy_fraction = 1.5 ended in a
+    DataError traceback; basis_size = 40 (more Hermite functions than the
+    input grid holds), epsilon = −1, delta_shape = "box" and B = 0 in
+    DomainError tracebacks."""
     cfg = _write_config(tmp_path, {"experiment": experiment, "params": params})
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
@@ -311,6 +331,14 @@ def test_admissibility_zero_nonzero_pattern(tmp_path):
     assert table["rho1"]["numerically_zero"] and table["rho3"]["numerically_zero"]
     assert not table["rho2"]["numerically_zero"]
     assert not table["rho4"]["numerically_zero"]
+
+
+def read_pgm(path) -> np.ndarray:
+    raw = Path(path).read_bytes()
+    magic, dims, maxval, rest = raw.split(b"\n", 3)
+    assert magic == b"P5", "not a binary PGM"
+    w, h = (int(v) for v in dims.split())
+    return np.frombuffer(rest, dtype=np.uint8, count=w * h).reshape(h, w)
 
 
 def test_pgm_round_trip(tmp_path):

@@ -7,7 +7,6 @@ from ghostlet import (
     Grid,
     ParamDistribution,
     SampledFunction,
-    SobolevOrders,
     SpectralFunction,
     fourier_forward,
     fourier_inverse,
@@ -18,17 +17,13 @@ from ghostlet import (
     partial_sharp_b,
     sample,
     sharp,
-    wh_norm,
 )
 from ghostlet.fourier import (
     _KERNEL_CACHE_ENTRIES,
     _axis_kernel,
     _boundary_decay,
     bracket,
-    bracket_self_adjoint_defect,
 )
-from ghostlet.profiles import gaussian_profile, relu_profile
-
 XG = Grid.line(-12.0, 12.0, 1024)
 WG = Grid.line(-12.0, 12.0, 1024)
 
@@ -145,7 +140,9 @@ def test_fractional_bracket_order_two_oracle():
 def test_fractional_bracket_self_adjoint():
     phi = SpectralFunction(WG, np.sqrt(2 * np.pi) * np.exp(-WG.axis(0) ** 2 / 2) + 0j)
     psi = SpectralFunction(WG, WG.axis(0) * np.exp(-WG.axis(0) ** 2 / 3) + 0j)
-    assert bracket_self_adjoint_defect(phi, psi, 1.5) < 1e-6
+    lhs = l2_inner(phi, fractional_bracket(psi, 1.5))
+    rhs = l2_inner(fractional_bracket(phi, 1.5), psi)
+    assert abs(lhs - rhs) < 1e-6
 
 
 def test_fractional_bracket_warns_on_nondecaying_input():
@@ -154,24 +151,6 @@ def test_fractional_bracket_warns_on_nondecaying_input():
     phi_sharp = SpectralFunction(WG, np.ones(1024, dtype=complex))
     assert _boundary_decay(phi_sharp.values) > 1e-6
     assert np.all(np.isfinite(fractional_bracket(phi_sharp, 1.0).values))
-
-
-def test_wh_norm_zero():
-    z = gaussian_profile().scaled(0.0)
-    assert wh_norm(z, SobolevOrders(0, 0)) == 0.0
-
-
-def test_wh_norm_gaussian_l2_oracle():
-    # ‖e^{-b²/2}‖_{L²} = π^{1/4}
-    assert wh_norm(gaussian_profile(), SobolevOrders(0, 0)) == pytest.approx(
-        np.pi ** 0.25, rel=1e-8)
-
-
-def test_wh_norm_relu_orders():
-    relu = relu_profile()
-    assert np.isfinite(wh_norm(relu, SobolevOrders(2, 0)))
-    with pytest.raises(DomainError):
-        wh_norm(relu, SobolevOrders(1, 0))
 
 
 def _plain_kernel(src, dst, sign):

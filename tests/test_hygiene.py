@@ -11,8 +11,14 @@
 - Every module-level function, class and constant of a `ghostlet` module is
   referenced somewhere in `src/`, `tests/` or `bench/` beyond its own
   definition, so no definition lives on that nothing reads.
+- Every backticked identifier in a `ghostlet` docstring or comment names
+  something `src/` defines, reads or imports, so no text points at a name
+  that is gone.
 """
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -180,3 +186,59 @@ def test_every_module_definition_is_referenced():
             for name, line in _module_definitions(ast.parse(path.read_text()))
             if name not in refs]
     assert not dead, f"module-level definitions nothing references: {', '.join(dead)}"
+
+
+def _source_names() -> set[str]:
+    """Every name `src/` defines, reads or imports: module names, names,
+    attributes, definitions, parameters, keywords and import paths."""
+    names = {path.stem for path in PACKAGE.glob("*.py")}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+                names.add(node.asname or node.name)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.update(node.module.split("."))
+    return names
+
+
+def _docs(path: Path):
+    """(line, text) of every docstring and comment of a module."""
+    text = path.read_text()
+    for node in ast.walk(ast.parse(text, filename=str(path))):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield getattr(node, "lineno", 1), doc
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.start[0], tok.string
+
+
+# A dotted identifier, optionally called: `grids.integrate`, `Spline.each(points)`.
+_BACKTICKED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\([^`]*\))?`")
+_EXTERNAL = ("np.", "numpy.", "scipy.", "ghostlet.")
+# Names the docs may cite that are not Python names of `src/`: a config key
+# (read as a string) and an environment variable.
+_DOC_ONLY = {"profiles.rho_max_k", "OPENBLAS_NUM_THREADS"}
+
+
+def test_docs_name_only_what_the_source_has():
+    known = _source_names()
+    stale = [f"{path.name}:{line} `{name}`"
+             for path in sorted(PACKAGE.glob("*.py")) for line, text in _docs(path)
+             for name in _BACKTICKED.findall(text)
+             if not name.startswith(_EXTERNAL) and name not in _DOC_ONLY
+             and not set(name.split(".")) <= known]
+    assert not stale, f"docs name what src/ does not define, read or import: {', '.join(stale)}"
+

@@ -3,14 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ghostlet import (
-    AdjointMode,
     DomainError,
     Grid,
     ParamDistribution,
     SampledFunction,
-    SobolevOrders,
     adjoint,
-    build_sigma_star,
     forward_s,
     forward_s_fourier,
     forward_s_via_fourier,
@@ -28,11 +25,10 @@ from ghostlet import (
     ridgelet_fourier,
     sample,
     tanh_profile,
-    wh_norm,
 )
 from ghostlet.grids import UnsupportedProfileError, weighted_omega_norm
 from ghostlet.profiles import DEFAULT_OMEGA_GRID, Profile1D
-from ghostlet.transforms import _default_op_omega_grid, _default_xi_grid, hd_inner
+from ghostlet.transforms import _default_op_omega_grid, _default_xi_grid
 
 from conftest import bump_mix, rel_l2
 
@@ -224,12 +220,12 @@ def test_reconstruct_rejects_relu_pairing(op3):
 
 def test_adjoint_zero(op3):
     z = SampledFunction(op3.input_grid, np.zeros(op3.input_grid.counts))
-    assert l2_norm(adjoint(op3, z, AdjointMode.plain())) == 0.0
+    assert l2_norm(adjoint(op3, z)) == 0.0
 
 
 def test_adjoint_plancherel_and_reconstruction(op3):
     f = bump_mix(29)
-    sf = adjoint(op3, f, AdjointMode.plain())
+    sf = adjoint(op3, f)
     assert l2_norm(sf) / l2_norm(f) == pytest.approx(1.0, abs=1e-2)
     assert rel_l2(forward_s(op3, sf), f) < 1e-2
 
@@ -238,8 +234,14 @@ def test_adjoint_duality_exact_on_grid(op3):
     f = bump_mix(30)
     gam = ridgelet_fourier(bump_mix(31), op3.sigma, op3.param_grid)
     lhs = l2_inner(f, forward_s(op3, gam))
-    rhs = l2_inner(adjoint(op3, f, AdjointMode.plain()), gam)
+    rhs = l2_inner(adjoint(op3, f), gam)
     assert abs(lhs - rhs) / abs(lhs) < 1e-3
+
+
+def test_adjoint_needs_a_finite_weighted_norm(param_grid, input_grid):
+    op = make_operator(tanh_profile(), param_grid, input_grid)
+    with pytest.raises(DomainError, match="finite weighted norm"):
+        adjoint(op, bump_mix(39))
 
 
 def test_separation_of_variables(op3):
@@ -310,95 +312,11 @@ def test_forward_s_fourier_needs_spectrum(param_grid, input_grid):
         forward_s_fourier(op, gam)
 
 
-def test_build_sigma_star_trivial_orders():
-    sig = gaussian_derivative_profile(1)
-    star = build_sigma_star(sig, SobolevOrders(0, 0), m=1)
-    grid = DEFAULT_OMEGA_GRID
-    expect = np.abs(grid.axis(0)) * sig.spectral_values(grid)
-    assert np.max(np.abs(star.spectral_values(grid) - expect)) < 1e-8
-
-
-def test_sigma_star_pairing_identity():
-    # ⟨⟨σ, σ*⟩⟩ = 2π · wh_norm(σ)² at m = 1 (the 𝒜-norm convention carries
-    # no 1/2π; see the decisions record)
-    sig = gaussian_profile()
-    for orders in (SobolevOrders(0, 0), SobolevOrders(0, -1), SobolevOrders(1, -1)):
-        star = build_sigma_star(sig, orders, m=1)
-        lhs = pairing(sig, star, 1)
-        rhs = 2 * np.pi * wh_norm(sig, orders) ** 2
-        assert lhs.real == pytest.approx(rhs, rel=1e-2)
-        assert abs(lhs.imag) < 1e-9 * rhs
-
-
-def test_weighted_adjoint_duality():
-    xg = Grid.line(-8.0, 8.0, 161)
-    pg = Grid((-8.0, -24.0), (8.0, 24.0), (161, 193))
-    op = make_operator(gaussian_profile(), pg, xg, normalize=False)
-    orders = SobolevOrders(0.0, -1.0)
-    f = bump_mix(33, grid=xg)
-    gam = ridgelet_fourier(bump_mix(34, grid=xg), gaussian_derivative_profile(2), pg)
-    sf = adjoint(op, f, AdjointMode.weighted(orders))
-    lhs = l2_inner(f, forward_s(op, gam))
-    rhs = hd_inner(sf, gam, orders, xg)
-    assert abs(lhs - rhs) / abs(lhs) < 1e-2
-
-
-def _hd_inner_per_omega_loop(phi, gamma, orders, input_grid):
-    """Reference for `hd_inner`: its computation with one spline evaluation
-    per ω node, the spline of that ω column alone."""
-    from ghostlet.fourier import _axis_transform, bracket, fractional_bracket
-    from ghostlet.grids import Spline, SpectralFunction, cubic_spline
-
-    omega_grid = _default_op_omega_grid(phi.grid)
-    omega = omega_grid.axis(0)
-    x_pts = input_grid.points()
-    y_grid = phi.grid.sub(slice(-1))
-
-    def sheared(field):
-        vals = _axis_transform(field.values, 0, y_grid, y_grid, +1.0) / (2.0 * np.pi)
-        vals = _axis_transform(vals, 1, field.grid.sub(slice(-1, None)), omega_grid, -1.0)
-        spline = cubic_spline(y_grid, vals)
-        out = np.stack([Spline(y_grid, spline.knots, spline.coef[:, i])(om * x_pts)
-                        for i, om in enumerate(omega)], axis=1)
-        if orders.t != 0.0:
-            for j in range(len(x_pts)):
-                out[j, :] = fractional_bracket(SpectralFunction(omega_grid, out[j, :]),
-                                               orders.t).values
-        return out
-
-    pv, gv = sheared(phi), sheared(gamma)
-    weight = np.outer(input_grid.axis_weights(0), omega_grid.axis_weights(0)) \
-        * bracket(omega)[None, :] ** (-2 * orders.s)
-    return complex(np.sum(pv * np.conj(gv) * weight))
-
-
-@pytest.mark.parametrize("orders", [SobolevOrders(0.0, -1.0), SobolevOrders(1.0, -1.0)],
-                         ids=["t=0", "t=1"])
-def test_hd_inner_matches_per_omega_loop_bit_for_bit(orders):
-    xg = Grid.line(-6.0, 6.0, 61)
-    pg = Grid((-6.0, -16.0), (6.0, 16.0), (61, 97))
-    phi = ridgelet_fourier(bump_mix(36, grid=xg), gaussian_derivative_profile(2), pg)
-    gam = ridgelet_fourier(bump_mix(37, grid=xg), gaussian_profile(), pg)
-    assert hd_inner(phi, gam, orders, xg) == _hd_inner_per_omega_loop(phi, gam, orders, xg)
-
-
 def test_ridgelet_integrates_by_the_trapezoid_rule_only(op3):
     from ghostlet import QuadratureScheme
 
     with pytest.raises(DomainError):
         ridgelet(bump_mix(38), op3.sigma, op3.param_grid, QuadratureScheme.monte_carlo(64, 0))
-
-
-def test_adjoint_mode_validation():
-    with pytest.raises(DomainError):
-        AdjointMode("weighted_sobolev")
-    with pytest.raises(DomainError):
-        AdjointMode("nope")
-
-
-def test_sigma_star_rejects_nondecaying_spectrum():
-    with pytest.raises(DomainError):
-        build_sigma_star(tanh_profile(), SobolevOrders(0, 0), m=1)
 
 
 @pytest.mark.parametrize("m", [1, 2])
