@@ -11,16 +11,20 @@ Settings are read through checked readers (`_int_setting`, `_float_setting`,
 value out of range is a UsageError that names the setting, before any work.
 
 Reruns with the same config and seed are byte-identical, whatever the core
-count and the BLAS thread count: every random draw is made on the calling
-thread, in a fixed order; the blocks that run on worker threads
-(`parallel._block_map`, which may call the pinned BLAS) are cut by array
-sizes alone; and partial sums are added in block order. A Monte Carlo S
-curve is a uniformly drawn finite model (`point_mass_network`).
+count and the BLAS thread count: every random draw is taken at a fixed
+offset of its generator's stream, either on the calling thread in a fixed
+order or, for a Monte Carlo ridgelet row, on its worker at an offset set by
+the row's index (`_mc_ridgelet_field`, into buffers each worker keeps); the
+blocks that run on worker threads (`parallel._block_map`, which may call the
+pinned BLAS) are cut by array sizes alone; and partial sums are added in
+block order. A Monte Carlo S curve is a uniformly drawn finite model
+(`point_mass_network`).
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,6 +67,7 @@ from .nullspace import (
     structure_decompose,
 )
 from .profiles import (
+    _EVAL_BLOCK,
     DEFAULT_OMEGA_GRID,
     RHO_MAX_ORDER,
     Profile1D,
@@ -214,6 +219,11 @@ def _rel_l2(u: SampledFunction, v: SampledFunction) -> float:
 # Appendix-style reconstruction study
 
 
+# Bit generators whose `advance(n)` moves the stream by exactly n 64-bit
+# outputs, one per float64 that `Generator.random` draws.
+_ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
 def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
                        x_hi: float, n_per_node: int, rng) -> np.ndarray:
     """R[f;ρ] on the grid by per-node Monte Carlo over x:
@@ -221,8 +231,21 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
     node (the standard unbiased estimator; see `_reconstruction_study` on the
     printed ΔxΣ/n form).
 
-    The calling thread draws each a-node's block in node order; the rows
-    are computed on `_block_map`. The field is real when f and ρ are.
+    The rows are computed on `_block_map`, one a-node per block. Row i draws
+    its uniforms at the fixed offset i·n_b·n of `rng`'s stream: its worker
+    copies `rng`'s state and advances the copy there, so the field is the one
+    that drawing every row in node order on the calling thread gives, bit for
+    bit. Afterwards `rng` is advanced past all the rows, to the state that
+    those draws leave. This needs a bit generator that can jump ahead
+    exactly (PCG64, PCG64DXSM); any other is refused, since it would give a
+    different stream. The field is real when f and ρ are.
+
+    Each worker keeps its draw and argument buffers across its rows: the
+    sort, the scale and a·x − b run in place, and f(x)·conj(ρ) and the node
+    means run a few b-nodes at a time. ρ's evaluator, called once per row,
+    makes the row's only array of its size. Fresh row-sized arrays cost
+    page faults on every row of a cold process (glibc returns freed large
+    blocks to the system until its thresholds rise).
 
     Each (a, b) node's draws are sorted before they are evaluated. The
     estimate is a mean, so it averages the same samples; only the summation
@@ -231,26 +254,47 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
     monotone arguments those branches are predicted: on one 145 × 4000 row
     ρ₂ took 28.5 → 10.7 ms and sin(2πx) 20.6 → 8.7 ms, for a 4.0 ms sort
     (one thread, 2-vCPU Xeon, numpy 2.4.6, scipy 1.17.1)."""
+    bit_gen = rng.bit_generator
+    if not isinstance(bit_gen, _ADVANCEABLE):
+        raise TypeError(f"_mc_ridgelet_field draws each row at a fixed offset of the stream, "
+                        f"which {type(bit_gen).__name__} cannot jump to; use a PCG64 or "
+                        f"PCG64DXSM generator (np.random.default_rng)")
     a = param_grid.axis(0)
-    b = param_grid.axis(1)
+    b = param_grid.axis(1)[:, None]
     measure = x_hi - x_lo
+    start = bit_gen.state
+    row_draws = len(b) * n_per_node
+    chunk = max(1, _EVAL_BLOCK // n_per_node)  # b-nodes per f(x)·conj(ρ) pass
+    buffers = threading.local()
 
-    def draws():
-        for ai in a:
-            yield ai, rng.random((len(b), n_per_node))
-
-    def row(node):
-        ai, xs = node
+    def row(i):
+        if not hasattr(buffers, "gen"):
+            buffers.gen = np.random.Generator(type(bit_gen)())
+            buffers.xs = np.empty((len(b), n_per_node))
+            buffers.arg = np.empty_like(buffers.xs)
+        gen, xs, arg = buffers.gen, buffers.xs, buffers.arg
+        gen.bit_generator.state = start
+        gen.bit_generator.advance(i * row_draws)
+        gen.random(out=xs)
         xs.sort(axis=1)
         xs *= x_hi - x_lo  # in place: the same values as x_lo + (x_hi − x_lo)·u
         xs += x_lo
-        arg = ai * xs
-        arg -= b[:, None]
+        np.multiply(a[i], xs, out=arg)
+        arg -= b
         r = np.asarray(rho.real_eval(arg))
-        vals = np.asarray(f_eval(xs)) * (np.conj(r) if np.iscomplexobj(r) else r)
-        return measure * np.mean(vals, axis=1)
+        conj = np.iscomplexobj(r)
+        means = []
+        for j in range(0, len(b), chunk):
+            rj = np.conj(r[j:j + chunk]) if conj else r[j:j + chunk]
+            means.append(measure * np.mean(f_eval(xs[j:j + chunk]) * rj, axis=1))
+        return np.concatenate(means)
 
-    return np.stack(list(_block_map(row, draws())))
+    field = np.stack(list(_block_map(row, range(len(a)))))
+    bit_gen.advance(len(a) * row_draws)
+    end = bit_gen.state  # `advance` clears the 32-bit buffer; the draws keep it
+    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
+    bit_gen.state = end
+    return field
 
 
 def _box_gain(sigma: Profile1D, rho: Profile1D, xi0: float, a_half: float) -> float:
@@ -399,10 +443,22 @@ def _compact_testbed(cfg: ExperimentConfig):
     return op
 
 
+def _require_hermite(input_grid: Grid, count: int) -> int:
+    """`hermite_capacity` of the input grid (setting grids.input), which must
+    hold `count` Hermite functions; a grid too narrow or too coarse for them
+    is a usage error."""
+    capacity = hermite_capacity(input_grid)
+    if capacity < count:
+        raise UsageError(f"grids.input holds {capacity} Hermite functions (too narrow or "
+                         f"too coarse); this run needs {count}")
+    return capacity
+
+
 def _ghost_testbed(op, basis_size: int = 4):
     """The first `basis_size` Hermite functions on the operator's input grid,
     and the ghost profile: the non-admissible combination of ρ₁ and ρ₃
     against the operator's σ."""
+    _require_hermite(op.input_grid, basis_size)
     basis = hermite_basis(basis_size, op.input_grid)
     family = make_rho_family(4, sigma=op.sigma)
     ghost_profile = make_nonadmissible(op.sigma, LinearCombination(family[1], family[3]))
@@ -420,7 +476,7 @@ def run_decompose(cfg: ExperimentConfig):
     op = _compact_testbed(cfg)
     # the planted ghosts sit on e₁ and e₂, so the basis needs e₀..e₂
     basis_size = _int_setting(cfg.params.get("basis_size", 8), "params.basis_size", lo=3,
-                              hi=hermite_capacity(op.input_grid))
+                              hi=_require_hermite(op.input_grid, 3))
     terms = _int_setting(cfg.params.get("terms", 6), "params.terms", hi=basis_size)
     basis, ghost_profile = _ghost_testbed(op, basis_size)
     f0 = _bump(op.input_grid, 0.4, 1.3)
@@ -464,6 +520,7 @@ def run_finite_model(cfg: ExperimentConfig):
     p_values = _int_list(cfg.params.get("p_values", (100, 10_000)), "params.p_values")
     n_seeds = _int_setting(cfg.params.get("n_seeds", 10), "params.n_seeds")
     input_grid = _grid_setting(cfg, "input", Grid.line(-6.0, 6.0, 121))
+    _require_hermite(input_grid, 4)  # the coefficient cross-check's basis
     grid = _grid_setting(cfg, "param", Grid((-10.0, -32.0), (10.0, 32.0), (161, 129)))
     eps = _float_setting(cfg.params.get("epsilon", 4.0 * min(grid.spacing)), "params.epsilon")
     shape = cfg.params.get("delta_shape", GAUSSIAN)

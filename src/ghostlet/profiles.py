@@ -146,15 +146,19 @@ def _horner(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
 _EVAL_BLOCK = 1 << 14
 
 
-def dawson_derivative(x, k: int):
-    """k-th derivative of the Dawson function via the polynomial recurrence,
-    P_k(x)·F(x) + Q_k(x), evaluated elementwise in cache-sized blocks."""
+def dawson_derivative(x, k: int, scale: float = 1.0):
+    """k-th derivative of the Dawson function at x/scale via the polynomial
+    recurrence, P_k·F + Q_k, evaluated elementwise in cache-sized blocks.
+    Each block is divided by `scale` on its own, so a scaled argument costs
+    no array of x's size beside the result (the same bits as passing x/scale)."""
     P, Q = _dawson_derivative_polys(k)[k]
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
     flat_x, flat_out = x.ravel(), out.reshape(-1)
     for start in range(0, flat_x.size, _EVAL_BLOCK):
         xb = flat_x[start:start + _EVAL_BLOCK]
+        if scale != 1.0:
+            xb = xb / scale
         ob = flat_out[start:start + _EVAL_BLOCK]
         ob[...] = _horner(xb, P)
         ob *= dawsn(xb)
@@ -203,9 +207,10 @@ def _rho_k_real(k: int, scale: float, c: complex):
     const = complex(c) * _RHO0_CONST * 2.0 ** (-k / 2.0) * scale ** (-(k + 1))
     if const.imag == 0.0:
         const = const.real
+    arg_scale = scale * np.sqrt(2.0)
 
     def real(b):
-        vals = dawson_derivative(np.asarray(b, dtype=float) / (scale * np.sqrt(2.0)), k)
+        vals = dawson_derivative(b, k, scale=arg_scale)
         if isinstance(const, float):
             vals *= const
             return vals
@@ -386,9 +391,16 @@ def hermite_fourier(n: int, xi: np.ndarray) -> np.ndarray:
 
 def hermite_capacity(grid: Grid) -> int:
     """The most Hermite functions `hermite_basis` builds on a 1-D grid: n of
-    them need a half-width of at least √(2n + 1) + 2."""
-    reach = min(abs(grid.lower[0]), abs(grid.upper[0])) - 2.0
-    return int((reach * reach - 1.0) // 2.0) if reach >= 1.0 else 0
+    them need a half-width of at least √(2n + 1) + 2 and a spacing Δx with
+    π/Δx ≥ √(2n + 1) + 2.5. ê_n ∝ e_n, so both rules leave a margin past
+    the turning point √(2n + 1). At the spacing limit the Gram residual is at
+    most 3.2e-8 (n = 1) over grid offsets; a margin of 2 left 1.8e-6 there,
+    above `GRAM_TOLERANCE`."""
+    def most(reach):
+        return int((reach * reach - 1.0) // 2.0) if reach >= 1.0 else 0
+
+    half = min(abs(grid.lower[0]), abs(grid.upper[0]))
+    return min(most(half - 2.0), most(np.pi / grid.spacing[0] - 2.5))
 
 
 def hermite_basis(count: int, grid: Grid) -> BasisFamily:
@@ -396,10 +408,11 @@ def hermite_basis(count: int, grid: Grid) -> BasisFamily:
     if grid.dim != 1:
         raise DomainError("hermite_basis builds 1-D systems")
     x = grid.axis(0)
-    if count > hermite_capacity(grid):
-        half = min(abs(grid.lower[0]), abs(grid.upper[0]))
+    capacity = hermite_capacity(grid)
+    if count > capacity:
         raise DomainError(
-            f"grid half-width {half:g} too small for {count} Hermite functions")
+            f"grid [{grid.lower[0]:g}, {grid.upper[0]:g}] with spacing {grid.spacing[0]:g} "
+            f"holds {capacity} Hermite functions, not {count}")
     members = []
     for n in range(count):
         members.append(SampledFunction._adopt(grid, hermite_function(n, x) + 0.0j))

@@ -136,8 +136,9 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_monte_carlo_reruns_are_byte_identical(tmp_path):
-    """appendix-c draws its Monte Carlo samples on the calling thread and
-    sums fixed blocks in order, so its artifacts rerun byte for byte."""
+    """appendix-c draws each Monte Carlo row at a fixed offset of its
+    generator's stream and sums fixed blocks in order, so its artifacts rerun
+    byte for byte."""
     cfg = _write_config(tmp_path, SMALL_MONTE_CARLO)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
@@ -291,6 +292,21 @@ def test_bad_integer_setting_is_usage_error(tmp_path, capsys, experiment, params
     cfg = _write_config(tmp_path, {"experiment": experiment, "params": params})
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("decompose", {}), ("lazy", {}), ("bound", {"measure": True}), ("finite-model", {}),
+])
+def test_coarse_input_grid_is_usage_error(tmp_path, capsys, experiment, params):
+    """On [−8, 8, 21] (Δx = 0.8, too coarse for any Hermite function)
+    `decompose` ended in a DomainError traceback from the Gram check
+    (residual 0.25), and `lazy`, `bound` and `finite-model` in one from
+    `hermite_basis`; each exits 2 and names grids.input, before any work."""
+    cfg = _write_config(tmp_path, {"experiment": experiment, "params": params,
+                                   "grids": {"input": [-8.0, 8.0, 21]}})
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "grids.input" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -46,6 +46,78 @@ def test_mc_ridgelet_field_matches_serial_loop(monkeypatch, sigma):
     assert np.max(np.abs(got - draw_order)) <= 1e-14 * np.max(np.abs(got))
 
 
+def _counted_field(monkeypatch, cores, rng):
+    """The field on a 9 × 11 grid with `cores` usable cores (BLAS taken as
+    pinned, so more than one core means worker threads), and the threads
+    that ran ρ's evaluator, one entry per call."""
+    import dataclasses
+    import os
+    import threading
+
+    from ghostlet import parallel
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(parallel, "BLAS_PINNED", True)
+    rho = make_rho_family(2)[2]
+    calls = []
+
+    def counting(b):
+        calls.append(threading.get_ident())
+        return rho.real_eval(b)
+
+    counted = dataclasses.replace(rho, real_eval=counting)
+    grid = Grid((-6.0, -6.0), (6.0, 6.0), (9, 11))
+    field = _mc_ridgelet_field(lambda xs: np.sin(2.0 * np.pi * xs), counted, grid,
+                               -1.0, 1.0, 50, rng)
+    return field, calls
+
+
+def test_mc_ridgelet_field_same_bits_inline_and_on_four_workers(monkeypatch):
+    """Each row draws at its own offset of the stream, so the field and the
+    generator's end state do not depend on which thread computes which row:
+    one core computes every row on the calling thread, four cores none."""
+    import threading
+
+    inline_rng, pooled_rng = np.random.default_rng(7), np.random.default_rng(7)
+    inline, inline_calls = _counted_field(monkeypatch, 1, inline_rng)
+    pooled, pooled_calls = _counted_field(monkeypatch, 4, pooled_rng)
+    np.testing.assert_array_equal(inline, pooled)
+    assert inline_rng.bit_generator.state == pooled_rng.bit_generator.state
+    assert set(inline_calls) == {threading.get_ident()}
+    assert threading.get_ident() not in pooled_calls
+
+
+def test_mc_ridgelet_field_evaluates_rho_once_per_a_node(monkeypatch):
+    """ρ's evaluator takes a whole a-row (all b-nodes and draws) per call."""
+    _, calls = _counted_field(monkeypatch, 4, np.random.default_rng(0))
+    assert len(calls) == 9
+
+
+def test_mc_ridgelet_field_keeps_a_pending_32_bit_draw():
+    """`advance` clears PCG64's buffered 32-bit half-draw; the field puts it
+    back, so the generator ends where drawing the rows in order leaves it."""
+    rho = make_rho_family(2)[2]
+    grid = Grid((-6.0, -6.0), (6.0, 6.0), (9, 11))
+    f_eval = lambda xs: np.sin(2.0 * np.pi * xs)
+    rng_par, rng_ser = np.random.default_rng(3), np.random.default_rng(3)
+    for rng in (rng_par, rng_ser):
+        rng.integers(0, 2 ** 32, dtype=np.uint32)
+    assert rng_par.bit_generator.state["has_uint32"] == 1
+    got = _mc_ridgelet_field(f_eval, rho, grid, -1.0, 1.0, 50, rng_par)
+    np.testing.assert_array_equal(got, _serial_field(f_eval, rho, grid, -1.0, 1.0, 50, rng_ser))
+    assert rng_par.bit_generator.state == rng_ser.bit_generator.state
+
+
+def test_mc_ridgelet_field_refuses_a_generator_that_cannot_jump():
+    """MT19937 has no exact advance, so the rows could not draw the stream
+    that the serial loop draws; it is refused by name, before any draw."""
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="MT19937"):
+        _mc_ridgelet_field(np.sin, make_rho_family(2)[2], Grid((-6.0, -6.0), (6.0, 6.0), (9, 11)),
+                           -1.0, 1.0, 50, rng)
+    assert rng.random() == np.random.Generator(np.random.MT19937(0)).random()
+
+
 def test_finite_model_error_keeps_falling_past_p_1000(tmp_path):
     """`finite-model` at its defaults, p = 10³ and 10⁴: density sampling draws
     grid nodes, so the mollified model is unbiased for the grid quadrature of

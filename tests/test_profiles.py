@@ -209,6 +209,39 @@ def test_dawson_derivative_polys_cached_and_immutable():
         np.testing.assert_array_equal(dawson_derivative(x, k), ref)
 
 
+@pytest.mark.parametrize("k", range(9))
+def test_dawson_derivative_scale_is_the_divided_argument_bit_for_bit(k):
+    """`scale` divides x block by block: the same bits as dividing first,
+    across several blocks, on a 0-d input and on a non-contiguous view."""
+    from ghostlet.profiles import dawson_derivative
+
+    rng = np.random.default_rng(k)
+    wide = rng.uniform(-30.0, 30.0, 40_005)
+    view = rng.uniform(-9.0, 9.0, (300, 201))[::3, 1::2]
+    for x in (wide, np.array(-0.0), np.array(2.5), view):
+        for s in (np.sqrt(2.0), 0.5 * np.sqrt(2.0), 1.7):
+            got = dawson_derivative(x, k, scale=s)
+            assert got.tobytes() == dawson_derivative(x / s, k).tobytes(), (k, s)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_rho_k_real_evaluators_keep_the_divided_argument_form(k):
+    """ρ_k's evaluator passes b/(s√2) to `dawson_derivative` as a scale; it
+    gives the bits of const·F^{(k)}(b/(s√2)) with the argument divided first,
+    for a real scalar (c purely imaginary, as against tanh) and a complex one."""
+    from ghostlet.profiles import _RHO0_CONST, _rho_k_real, dawson_derivative
+
+    b = np.random.default_rng(k).uniform(-40.0, 40.0, (145, 301))
+    for scale in (1.0, 0.5, 1.7):
+        for c in (0.37j, 0.3 + 0.2j):
+            const = complex(c) * _RHO0_CONST * 2.0 ** (-k / 2.0) * scale ** (-(k + 1))
+            if const.imag == 0.0:
+                const = const.real
+            want = const * dawson_derivative(b / (scale * np.sqrt(2.0)), k)
+            got = _rho_k_real(k, scale, c)(b)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (scale, c)
+
+
 def test_tanh_spectrum_singular_at_zero():
     with pytest.raises(SingularPointError):
         tanh_profile().spectral_eval(np.array([0.0]))
@@ -234,6 +267,27 @@ def test_hermite_basis_orthonormal():
 def test_hermite_basis_requires_wide_grid():
     with pytest.raises(DomainError):
         hermite_basis(12, Grid.line(-4.0, 4.0, 101))
+
+
+def test_hermite_basis_requires_fine_grid():
+    """n Hermite functions need π/Δx ≥ √(2n + 1) + 2.5 besides the half-width:
+    [−8, 8, 21] (Δx = 0.8) holds none, the default [−8, 8, 161] is held to 17
+    by its half-width, and at the spacing limit the basis builds, for every
+    offset of the nodes."""
+    from ghostlet.profiles import hermite_capacity
+
+    assert hermite_capacity(Grid.line(-8.0, 8.0, 21)) == 0
+    assert hermite_capacity(Grid.line(-8.0, 8.0, 161)) == 17
+    with pytest.raises(DomainError, match="spacing 0.8"):
+        hermite_basis(3, Grid.line(-8.0, 8.0, 21))
+    for n in (1, 2, 3, 8):
+        dx = np.pi / (np.sqrt(2 * n + 1) + 2.5) * (1.0 - 1e-12)
+        for shift in (0.0, 0.25, 0.5):
+            nodes = int(32.0 / dx)
+            lo = -16.0 + shift * dx
+            grid = Grid.line(lo, lo + dx * nodes, nodes + 1)
+            assert hermite_capacity(grid) == n, (n, shift)
+            hermite_basis(n, grid)
 
 
 def test_hermite_fourier_identity():
