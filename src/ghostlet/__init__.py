@@ -42,8 +42,10 @@ from .fourier import (
     sharp,
 )
 from .profiles import (
+    AdmissibilityReport,
     BasisFamily,
     Profile1D,
+    admissibility,
     gaussian_derivative_profile,
     gaussian_profile,
     gram_schmidt_l2m,
@@ -66,13 +68,11 @@ from .transforms import (
     ridgelet_fourier,
 )
 from .nullspace import (
-    AdmissibilityReport,
     DisjointSupport,
     ExpansionCoefficients,
     LinearCombination,
     NormalizedDifference,
     StructureDecomposition,
-    admissibility,
     density_expand,
     density_synthesize,
     lazy_solution,

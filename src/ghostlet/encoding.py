@@ -63,7 +63,7 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3) -> GhostCodebook:
     the family Gram–Schmidts [σ] + seeds. Otherwise (tanh-like σ, where the
     pairing is a dual pairing) the seeds are rotated against the vector of
     pairings and the stored activation is rescaled so slot 0 pairs to exactly
-    1; the rescale is recorded in the profile notes.
+    1.
     """
     m, omega_grid, tol = 1, DEFAULT_OMEGA_GRID, 1e-6
     candidates = [_rho_k_unnormalized(k) for k in range(1, n_ghosts + 3)]
@@ -78,8 +78,7 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3) -> GhostCodebook:
         if len(vecs) < 1 + n_ghosts:
             raise DomainError("not enough independent candidates for the requested ghost count")
         members = [sigma_unit] + [
-            _interp_profile(f"codebook_{i}", omega_grid, v,
-                            notes="ghost slot: unit weighted norm, zero pairing with sigma")
+            _interp_profile(f"codebook_{i}", omega_grid, v)
             for i, v in enumerate(vecs[1:1 + n_ghosts], start=1)]
         stored_sigma = sigma_unit
     else:
@@ -97,11 +96,8 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3) -> GhostCodebook:
         # u0 lies in the span of the basis, so one seed becomes dependent and
         # is skipped.
         rest = orthonormalize_l2m([u0] + basis, m, omega_grid)[0][1:]
-        members = [_interp_profile("codebook_0", omega_grid, u0,
-                                   notes=f"visible slot; sigma rescaled by 1/{p_norm:.9g} "
-                                         "so the pairing is exactly 1")]
-        members += [_interp_profile(f"codebook_{i}", omega_grid, v,
-                                    notes="ghost slot from rotated seeds")
+        members = [_interp_profile("codebook_0", omega_grid, u0)]
+        members += [_interp_profile(f"codebook_{i}", omega_grid, v)
                     for i, v in enumerate(rest[:n_ghosts], start=1)]
         stored_sigma = sigma.scaled(1.0 / p_norm, name=f"{sigma.name}/|p|")
 

@@ -58,9 +58,7 @@ from .grids import (
     sample,
 )
 from .nullspace import (
-    AdmissibilityReport,
     LinearCombination,
-    admissibility,
     lazy_solution,
     make_nonadmissible,
     ridgelet_atom,
@@ -70,9 +68,13 @@ from .profiles import (
     _EVAL_BLOCK,
     DEFAULT_OMEGA_GRID,
     RHO_MAX_ORDER,
+    AdmissibilityReport,
     Profile1D,
+    _rho_k_unnormalized,
+    admissibility,
     gaussian_derivative_profile,
     gaussian_profile,
+    gram_schmidt_l2m,
     hermite_basis,
     hermite_capacity,
     make_rho_family,
@@ -147,8 +149,7 @@ class RunReport:
             if not Path(artifact).exists():
                 raise AccuracyFailure(f"artifact missing after run: {artifact}")
         failures = [f"{k} = {self.metrics[k]:.6g} > {v:.6g}"
-                    for k, v in tolerances.items()
-                    if k in self.metrics and self.metrics[k] > v]
+                    for k, v in tolerances.items() if self.metrics[k] > v]
         if failures:
             raise AccuracyFailure("tolerances exceeded: " + "; ".join(failures))
         return self
@@ -156,15 +157,21 @@ class RunReport:
 
 def _grid_setting(cfg: ExperimentConfig, key: str, default: Grid) -> Grid:
     """`grids.<key>`: [lo, hi, n] for a line or [[lo, ...], [hi, ...], [n, ...]]
-    for a box, each node count an integer of at least 2."""
+    for a box, each axis with finite lo < hi and an integer n of at least 2."""
     spec = cfg.grids.get(key)
     if spec is None:
         return default
-    lo, hi, n = spec
-    name = f"grids.{key} node count"
-    if np.isscalar(lo):
-        return Grid.line(float(lo), float(hi), _int_setting(n, name, lo=2))
-    return Grid(tuple(lo), tuple(hi), tuple(_int_setting(v, name, lo=2) for v in n))
+    seq = (list, tuple)
+    line = isinstance(spec, seq) and len(spec) == 3 and not isinstance(spec[0], seq)
+    rows = [[v] for v in spec] if line else spec
+    if not (isinstance(rows, seq) and len(rows) == 3
+            and all(isinstance(r, seq) and 0 < len(r) == len(rows[0]) for r in rows)
+            and all(map(_finite_number, (*rows[0], *rows[1])))
+            and all(lo < hi for lo, hi in zip(rows[0], rows[1]))):
+        raise UsageError(f"grids.{key} must be [lo, hi, n] or [[lo, ...], [hi, ...], [n, ...]] "
+                         f"with finite lo < hi, not {spec!r}")
+    counts = tuple(_int_setting(v, f"grids.{key} node count", lo=2) for v in rows[2])
+    return Grid(tuple(rows[0]), tuple(rows[1]), counts)
 
 
 def _int_setting(value, name: str, lo: int = 1, hi: float = np.inf) -> int:
@@ -175,11 +182,16 @@ def _int_setting(value, name: str, lo: int = 1, hi: float = np.inf) -> int:
     return value
 
 
+def _finite_number(value) -> bool:
+    """Whether a setting is an `int` or a `float`, not a `bool`, and finite."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
 def _float_setting(value, name: str, hi: float = np.inf, zero_ok: bool = False) -> float:
-    """A real setting: an `int` or a `float`, not a `bool`, finite, above 0
-    (at least 0 when `zero_ok`) and at most hi."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not np.isfinite(value) or not (0 <= value if zero_ok else 0 < value)
+    """A real setting: a finite number (`_finite_number`), above 0 (at least 0
+    when `zero_ok`) and at most hi."""
+    if (not _finite_number(value) or not (0 <= value if zero_ok else 0 < value)
             or value > hi):
         span = "at least 0" if zero_ok else "above 0"
         if hi < np.inf:
@@ -413,7 +425,7 @@ def _reconstruction_study(cfg: ExperimentConfig):
 
 def run_admissibility(cfg: ExperimentConfig):
     max_k = _rho_max_k(cfg)
-    sigma = _named_sigma(cfg.profiles.get("sigma", "tanh"))
+    sigma = _named_sigma(cfg, "tanh")
     family = make_rho_family(max_k, sigma=sigma)
     reports = {k: admissibility(sigma, family[k], m=1) for k in range(1, max_k + 1)}
     table = {f"rho{k}": _admissibility_row(rep) for k, rep in reports.items()}
@@ -421,14 +433,18 @@ def run_admissibility(cfg: ExperimentConfig):
     return metrics, [write_json(Path(cfg.output_dir) / "admissibility.json", table)]
 
 
-def _named_sigma(name: str) -> Profile1D:
+def _named_sigma(cfg: ExperimentConfig, default: str) -> Profile1D:
+    """`profiles.sigma`: "tanh", "gaussian" or "gauss_d<k>" with an integer k ≥ 0."""
+    name = cfg.profiles.get("sigma", default)
     if name == "tanh":
         return tanh_profile()
-    if name.startswith("gauss_d"):
-        return gaussian_derivative_profile(int(name.removeprefix("gauss_d")))
     if name == "gaussian":
         return gaussian_profile()
-    raise UsageError(f"unknown activation profile {name!r}")
+    if isinstance(name, str) and name.startswith("gauss_d"):
+        order = name.removeprefix("gauss_d")
+        return gaussian_derivative_profile(_int_setting(
+            int(order) if order.isdecimal() else order, "profiles.sigma derivative order", lo=0))
+    raise UsageError(f"profiles.sigma must be tanh, gaussian or gauss_d<k>, not {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +454,7 @@ def _named_sigma(name: str) -> Profile1D:
 def _compact_testbed(cfg: ExperimentConfig):
     input_grid = _grid_setting(cfg, "input", Grid.line(-8.0, 8.0, 161))
     param_grid = _grid_setting(cfg, "param", Grid((-12.0, -48.0), (12.0, 48.0), (241, 257)))
-    sigma = _named_sigma(cfg.profiles.get("sigma", "gauss_d3"))
-    op = make_operator(sigma, param_grid, input_grid)
-    return op
+    return make_operator(_named_sigma(cfg, "gauss_d3"), param_grid, input_grid)
 
 
 def _require_hermite(input_grid: Grid, count: int) -> int:
@@ -527,8 +541,7 @@ def run_finite_model(cfg: ExperimentConfig):
     if shape not in (GAUSSIAN, BUMP):
         raise UsageError(f"params.delta_shape must be {GAUSSIAN!r} or {BUMP!r}, not {shape!r}")
     delta = NascentDelta(shape, eps)
-    sigma = _named_sigma(cfg.profiles.get("sigma", "gauss_d3"))
-    op = make_operator(sigma, grid, input_grid)
+    op = make_operator(_named_sigma(cfg, "gauss_d3"), grid, input_grid)
     gamma = ridgelet_fourier(_bump(op.input_grid, 0.0, 1.4), op.sigma, grid)
     smooth = smooth_convolve(gamma, delta)
     target = forward_s(op, smooth)
@@ -547,7 +560,6 @@ def run_finite_model(cfg: ExperimentConfig):
     if len(p_values) >= 2:
         metrics["error_ratio_last_over_first"] = med[p_values[-1]] / med[p_values[0]]
     basis = hermite_basis(4, op.input_grid)
-    from .profiles import _rho_k_unnormalized, gram_schmidt_l2m
     rho_basis = gram_schmidt_l2m([_rho_k_unnormalized(k) for k in (1, 2, 3)], m=1)
     model = sample_parameters(smooth, 64, seed=cfg.seed)
     _, gap, _ = finite_ridgelet_coeffs(model, delta, basis, rho_basis, (3, 2), grid)
@@ -604,14 +616,14 @@ def run_bound(cfg: ExperimentConfig):
         # The sup-radius of the (a, b) box: its farthest corner from the origin.
         radius = float(np.linalg.norm(np.maximum(np.abs(op.param_grid.lower),
                                                  np.abs(op.param_grid.upper))))
-        layer = {"M": radius, "V": op.param_grid.volume,
-                 "G_inclusive": inclusive, "G_exclusive": exclusive}
-        layers_cfg = [layer] * depth
+        layers = [LayerSpec(radius, op.param_grid.volume, inclusive, exclusive)] * depth
     else:
         layers_cfg = params.get("layers")
         if not layers_cfg:
             raise UsageError("bound experiment needs params.layers or params.measure=true")
-    layers = [LayerSpec(**spec) for spec in layers_cfg]
+        if not isinstance(layers_cfg, (list, tuple)):
+            raise UsageError(f"params.layers must be a list of layers, not {layers_cfg!r}")
+        layers = [_layer_setting(spec, f"params.layers[{i}]") for i, spec in enumerate(layers_cfg)]
     d = len(layers)
     inc = generalization_bound(layers, B, n, d, INCLUSIVE)
     exc = generalization_bound(layers, B, n, d, EXCLUSIVE)
@@ -624,6 +636,19 @@ def run_bound(cfg: ExperimentConfig):
     rows = [(i, sp.M, sp.V, sp.G_inclusive, sp.G_exclusive) for i, sp in enumerate(layers)]
     return metrics, [write_csv(Path(cfg.output_dir) / "layers.csv",
                                ["layer", "M", "V", "G_inclusive", "G_exclusive"], rows)]
+
+
+def _layer_setting(spec, name: str) -> LayerSpec:
+    """One entry of `params.layers`: exactly the keys M and V (above 0),
+    G_inclusive and G_exclusive (at least 0, G_exclusive ≤ G_inclusive)."""
+    if not isinstance(spec, dict) or set(spec) != {"M", "V", "G_inclusive", "G_exclusive"}:
+        raise UsageError(f"{name} must hold exactly M, V, G_inclusive and G_exclusive, "
+                         f"not {spec!r}")
+    _float_setting(spec["M"], f"{name}.M")
+    _float_setting(spec["V"], f"{name}.V")
+    g_inclusive = _float_setting(spec["G_inclusive"], f"{name}.G_inclusive", zero_ok=True)
+    _float_setting(spec["G_exclusive"], f"{name}.G_exclusive", hi=g_inclusive, zero_ok=True)
+    return LayerSpec(**spec)
 
 
 _RUNNERS = {
@@ -644,7 +669,16 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 def run_subcommand(cfg: ExperimentConfig) -> RunReport:
     """Run `cfg.experiment`; then write its report.json, check that every
-    artifact exists and enforce `cfg.tolerances`."""
+    artifact exists and enforce `cfg.tolerances` (metric name → finite limit;
+    a name the run did not report is refused once the run has named them)."""
+    tolerances = cfg.tolerances
+    if not (isinstance(tolerances, dict)
+            and all(isinstance(k, str) and _finite_number(v) for k, v in tolerances.items())):
+        raise UsageError(f"tolerances must map metric names to finite numbers, "
+                         f"not {tolerances!r}")
     metrics, artifacts = _RUNNERS[cfg.experiment](cfg)
+    unknown = sorted(set(tolerances) - set(metrics))
+    if unknown:
+        raise UsageError(f"tolerances name metrics this run does not report: {unknown}")
     return RunReport(cfg.experiment, metrics, artifacts, cfg.to_dict()).finish(
-        Path(cfg.output_dir), cfg.tolerances)
+        Path(cfg.output_dir), tolerances)

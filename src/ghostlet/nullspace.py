@@ -1,9 +1,10 @@
-"""Admissibility analysis, ghost construction, projection onto the
-orthocomplement of the null space, the structure decomposition, the ridgelet
-series expansion, and the lazy-learning minimizer.
+"""Ghost construction, projection onto the orthocomplement of the null
+space, the structure decomposition, the ridgelet series expansion, and the
+lazy-learning minimizer.
 
-A pair (σ, ρ) is admissible when ⟨⟨σ,ρ⟩⟩ is neither 0 nor ∞; ridgelet
-transforms with non-admissible ρ generate ghosts (null elements of S). With a
+A pair (σ, ρ) is admissible when ⟨⟨σ,ρ⟩⟩ is neither 0 nor ∞
+(`profiles.admissibility` decides the zero); ridgelet transforms with
+non-admissible ρ generate ghosts (null elements of S). With a
 unit-norm activation, P = S*∘S projects onto the orthocomplement and I − P
 onto the ghosts.
 
@@ -43,7 +44,13 @@ from .grids import (
     weighted_omega_inner,
     weighted_omega_norm,
 )
-from .profiles import DEFAULT_OMEGA_GRID, BasisFamily, Profile1D, _interp_profile
+from .profiles import (
+    DEFAULT_OMEGA_GRID,
+    BasisFamily,
+    Profile1D,
+    _interp_profile,
+    admissibility,
+)
 from .transforms import (
     NetworkOperator,
     _default_op_omega_grid,
@@ -52,47 +59,6 @@ from .transforms import (
     forward_s_via_fourier,
     ridgelet_fourier,
 )
-
-ANALYTIC_SPECTRA = "analytic_spectra"
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    pairing: complex
-    method: str
-    parity_forced_zero: bool
-    error_estimate: float
-
-    @property
-    def numerically_zero(self) -> bool:
-        return abs(self.pairing) <= max(1e-8, 10.0 * self.error_estimate)
-
-
-def admissibility(sigma: Profile1D, rho: Profile1D, m: int,
-                  omega_grid: Grid | None = None) -> AdmissibilityReport:
-    """Evaluate ⟨⟨σ,ρ⟩⟩ on a straddling grid and report how sure the zero is.
-
-    parity_forced_zero is set when the declared parities make the integrand
-    odd (the symmetric trapezoid sum then cancels to roundoff).
-    """
-    omega_grid = omega_grid or DEFAULT_OMEGA_GRID
-    if sigma.spectral_eval is None or rho.spectral_eval is None:
-        raise UnsupportedProfileError(
-            f"admissibility needs spectra for both {sigma.name!r} and {rho.name!r}")
-    su = sigma.spectral_values(omega_grid)
-    ru = rho.spectral_values(omega_grid)
-    pair = weighted_omega_inner(su, ru, m, omega_grid)
-    total_variation = weighted_omega_inner(np.abs(su), np.abs(ru), m, omega_grid).real
-    ends = np.abs(omega_grid.axis(0)[[0, -1]]) ** float(-m)
-    boundary = float(np.sum(np.abs(su * ru)[[0, -1]] * ends)) * omega_grid.spacing[0]
-    err = 1e-13 * total_variation + boundary
-    # integrand parity: σ♯·conj(ρ♯)·even-weight; equal parities give an even
-    # integrand, mixed parities an odd one that cancels on the symmetric grid.
-    parities = {sigma.parity, rho.parity}
-    forced = ("none" not in parities) and (sigma.parity != rho.parity)
-    return AdmissibilityReport(pairing=pair, method=ANALYTIC_SPECTRA,
-                               parity_forced_zero=forced, error_estimate=err)
-
 
 @dataclass(frozen=True)
 class DisjointSupport:
@@ -141,26 +107,21 @@ def make_nonadmissible(sigma: Profile1D, recipe) -> Profile1D:
         vals = (np.exp(-((omega - center) ** 2) / (2 * width ** 2))
                 + np.exp(-((omega + center) ** 2) / (2 * width ** 2))) + 0.0j
         vals /= weighted_omega_norm(vals, m, omega_grid)
-        return _interp_profile(f"disjoint({sigma.name})", omega_grid, vals,
-                               notes=f"bump pair at ±{center:g}, width {width:g}, unit weighted norm")
+        return _interp_profile(f"disjoint({sigma.name})", omega_grid, vals)
 
     if isinstance(recipe, NormalizedDifference):
-        pa = admissibility(sigma, recipe.rho_a, m, omega_grid).pairing
-        pb = admissibility(sigma, recipe.rho_b, m, omega_grid).pairing
-        scale = weighted_omega_inner(
-            np.abs(sigma.spectral_values(omega_grid)),
-            np.abs(recipe.rho_a.spectral_values(omega_grid)), m, omega_grid).real
-        if abs(pa) <= 1e-8 * max(1.0, scale) or abs(pb) <= 1e-8 * max(1.0, scale):
+        ra = admissibility(sigma, recipe.rho_a, m, omega_grid)
+        rb = admissibility(sigma, recipe.rho_b, m, omega_grid)
+        if ra.numerically_zero or rb.numerically_zero:
             raise DomainError("recipe (ii) needs two admissible inputs with nonzero pairings")
-        va = recipe.rho_a.spectral_values(omega_grid) / np.conj(pa)
-        vb = recipe.rho_b.spectral_values(omega_grid) / np.conj(pb)
+        va = recipe.rho_a.spectral_values(omega_grid) / np.conj(ra.pairing)
+        vb = recipe.rho_b.spectral_values(omega_grid) / np.conj(rb.pairing)
         vals = va - vb
         nrm = weighted_omega_norm(vals, m, omega_grid)
         if nrm > 0:
             vals = vals / nrm
         return _interp_profile(f"diff({recipe.rho_a.name},{recipe.rho_b.name})",
-                               omega_grid, vals,
-                               notes="difference of unit-pairing profiles, unit weighted norm")
+                               omega_grid, vals)
 
     if isinstance(recipe, LinearCombination):
         va = recipe.rho_a.spectral_values(omega_grid)
@@ -170,9 +131,7 @@ def make_nonadmissible(sigma: Profile1D, recipe) -> Profile1D:
         if nrm > 1e-14:
             vals = vals / nrm
         return _interp_profile(f"lincomb({recipe.rho_a.name},{recipe.rho_b.name})",
-                               omega_grid, vals,
-                               notes=f"α={recipe.alpha:g}, β={recipe.beta:g}, normalized "
-                                     "when nonzero")
+                               omega_grid, vals)
 
     raise DomainError(f"unknown recipe {type(recipe).__name__}")
 
@@ -278,8 +237,7 @@ def structure_decompose(op: NetworkOperator, gamma: ParamDistribution,
         rho_vals = rho_tilde / n_i
         c_i = np.sqrt(2.0 * np.pi) * (2.0 * np.pi) ** (-m) * n_i
         coeffs.append(complex(c_i))
-        rhos.append(_interp_profile(f"ghost_rho_{i}", omega_grid, rho_vals,
-                                    notes="extracted ghost profile, unit weighted norm"))
+        rhos.append(_interp_profile(f"ghost_rho_{i}", omega_grid, rho_vals))
         synth_spec += (c_i / np.sqrt(2.0 * np.pi)) * ehat * np.conj(rho_vals)[None, :]
     synth = _spectrum_to_b(synth_spec, op.param_grid, omega_grid)
     residual = l2_norm(ghost - synth)

@@ -10,7 +10,8 @@ The workhorse families:
     machinery),
   * ReLU (real evaluator only; spectral pairings reject it),
   * Hermite functions as the orthonormal system of L²(ℝ),
-  * Gram–Schmidt in the |ω|^{-m}-weighted spectral inner product.
+  * Gram–Schmidt in the |ω|^{-m}-weighted spectral inner product,
+  * the admissibility pairing ⟨⟨σ,ρ⟩⟩ and the one rule that calls it zero.
 """
 from __future__ import annotations
 
@@ -81,7 +82,6 @@ class Profile1D:
     real_eval: Callable[[np.ndarray], np.ndarray] | None = None
     spectral_eval: Callable[[np.ndarray], np.ndarray] | None = None
     parity: str = PARITY_NONE
-    notes: str = ""
 
     def __post_init__(self):
         if self.real_eval is None and self.spectral_eval is None:
@@ -105,8 +105,7 @@ class Profile1D:
         re = None if self.real_eval is None else (lambda b, f=self.real_eval: k * np.asarray(f(b)))
         sp = None if self.spectral_eval is None else (
             lambda w, f=self.spectral_eval: c * np.asarray(f(w)))
-        return Profile1D(name or f"{c:g}*{self.name}", re, sp, self.parity,
-                         self.notes + f" [scaled by {c:.6g}]")
+        return Profile1D(name or f"{c:g}*{self.name}", re, sp, self.parity)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,8 @@ def dawson_derivative(x, k: int, scale: float = 1.0):
         ob = flat_out[start:start + _EVAL_BLOCK]
         ob[...] = _horner(xb, P)
         ob *= dawsn(xb)
-        ob += _horner(xb, Q)
+        if k:  # Q₀ = 0: adding it would turn F(−0) = −0 into +0
+            ob += _horner(xb, Q)
     return out
 
 
@@ -171,52 +171,41 @@ def dawson_derivative(x, k: int, scale: float = 1.0):
 _RHO0_CONST = 1j * np.sqrt(2.0) / np.pi
 
 
-def rho0_profile() -> Profile1D:
-    return Profile1D(
-        name="rho0",
-        real_eval=lambda b: _RHO0_CONST * dawsn(np.asarray(b, dtype=float) / np.sqrt(2.0)),
-        spectral_eval=lambda w: np.sign(w) * _gauss(w) + 0.0j,
-        parity=PARITY_ODD,
-        notes="Hilbert transform of the unit Gaussian; real domain (i/π)·√2·F(b/√2); "
-              "not in the weighted space at m=1 (log-divergent norm), carries no c_k",
-    )
-
-
-def _rho_k_unnormalized(k: int, scale: float = 1.0) -> Profile1D:
-    """k-th derivative of the (scale-s) Dawson reference: spectrum
-    (iω)^k sign(ω) e^{-(sω)²/2}, real domain s^{-(k+1)} ρ₀^{(k)}(b/s)."""
-
-    def spec(w, k=k, s=scale):
-        w = np.asarray(w, dtype=float)
-        return (1j * w) ** k * np.sign(w) * _gauss(s * w)
-
-    return Profile1D(
-        name=f"rho0_d{k}" if scale == 1.0 else f"rho0_d{k}@s={scale:g}",
-        real_eval=_rho_k_real(k, scale, 1.0), spectral_eval=spec,
-        parity=PARITY_EVEN if k % 2 == 1 else PARITY_ODD,
-        notes=f"unnormalized k={k} derivative of rho0" + (
-            "" if scale == 1.0 else f" at Gaussian scale {scale:g}"),
-    )
-
-
-def _rho_k_real(k: int, scale: float, c: complex):
-    """Real-domain evaluator of c·ρ₀^{(k)} at Gaussian scale s: one scalar
+def dawson_profile(name: str, k: int, c: complex = 1.0, scale: float = 1.0) -> Profile1D:
+    """c·ρ₀^{(k)} at Gaussian scale s: spectrum c·(iω)^k sign(ω) e^{−(sω)²/2},
+    real domain c·s^{−(k+1)} ρ₀^{(k)}(b/s), which is one scalar
     c·(i√2/π)·2^{−k/2}·s^{−(k+1)} times F^{(k)}(b/(s√2)). When that scalar is
-    real (c purely imaginary, as for every c_k against tanh) the evaluator
-    returns float arrays."""
+    real (c purely imaginary, as for every c_k against tanh) the real evaluator
+    returns float arrays. The spectrum is multiplied by c only when c ≠ 1."""
     const = complex(c) * _RHO0_CONST * 2.0 ** (-k / 2.0) * scale ** (-(k + 1))
     if const.imag == 0.0:
         const = const.real
-    arg_scale = scale * np.sqrt(2.0)
 
     def real(b):
-        vals = dawson_derivative(b, k, scale=arg_scale)
+        vals = dawson_derivative(b, k, scale=scale * np.sqrt(2.0))
         if isinstance(const, float):
             vals *= const
             return vals
         return const * vals
 
-    return real
+    def spec(w):
+        w = np.asarray(w, dtype=float)
+        vals = (1j * w) ** k * np.sign(w) * _gauss(scale * w)
+        return vals if c == 1.0 else c * vals
+
+    return Profile1D(name, real, spec, PARITY_EVEN if k % 2 == 1 else PARITY_ODD)
+
+
+def rho0_profile() -> Profile1D:
+    """ρ₀♯(ω) = sign(ω)e^{−ω²/2}, the Hilbert transform of the unit Gaussian; its
+    weighted norm diverges at m = 1, so it carries no c_k."""
+    return dawson_profile("rho0", 0)
+
+
+def _rho_k_unnormalized(k: int, scale: float = 1.0) -> Profile1D:
+    """ρ₀^{(k)} at Gaussian scale s, the seed of the ρ_k family."""
+    return dawson_profile(f"rho0_d{k}" if scale == 1.0 else f"rho0_d{k}@s={scale:g}", k,
+                          scale=scale)
 
 
 def tanh_profile() -> Profile1D:
@@ -227,20 +216,13 @@ def tanh_profile() -> Profile1D:
                 "tanh spectrum is a principal value at ω = 0; use a straddling grid")
         return -1j * np.pi / np.sinh(np.pi * w / 2.0)
 
-    return Profile1D(
-        name="tanh", real_eval=lambda b: np.tanh(np.asarray(b, dtype=float)),
-        spectral_eval=spec, parity=PARITY_ODD,
-        notes="spectrum −iπ/sinh(πω/2); not square-integrable under the |ω|^{-m} weight",
-    )
+    return Profile1D(name="tanh", real_eval=lambda b: np.tanh(np.asarray(b, dtype=float)),
+                     spectral_eval=spec, parity=PARITY_ODD)
 
 
 def relu_profile() -> Profile1D:
-    return Profile1D(
-        name="relu",
-        real_eval=lambda b: np.maximum(np.asarray(b, dtype=float), 0.0),
-        parity=PARITY_NONE,
-        notes="real evaluator only; spectrum is distributional, pairings must reject it",
-    )
+    """Real evaluator only: the spectrum is a distribution, so pairings refuse it."""
+    return Profile1D(name="relu", real_eval=lambda b: np.maximum(np.asarray(b, dtype=float), 0.0))
 
 
 def gaussian_profile(width: float = 1.0, center: float = 0.0) -> Profile1D:
@@ -297,6 +279,48 @@ def pairing(sigma: Profile1D, rho: Profile1D, m: int,
     return weighted_omega_inner(su, ru, m, omega_grid)
 
 
+ANALYTIC_SPECTRA = "analytic_spectra"
+
+
+@dataclass(frozen=True)
+class AdmissibilityReport:
+    pairing: complex
+    method: str
+    parity_forced_zero: bool
+    error_estimate: float
+
+    @property
+    def numerically_zero(self) -> bool:
+        """The one rule for a zero pairing: |p| ≤ max(1e-8, 10·error_estimate)."""
+        return abs(self.pairing) <= max(1e-8, 10.0 * self.error_estimate)
+
+
+def admissibility(sigma: Profile1D, rho: Profile1D, m: int,
+                  omega_grid: Grid | None = None) -> AdmissibilityReport:
+    """Evaluate ⟨⟨σ,ρ⟩⟩ on a straddling grid and report how sure the zero is.
+
+    parity_forced_zero is set when the declared parities make the integrand
+    odd (the symmetric trapezoid sum then cancels to roundoff).
+    """
+    omega_grid = omega_grid or DEFAULT_OMEGA_GRID
+    if sigma.spectral_eval is None or rho.spectral_eval is None:
+        raise UnsupportedProfileError(
+            f"admissibility needs spectra for both {sigma.name!r} and {rho.name!r}")
+    su = sigma.spectral_values(omega_grid)
+    ru = rho.spectral_values(omega_grid)
+    pair = weighted_omega_inner(su, ru, m, omega_grid)
+    total_variation = weighted_omega_inner(np.abs(su), np.abs(ru), m, omega_grid).real
+    ends = np.abs(omega_grid.axis(0)[[0, -1]]) ** float(-m)
+    boundary = float(np.sum(np.abs(su * ru)[[0, -1]] * ends)) * omega_grid.spacing[0]
+    err = 1e-13 * total_variation + boundary
+    # integrand parity: σ♯·conj(ρ♯)·even-weight; equal parities give an even
+    # integrand, mixed parities an odd one that cancels on the symmetric grid.
+    parities = {sigma.parity, rho.parity}
+    forced = (PARITY_NONE not in parities) and (sigma.parity != rho.parity)
+    return AdmissibilityReport(pairing=pair, method=ANALYTIC_SPECTRA,
+                               parity_forced_zero=forced, error_estimate=err)
+
+
 def weighted_space_norm(spec: np.ndarray, m: int, omega_grid: Grid) -> float | None:
     """The weighted norm of spectral samples when they lie in the weighted
     space, else None (tanh and ReLU are not in it).
@@ -321,8 +345,9 @@ def make_rho_family(max_k: int, sigma: Profile1D | None = None) -> list[Profile1
     """ρ₀ … ρ_{max_k} with ρ_k = c_k ρ₀^{(k)}, at m = 1.
 
     c_k makes ⟨⟨σ, ρ_k⟩⟩ = 1 when that pairing is nonzero (admissible k),
-    otherwise c_k normalizes the weighted norm to 1. ρ₀ is the unscaled
-    reference profile. σ defaults to tanh as in the reconstruction study.
+    otherwise (`AdmissibilityReport.numerically_zero`) c_k normalizes the
+    weighted norm to 1. ρ₀ is the unscaled reference profile. σ defaults to
+    tanh as in the reconstruction study.
     """
     if max_k > RHO_MAX_ORDER:
         raise DomainError(f"derivative order capped at {RHO_MAX_ORDER} (series accuracy budget)")
@@ -331,24 +356,12 @@ def make_rho_family(max_k: int, sigma: Profile1D | None = None) -> list[Profile1
     family = [rho0_profile()]
     for k in range(1, max_k + 1):
         raw = _rho_k_unnormalized(k)
-        pair_raw = pairing(sigma, raw, m, omega_grid)
-        norm_raw = weighted_omega_norm(raw.spectral_values(omega_grid), m, omega_grid)
-        scale_of_zero = weighted_omega_inner(
-            np.abs(sigma.spectral_values(omega_grid)), np.abs(raw.spectral_values(omega_grid)),
-            m, omega_grid).real
-        if abs(pair_raw) > 1e-8 * max(1.0, scale_of_zero):
-            c_k = 1.0 / np.conj(pair_raw)
-            how = f"pairing with {sigma.name} normalized to 1"
+        report = admissibility(sigma, raw, m, omega_grid)
+        if report.numerically_zero:
+            c_k = 1j / weighted_omega_norm(raw.spectral_values(omega_grid), m, omega_grid)
         else:
-            c_k = 1j / norm_raw
-            how = "non-admissible; weighted norm normalized to 1"
-        family.append(Profile1D(
-            name=f"rho{k}",
-            real_eval=_rho_k_real(k, 1.0, c_k),
-            spectral_eval=lambda w, f=raw.spectral_eval, c=c_k: c * np.asarray(f(w)),
-            parity=raw.parity,
-            notes=f"c_{k} = {c_k:.9g} ({how})",
-        ))
+            c_k = 1.0 / np.conj(report.pairing)
+        family.append(dawson_profile(f"rho{k}", k, c_k))
     return family
 
 
@@ -429,13 +442,11 @@ def hermite_basis(count: int, grid: Grid) -> BasisFamily:
     )
 
 
-def _interp_profile(name: str, omega_grid: Grid, spec_vals: np.ndarray,
-                    notes: str = "") -> Profile1D:
+def _interp_profile(name: str, omega_grid: Grid, spec_vals: np.ndarray) -> Profile1D:
     """Wrap spectral samples into a Profile1D via the grids' cubic spline
     (0 outside the ω box)."""
     spline = cubic_spline(omega_grid, spec_vals)
-    return Profile1D(name=name, spectral_eval=lambda w: spline(np.asarray(w)[..., None]),
-                     parity=PARITY_NONE, notes=notes)
+    return Profile1D(name=name, spectral_eval=lambda w: spline(np.asarray(w)[..., None]))
 
 
 def orthonormalize_l2m(vectors: Sequence[np.ndarray], m: int,
@@ -493,7 +504,6 @@ def gram_schmidt_l2m(candidates: Sequence[Profile1D], m: int) -> BasisFamily:
     if resid > GRAM_TOLERANCE:
         raise DomainError(f"Gram residual {resid:.2e} exceeds {GRAM_TOLERANCE:g}")
     members = tuple(
-        _interp_profile(f"gs_{i}({cand.name})", omega_grid, v,
-                        notes="Gram-Schmidt output in the weighted product")
+        _interp_profile(f"gs_{i}({cand.name})", omega_grid, v)
         for i, (cand, v) in enumerate(zip(candidates, basis_vals)))
     return BasisFamily(members=members, gram_residual=resid)

@@ -107,6 +107,15 @@ def test_tolerance_failure_exits_3(tmp_path):
     assert (out / "report.json").exists()
 
 
+def test_tolerance_naming_no_metric_is_usage_error(tmp_path, capsys):
+    """A misspelled tolerance used to turn its gate off silently (exit 0).
+    Metric names are known only after the run, so its artifacts are left."""
+    payload = {**BOUND_CONFIG, "tolerances": {"bound_inclusve": 1e-9}}
+    cfg = _write_config(tmp_path, payload)
+    assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "bound_inclusve" in capsys.readouterr().err
+
+
 def _assert_same_outputs(out_a, out_b):
     files_a = sorted(p.name for p in out_a.iterdir())
     assert files_a == sorted(p.name for p in out_b.iterdir())
@@ -256,40 +265,67 @@ def test_bad_reconstruction_config_is_usage_error(tmp_path, capsys, change):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("experiment, params, key", [
-    ("finite-model", {"n_seeds": 2.5}, "params.n_seeds"),
-    ("finite-model", {"p_values": [100, True]}, "params.p_values"),
-    ("finite-model", {"p_values": 100}, "params.p_values"),
-    ("decompose", {"basis_size": 2}, "params.basis_size"),
-    ("decompose", {"basis_size": 40}, "params.basis_size"),
-    ("decompose", {"terms": 9}, "params.terms"),
-    ("lazy", {"n_trials": 0}, "params.n_trials"),
-    ("bound", {"measure": True, "depth": True}, "params.depth"),
-    ("bound", {**BOUND_CONFIG["params"], "n": 256.5}, "params.n"),
-    ("bound", {"measure": True, "ghost_energy_fraction": 1.5}, "params.ghost_energy_fraction"),
-    ("bound", {"measure": True, "ghost_energy_fraction": -0.1},
+_LAYER = BOUND_CONFIG["params"]["layers"][0]
+
+
+@pytest.mark.parametrize("experiment, change, key", [
+    ("finite-model", {"params": {"n_seeds": 2.5}}, "params.n_seeds"),
+    ("finite-model", {"params": {"p_values": [100, True]}}, "params.p_values"),
+    ("finite-model", {"params": {"p_values": 100}}, "params.p_values"),
+    ("decompose", {"params": {"basis_size": 2}}, "params.basis_size"),
+    ("decompose", {"params": {"basis_size": 40}}, "params.basis_size"),
+    ("decompose", {"params": {"terms": 9}}, "params.terms"),
+    ("lazy", {"params": {"n_trials": 0}}, "params.n_trials"),
+    ("bound", {"params": {"measure": True, "depth": True}}, "params.depth"),
+    ("bound", {"params": {**BOUND_CONFIG["params"], "n": 256.5}}, "params.n"),
+    ("bound", {"params": {"measure": True, "ghost_energy_fraction": 1.5}},
      "params.ghost_energy_fraction"),
-    ("bound", {"measure": True, "ghost_energy_fraction": True},
+    ("bound", {"params": {"measure": True, "ghost_energy_fraction": -0.1}},
      "params.ghost_energy_fraction"),
-    ("bound", {**BOUND_CONFIG["params"], "B": 0}, "params.B"),
-    ("bound", {**BOUND_CONFIG["params"], "B": float("inf")}, "params.B"),
-    ("finite-model", {"epsilon": -1}, "params.epsilon"),
-    ("finite-model", {"epsilon": float("nan")}, "params.epsilon"),
-    ("finite-model", {"epsilon": "0.5"}, "params.epsilon"),
-    ("finite-model", {"delta_shape": "box"}, "params.delta_shape"),
+    ("bound", {"params": {"measure": True, "ghost_energy_fraction": True}},
+     "params.ghost_energy_fraction"),
+    ("bound", {"params": {**BOUND_CONFIG["params"], "B": 0}}, "params.B"),
+    ("bound", {"params": {**BOUND_CONFIG["params"], "B": float("inf")}}, "params.B"),
+    ("finite-model", {"params": {"epsilon": -1}}, "params.epsilon"),
+    ("finite-model", {"params": {"epsilon": float("nan")}}, "params.epsilon"),
+    ("finite-model", {"params": {"epsilon": "0.5"}}, "params.epsilon"),
+    ("finite-model", {"params": {"delta_shape": "box"}}, "params.delta_shape"),
+    ("admissibility", {"profiles": {"sigma": "gauss_dx"}}, "profiles.sigma"),
+    ("admissibility", {"profiles": {"sigma": 3}}, "profiles.sigma"),
+    ("admissibility", {"profiles": {"sigma": "gauss_d-1"}}, "profiles.sigma"),
+    ("decompose", {"grids": {"input": [-8.0, 8.0]}}, "grids.input"),
+    ("decompose", {"grids": {"input": [8.0, -8.0, 161]}}, "grids.input"),
+    ("decompose", {"grids": {"param": [[-12.0, -48.0], [12.0], [241, 257]]}}, "grids.param"),
+    ("bound", {"params": {"layers": [{**_LAYER, "M": -1.0}]}}, "params.layers[0].M"),
+    ("bound", {"params": {"layers": [{"M": 1.0, "V": 4.0}]}}, "params.layers[0]"),
+    ("bound", {"params": {"layers": [{**_LAYER, "G_exclusive": 2.5}]}},
+     "params.layers[0].G_exclusive"),
+    ("bound", {"params": {"layers": "M=1"}}, "params.layers"),
+    ("bound", {"params": {"layers": [{**_LAYER, "M": "1"}]}}, "params.layers[0].M"),
+    ("bound", {**BOUND_CONFIG, "tolerances": 5}, "tolerances"),
+    ("bound", {**BOUND_CONFIG, "tolerances": {"bound_inclusive": "1e-9"}}, "tolerances"),
 ], ids=["n-seeds-float", "p-bool", "p-scalar", "basis-2", "basis-above-grid",
         "terms-above-basis", "trials-0", "depth-bool", "n-float", "fraction-above-1",
         "fraction-neg", "fraction-bool", "B-0", "B-inf", "epsilon-neg", "epsilon-nan",
-        "epsilon-str", "delta-box"])
-def test_bad_integer_setting_is_usage_error(tmp_path, capsys, experiment, params, key):
+        "epsilon-str", "delta-box", "sigma-order-str", "sigma-int", "sigma-order-neg",
+        "grid-two-entries", "grid-reversed", "grid-axes-disagree", "layer-M-neg",
+        "layer-keys-missing", "layer-exclusive-above-inclusive", "layers-str",
+        "layer-M-str", "tolerances-scalar", "tolerance-str"])
+def test_bad_integer_setting_is_usage_error(tmp_path, capsys, experiment, change, key):
     """Every integer setting is read by one checked reader, and every real one
     by another (finite, in range); delta_shape must name a shape. A bad value
     exits 2 with the setting's name, before any work. n_seeds = 2.5 used to
     run 2 seeds and echo 2.5; ghost_energy_fraction = 1.5 ended in a
     DataError traceback; basis_size = 40 (more Hermite functions than the
     input grid holds), epsilon = −1, delta_shape = "box" and B = 0 in
-    DomainError tracebacks."""
-    cfg = _write_config(tmp_path, {"experiment": experiment, "params": params})
+    DomainError tracebacks. So did a malformed profiles.sigma, grid spec,
+    params.layers entry or tolerances map: "gauss_dx" in a ValueError, 3 in
+    an AttributeError, a two-entry grid in a ValueError, a reversed one and
+    M = −1 in DomainErrors, missing layer keys, a string for the layers and a
+    string M in TypeErrors, a scalar tolerances in an AttributeError; and
+    "gauss_d-1" ran with gauss_d1's real evaluator beside the spectrum
+    (iω)^{−1}√(2π)e^{−ω²/2}."""
+    cfg = _write_config(tmp_path, {"experiment": experiment, **change})
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

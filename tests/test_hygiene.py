@@ -14,6 +14,9 @@
 - Every backticked identifier in a `ghostlet` docstring or comment names
   something `src/` defines, reads or imports, so no text points at a name
   that is gone.
+- Every field of a `ghostlet` dataclass is read somewhere in `src/` or
+  `tests/` outside its own class body, so no field is only written. A class
+  that serializes itself with `dataclasses.asdict` reads all its fields.
 """
 import ast
 import io
@@ -242,3 +245,36 @@ def test_docs_name_only_what_the_source_has():
              and not set(name.split(".")) <= known]
     assert not stale, f"docs name what src/ does not define, read or import: {', '.join(stale)}"
 
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _serializes_itself(cls: ast.ClassDef) -> bool:
+    return any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "asdict"
+               for node in ast.walk(cls))
+
+
+def test_every_dataclass_field_is_read():
+    """A field is read where an attribute of its name is loaded; reads inside
+    the field's own class body (a method passing it on) do not count."""
+    reads: dict[str, list[tuple[Path, int]]] = {}
+    for path in sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)) \
+                    or _serializes_itself(cls):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    field = stmt.target.id
+                    if all(where == path and cls.lineno <= line <= cls.end_lineno
+                           for where, line in reads.get(field, ())):
+                        unread.append(f"{path.stem}.{cls.name}.{field}")
+    assert not unread, f"dataclass fields nothing reads outside their class: {', '.join(unread)}"

@@ -79,8 +79,12 @@ class TestRecipes:
         assert abs(pairing(op3.sigma, out, 1)) <= 1e-8
 
     def test_normalized_difference_rejects_ghost_inputs(self, op3, rho_family5):
-        with pytest.raises(DomainError):
-            make_nonadmissible(op3.sigma, NormalizedDifference(rho_family5[1], rho_family5[3]))
+        """Each input is judged by its own pairing: an admissible ρ_a does not
+        let a non-admissible ρ_b through."""
+        for a, b in ((1, 3), (2, 3)):
+            with pytest.raises(DomainError):
+                make_nonadmissible(op3.sigma,
+                                   NormalizedDifference(rho_family5[a], rho_family5[b]))
 
     def test_disjoint_support(self, op3):
         out = make_nonadmissible(op3.sigma, DisjointSupport())

@@ -229,7 +229,7 @@ def test_rho_k_real_evaluators_keep_the_divided_argument_form(k):
     """ρ_k's evaluator passes b/(s√2) to `dawson_derivative` as a scale; it
     gives the bits of const·F^{(k)}(b/(s√2)) with the argument divided first,
     for a real scalar (c purely imaginary, as against tanh) and a complex one."""
-    from ghostlet.profiles import _RHO0_CONST, _rho_k_real, dawson_derivative
+    from ghostlet.profiles import _RHO0_CONST, dawson_derivative, dawson_profile
 
     b = np.random.default_rng(k).uniform(-40.0, 40.0, (145, 301))
     for scale in (1.0, 0.5, 1.7):
@@ -238,8 +238,134 @@ def test_rho_k_real_evaluators_keep_the_divided_argument_form(k):
             if const.imag == 0.0:
                 const = const.real
             want = const * dawson_derivative(b / (scale * np.sqrt(2.0)), k)
-            got = _rho_k_real(k, scale, c)(b)
+            got = dawson_profile("rho", k, c, scale).real_eval(b)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (scale, c)
+
+
+# The Dawson-family evaluators as they were before one builder made them all:
+# ρ₀ with its own lambdas, the seeds ρ₀^{(k)} from their own spectrum, and
+# ρ_k = c_k·ρ₀^{(k)} from the seed's spectrum times c_k. They are the
+# reference that `dawson_profile` must reproduce bit for bit.
+def _reference_rho0_real(b):
+    from ghostlet.profiles import _RHO0_CONST
+
+    return _RHO0_CONST * dawsn(np.asarray(b, dtype=float) / np.sqrt(2.0))
+
+
+def _reference_rho0_spec(w):
+    return np.sign(w) * _gauss(w) + 0.0j
+
+
+def _reference_real(k, scale, c):
+    from ghostlet.profiles import _RHO0_CONST, dawson_derivative
+
+    const = complex(c) * _RHO0_CONST * 2.0 ** (-k / 2.0) * scale ** (-(k + 1))
+    if const.imag == 0.0:
+        const = const.real
+
+    def real(b):
+        vals = dawson_derivative(b, k, scale=scale * np.sqrt(2.0))
+        if isinstance(const, float):
+            vals *= const
+            return vals
+        return const * vals
+
+    return real
+
+
+def _reference_seed_spec(k, scale, w):
+    w = np.asarray(w, dtype=float)
+    return (1j * w) ** k * np.sign(w) * _gauss(scale * w)
+
+
+def _reference_zero(sigma, raw, omega_grid=DEFAULT_OMEGA_GRID):
+    """The second zero-pairing rule, |p| ≤ 1e-8·max(1, ⟨|σ♯|, |ρ♯|⟩)."""
+    su, ru = sigma.spectral_values(omega_grid), raw.spectral_values(omega_grid)
+    tv = weighted_omega_inner(np.abs(su), np.abs(ru), 1, omega_grid).real
+    return abs(weighted_omega_inner(su, ru, 1, omega_grid)) <= 1e-8 * max(1.0, tv)
+
+
+def _unit_sigmas():
+    """tanh, the Gaussian, a shifted Gaussian and gauss_d1..gauss_d4 made unit
+    by `make_operator`."""
+    from ghostlet import make_operator
+
+    grid_a, grid_x = Grid((-1.0, -1.0), (1.0, 1.0), (3, 3)), Grid.line(-1.0, 1.0, 3)
+    return [tanh_profile(), gaussian_profile(), gaussian_profile(center=0.5)] + [
+        make_operator(gaussian_derivative_profile(k), grid_a, grid_x).sigma for k in (1, 2, 3, 4)]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+B_SIGNED_ZEROS = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-0.0, 0.0]])
+
+
+def test_dawson_builder_reproduces_rho0_and_the_seeds_bit_for_bit():
+    """ρ₀ is the builder at k = 0, c = 1; each seed ρ₀^{(k)} (k = 1..8, at
+    three scales) is the builder at c = 1. Real evaluators on a b grid with
+    ±0, spectra on `DEFAULT_OMEGA_GRID`, signed zeros included. The seeds'
+    spectra also hold on |ω| ≤ 200, where the floored Gaussian leaves signed
+    zeros that a multiply by c = 1 would flip; ρ₀'s old `+ 0.0j` made those
+    +0, so ρ₀ is compared on the default grid only."""
+    w = DEFAULT_OMEGA_GRID.axis(0)
+    w_wide = np.concatenate([w, X_WIDE])
+    rho0 = rho0_profile()
+    assert (rho0.name, rho0.parity) == ("rho0", "odd")
+    assert _same_bits(rho0.real_eval(B_SIGNED_ZEROS), _reference_rho0_real(B_SIGNED_ZEROS))
+    assert _same_bits(rho0.spectral_eval(w), _reference_rho0_spec(w))
+    for k in range(1, 9):
+        for scale in (1.0, 0.5, 1.7):
+            seed = _rho_k_unnormalized(k, scale)
+            assert seed.parity == ("even" if k % 2 else "odd")
+            assert _same_bits(seed.real_eval(B_SIGNED_ZEROS),
+                              _reference_real(k, scale, 1.0)(B_SIGNED_ZEROS)), (k, scale)
+            assert _same_bits(seed.spectral_eval(w_wide),
+                              _reference_seed_spec(k, scale, w_wide)), (k, scale)
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_rho_family_members_are_the_builder_at_c_k_bit_for_bit(index):
+    """ρ_k = c_k·ρ₀^{(k)} for k = 1..8 against each of seven activations: c_k
+    from the old rule (pairing 1 when it is nonzero, else unit weighted norm),
+    and evaluators equal to the seed's spectrum times c_k and to the real
+    evaluator at c_k, bit for bit."""
+    sigma = _unit_sigmas()[index]
+    w = DEFAULT_OMEGA_GRID.axis(0)
+    family = make_rho_family(8, sigma=sigma)
+    assert _same_bits(family[0].spectral_eval(w), _reference_rho0_spec(w))
+    for k in range(1, 9):
+        raw = _rho_k_unnormalized(k)
+        raw_vals = raw.spectral_values(DEFAULT_OMEGA_GRID)
+        if _reference_zero(sigma, raw):
+            c_k = 1j / weighted_omega_norm(raw_vals, 1, DEFAULT_OMEGA_GRID)
+        else:
+            c_k = 1.0 / np.conj(pairing(sigma, raw, 1))
+        member = family[k]
+        assert (member.name, member.parity) == (f"rho{k}", raw.parity)
+        assert _same_bits(member.spectral_eval(w), c_k * _reference_seed_spec(k, 1.0, w)), k
+        assert _same_bits(member.real_eval(B_SIGNED_ZEROS),
+                          _reference_real(k, 1.0, c_k)(B_SIGNED_ZEROS)), k
+
+
+def test_numerically_zero_is_the_old_rule_on_the_dawson_family():
+    """`AdmissibilityReport.numerically_zero`, now the only zero-pairing rule,
+    agrees with the retired 1e-8·max(1, ⟨|σ♯|, |ρ♯|⟩) rule on all 56 pairs of
+    seven activations and the seeds k = 1..8, with a wide gap between the
+    zero pairings and the others."""
+    from ghostlet import admissibility
+
+    zeros, nonzeros = [], []
+    for sigma in _unit_sigmas():
+        for k in range(1, 9):
+            raw = _rho_k_unnormalized(k)
+            report = admissibility(sigma, raw, 1)
+            assert report.numerically_zero == _reference_zero(sigma, raw), (sigma.name, k)
+            (zeros if report.numerically_zero else nonzeros).append(abs(report.pairing))
+    assert len(zeros) + len(nonzeros) == 56 and zeros and nonzeros
+    assert max(zeros) <= 1e-12 and min(nonzeros) >= 0.5
 
 
 def test_tanh_spectrum_singular_at_zero():
