@@ -4,21 +4,23 @@ One protocol serves every subcommand. A runner takes an ExperimentConfig,
 computes its metrics, writes its machine-readable artifacts (CSV
 curves/matrices, JSON tables, PGM heatmaps) under the output directory, and
 returns `(metrics, artifacts)`. `run_subcommand` alone turns that into a
-RunReport echoing the fully resolved configuration: it writes `report.json`,
-checks that every artifact exists and enforces the configured tolerances.
+RunReport echoing the config as given (`config_echo`, without the defaults
+the run used): it writes `report.json`, checks that every artifact exists
+and enforces the configured tolerances.
 Settings are read through checked readers (`_int_setting`, `_float_setting`,
 `_grid_setting`), so a bool, a non-integral count, a non-finite number or a
 value out of range is a UsageError that names the setting, before any work.
+So is a setting the run never reads (misspelled, or made moot by another),
+once the run is done.
 
 Reruns with the same config and seed are byte-identical, whatever the core
-count and the BLAS thread count: every random draw is taken at a fixed
-offset of its generator's stream, either on the calling thread in a fixed
-order or, for a Monte Carlo ridgelet row, on its worker at an offset set by
-the row's index (`_mc_ridgelet_field`, into buffers each worker keeps); the
-blocks that run on worker threads (`parallel._block_map`, which may call the
-pinned BLAS) are cut by array sizes alone; and partial sums are added in
-block order. A Monte Carlo S curve is a uniformly drawn finite model
-(`point_mass_network`).
+count and the BLAS thread count: every random draw comes from a stream that
+the seed fixes, on the calling thread in a fixed order or, for a Monte Carlo
+ridgelet row, from the row's own child stream (`_mc_ridgelet_field`, into
+buffers each worker keeps); the blocks that run on worker threads
+(`parallel._block_map`, which may call the pinned BLAS) are cut by array
+sizes alone; and partial sums are added in block order. A Monte Carlo S
+curve is a uniformly drawn finite model (`point_mass_network`).
 """
 from __future__ import annotations
 
@@ -67,6 +69,7 @@ from .nullspace import (
 from .profiles import (
     _EVAL_BLOCK,
     DEFAULT_OMEGA_GRID,
+    GAUSS_D_MAX_ORDER,
     RHO_MAX_ORDER,
     AdmissibilityReport,
     Profile1D,
@@ -88,6 +91,9 @@ from .transforms import (
     ridgelet,
     ridgelet_fourier,
 )
+
+_SECTIONS = ("grids", "profiles", "quadrature", "params")  # a run reads each key given
+
 
 class UsageError(ValueError):
     """Bad configuration or unknown experiment (CLI exit code 2)."""
@@ -112,6 +118,9 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise UsageError(
                 f"unknown experiment {self.experiment!r}; valid: {', '.join(EXPERIMENTS)}")
+        bad = [name for name in _SECTIONS if not isinstance(getattr(self, name), dict)]
+        if bad:
+            raise UsageError(f"config sections {bad} must map setting names to values")
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -123,9 +132,6 @@ class ExperimentConfig:
             raise UsageError("config must name an experiment")
         return ExperimentConfig(**data)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class RunReport:
@@ -135,15 +141,12 @@ class RunReport:
     config_echo: dict
     version: str = __version__
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def finish(self, out_dir: Path, tolerances: dict) -> "RunReport":
         """Write the report, verify artifacts exist, enforce tolerances."""
         for name, value in self.metrics.items():
             if not np.isfinite(value):
                 raise AccuracyFailure(f"metric {name} is not finite")
-        path = write_json(out_dir / "report.json", self.to_dict())
+        path = write_json(out_dir / "report.json", dataclasses.asdict(self))
         self.artifacts.append(path)
         for artifact in self.artifacts:
             if not Path(artifact).exists():
@@ -231,11 +234,6 @@ def _rel_l2(u: SampledFunction, v: SampledFunction) -> float:
 # Appendix-style reconstruction study
 
 
-# Bit generators whose `advance(n)` moves the stream by exactly n 64-bit
-# outputs, one per float64 that `Generator.random` draws.
-_ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
-
-
 def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
                        x_hi: float, n_per_node: int, rng) -> np.ndarray:
     """R[f;ρ] on the grid by per-node Monte Carlo over x:
@@ -244,13 +242,9 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
     printed ΔxΣ/n form).
 
     The rows are computed on `_block_map`, one a-node per block. Row i draws
-    its uniforms at the fixed offset i·n_b·n of `rng`'s stream: its worker
-    copies `rng`'s state and advances the copy there, so the field is the one
-    that drawing every row in node order on the calling thread gives, bit for
-    bit. Afterwards `rng` is advanced past all the rows, to the state that
-    those draws leave. This needs a bit generator that can jump ahead
-    exactly (PCG64, PCG64DXSM); any other is refused, since it would give a
-    different stream. The field is real when f and ρ are.
+    its uniforms from its own child stream, `rng.spawn(len(a))[i]`, so the
+    field does not depend on which thread computes which row, and `rng`'s
+    own stream is left where it was. The field is real when f and ρ are.
 
     Each worker keeps its draw and argument buffers across its rows: the
     sort, the scale and a·x − b run in place, and f(x)·conj(ρ) and the node
@@ -266,28 +260,19 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
     monotone arguments those branches are predicted: on one 145 × 4000 row
     ρ₂ took 28.5 → 10.7 ms and sin(2πx) 20.6 → 8.7 ms, for a 4.0 ms sort
     (one thread, 2-vCPU Xeon, numpy 2.4.6, scipy 1.17.1)."""
-    bit_gen = rng.bit_generator
-    if not isinstance(bit_gen, _ADVANCEABLE):
-        raise TypeError(f"_mc_ridgelet_field draws each row at a fixed offset of the stream, "
-                        f"which {type(bit_gen).__name__} cannot jump to; use a PCG64 or "
-                        f"PCG64DXSM generator (np.random.default_rng)")
     a = param_grid.axis(0)
     b = param_grid.axis(1)[:, None]
     measure = x_hi - x_lo
-    start = bit_gen.state
-    row_draws = len(b) * n_per_node
+    streams = rng.spawn(len(a))
     chunk = max(1, _EVAL_BLOCK // n_per_node)  # b-nodes per f(x)·conj(ρ) pass
     buffers = threading.local()
 
     def row(i):
-        if not hasattr(buffers, "gen"):
-            buffers.gen = np.random.Generator(type(bit_gen)())
+        if not hasattr(buffers, "xs"):
             buffers.xs = np.empty((len(b), n_per_node))
             buffers.arg = np.empty_like(buffers.xs)
-        gen, xs, arg = buffers.gen, buffers.xs, buffers.arg
-        gen.bit_generator.state = start
-        gen.bit_generator.advance(i * row_draws)
-        gen.random(out=xs)
+        xs, arg = buffers.xs, buffers.arg
+        streams[i].random(out=xs)
         xs.sort(axis=1)
         xs *= x_hi - x_lo  # in place: the same values as x_lo + (x_hi − x_lo)·u
         xs += x_lo
@@ -301,12 +286,7 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
             means.append(measure * np.mean(f_eval(xs[j:j + chunk]) * rj, axis=1))
         return np.concatenate(means)
 
-    field = np.stack(list(_block_map(row, range(len(a)))))
-    bit_gen.advance(len(a) * row_draws)
-    end = bit_gen.state  # `advance` clears the 32-bit buffer; the draws keep it
-    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
-    bit_gen.state = end
-    return field
+    return np.stack(list(_block_map(row, range(len(a)))))
 
 
 def _box_gain(sigma: Profile1D, rho: Profile1D, xi0: float, a_half: float) -> float:
@@ -326,12 +306,11 @@ def _reconstruction_study(cfg: ExperimentConfig):
     f(x) = sin(2πx) on [−1,1], σ = tanh, the Dawson family ρ₁..ρ₄ on
     (a,b) ∈ [−6,6]², pointwise Monte Carlo quadrature (the standard unbiased
     (measure/n)·Σ estimator with fresh per-node draws; the printed (1/n)ΔxΣ
-    form is scale-inconsistent and is not used). Each node's draws are
-    evaluated in sorted order: the mean does not depend on it, and the range
-    branches of `dawsn` and `sin` are then predicted, which more than halves
-    their cost (`_mc_ridgelet_field`). The curve S[γ] is a finite model of
-    `s_samples` neurons drawn uniformly in the (a, b) box, weighted by
-    γ·volume (`sample_parameters`, `point_mass_network`).
+    form is scale-inconsistent and is not used). Each k's generator, seeded
+    `seed + 1000·k`, spawns the field's row streams (`_mc_ridgelet_field`)
+    and then draws the curve S[γ]: a finite model of `s_samples` neurons
+    drawn uniformly in the (a, b) box, weighted by γ·volume
+    (`sample_parameters`, `point_mass_network`).
 
     Emits per k: the ridgelet spectrum (CSV + PGM; not for reconstruct), the
     reconstruction curve (CSV; not for spectrum), an admissibility entry
@@ -434,7 +413,7 @@ def run_admissibility(cfg: ExperimentConfig):
 
 
 def _named_sigma(cfg: ExperimentConfig, default: str) -> Profile1D:
-    """`profiles.sigma`: "tanh", "gaussian" or "gauss_d<k>" with an integer k ≥ 0."""
+    """`profiles.sigma`: "tanh", "gaussian" or "gauss_d<k>", 0 ≤ k ≤ `GAUSS_D_MAX_ORDER`."""
     name = cfg.profiles.get("sigma", default)
     if name == "tanh":
         return tanh_profile()
@@ -443,7 +422,8 @@ def _named_sigma(cfg: ExperimentConfig, default: str) -> Profile1D:
     if isinstance(name, str) and name.startswith("gauss_d"):
         order = name.removeprefix("gauss_d")
         return gaussian_derivative_profile(_int_setting(
-            int(order) if order.isdecimal() else order, "profiles.sigma derivative order", lo=0))
+            int(order) if order.isdecimal() else order, "profiles.sigma derivative order",
+            lo=0, hi=GAUSS_D_MAX_ORDER))
     raise UsageError(f"profiles.sigma must be tanh, gaussian or gauss_d<k>, not {name!r}")
 
 
@@ -667,18 +647,36 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
+class _ReadKeys(dict):
+    """A config section that records the keys a runner reads with `get`."""
+
+    def __init__(self, section: dict):
+        super().__init__(section)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def run_subcommand(cfg: ExperimentConfig) -> RunReport:
     """Run `cfg.experiment`; then write its report.json, check that every
-    artifact exists and enforce `cfg.tolerances` (metric name → finite limit;
-    a name the run did not report is refused once the run has named them)."""
+    artifact exists and enforce `cfg.tolerances` (metric name → finite limit).
+    A tolerance naming a metric the run did not report, and a setting in
+    `_SECTIONS` that it did not read, are refused once the run is done."""
     tolerances = cfg.tolerances
     if not (isinstance(tolerances, dict)
             and all(isinstance(k, str) and _finite_number(v) for k, v in tolerances.items())):
         raise UsageError(f"tolerances must map metric names to finite numbers, "
                          f"not {tolerances!r}")
-    metrics, artifacts = _RUNNERS[cfg.experiment](cfg)
+    sections = {name: _ReadKeys(getattr(cfg, name)) for name in _SECTIONS}
+    metrics, artifacts = _RUNNERS[cfg.experiment](dataclasses.replace(cfg, **sections))
+    unread = sorted(f"{name}.{key}" for name, section in sections.items()
+                    for key in section.keys() - section.read)
+    if unread:
+        raise UsageError(f"settings this run does not read: {unread}")
     unknown = sorted(set(tolerances) - set(metrics))
     if unknown:
         raise UsageError(f"tolerances name metrics this run does not report: {unknown}")
-    return RunReport(cfg.experiment, metrics, artifacts, cfg.to_dict()).finish(
+    return RunReport(cfg.experiment, metrics, artifacts, dataclasses.asdict(cfg)).finish(
         Path(cfg.output_dir), tolerances)

@@ -60,12 +60,12 @@ from .transforms import (
     ridgelet_fourier,
 )
 
+_SUPPORT_TOL = 1e-10  # recipe (i): |σ♯| at most this share of its peak is no support
+
+
 @dataclass(frozen=True)
 class DisjointSupport:
     """Recipe (i): ρ₀♯ supported where σ♯ has (numerically) no support."""
-    center: float | None = None
-    width: float | None = None
-    support_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -92,18 +92,14 @@ def make_nonadmissible(sigma: Profile1D, recipe) -> Profile1D:
     if isinstance(recipe, DisjointSupport):
         spec = np.abs(sigma.spectral_values(omega_grid))
         peak = float(np.max(spec))
-        outside = np.abs(spec) <= recipe.support_tol * peak
-        usable = outside & (np.abs(omega) > 0.5)
-        if recipe.center is None:
-            if not np.any(usable):
-                raise DomainError(
-                    f"{sigma.name!r} spectrum has no numerically free band on this grid")
-            lo = float(np.min(np.abs(omega[usable])))
-            hi = float(np.max(np.abs(omega)))
-            center = 0.5 * (lo + hi)
-            width = max((hi - lo) / 8.0, 2.0 * omega_grid.spacing[0])
-        else:
-            center, width = recipe.center, recipe.width or 0.5
+        usable = (np.abs(spec) <= _SUPPORT_TOL * peak) & (np.abs(omega) > 0.5)
+        if not np.any(usable):
+            raise DomainError(
+                f"{sigma.name!r} spectrum has no numerically free band on this grid")
+        lo = float(np.min(np.abs(omega[usable])))
+        hi = float(np.max(np.abs(omega)))
+        center = 0.5 * (lo + hi)
+        width = max((hi - lo) / 8.0, 2.0 * omega_grid.spacing[0])
         vals = (np.exp(-((omega - center) ** 2) / (2 * width ** 2))
                 + np.exp(-((omega + center) ** 2) / (2 * width ** 2))) + 0.0j
         vals /= weighted_omega_norm(vals, m, omega_grid)

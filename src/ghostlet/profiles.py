@@ -260,7 +260,9 @@ def _gaussian_derivative_real(b, k: int) -> np.ndarray:
 
 def gaussian_derivative_profile(k: int = 1) -> Profile1D:
     """k-th derivative of the unit Gaussian: d^k/db^k e^{-b²/2} =
-    (−1)^k He_k(b) e^{-b²/2}, spectrum (iω)^k √(2π) e^{-ω²/2}."""
+    (−1)^k He_k(b) e^{-b²/2}, spectrum (iω)^k √(2π) e^{-ω²/2}; 0 ≤ k ≤ `GAUSS_D_MAX_ORDER`."""
+    if not 0 <= k <= GAUSS_D_MAX_ORDER:
+        raise DomainError(f"gauss_d order {k} is outside 0..{GAUSS_D_MAX_ORDER}")
 
     def spec(w, k=k):
         w = np.asarray(w, dtype=float)
@@ -339,6 +341,9 @@ def weighted_space_norm(spec: np.ndarray, m: int, omega_grid: Grid) -> float | N
 
 
 RHO_MAX_ORDER = 8  # the series accuracy budget of ρ₀'s derivatives
+# The last gauss_d<k> whose |ω|^k e^{−ω²/2} at |ω| = 12 (`DEFAULT_OMEGA_GRID`'s edge) is
+# below 1e-10 of its peak: 7.4e-11 at k = 45, 1.3e-10 at 46 (it rises until √k = 12).
+GAUSS_D_MAX_ORDER = 45
 
 
 def make_rho_family(max_k: int, sigma: Profile1D | None = None) -> list[Profile1D]:

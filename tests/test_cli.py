@@ -88,7 +88,7 @@ def test_bound_run_succeeds(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["experiment"] == "bound"
     assert report["metrics"]["bound_exclusive"] <= report["metrics"]["bound_inclusive"]
-    # every artifact exists and the resolved config is echoed in full
+    # every artifact exists and the config is echoed as given
     for artifact in report["artifacts"]:
         assert Path(artifact).exists()
     assert report["config_echo"]["params"]["n"] == 256
@@ -145,9 +145,9 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_monte_carlo_reruns_are_byte_identical(tmp_path):
-    """appendix-c draws each Monte Carlo row at a fixed offset of its
-    generator's stream and sums fixed blocks in order, so its artifacts rerun
-    byte for byte."""
+    """appendix-c draws each Monte Carlo row from its own child stream of a
+    generator the seed fixes and sums fixed blocks in order, so its
+    artifacts rerun byte for byte."""
     cfg = _write_config(tmp_path, SMALL_MONTE_CARLO)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
@@ -155,6 +155,19 @@ def test_monte_carlo_reruns_are_byte_identical(tmp_path):
                      "--out", str(out)]) == 0
     assert (out_a / "reconstruction_rho2.csv").exists()
     _assert_same_outputs(out_a, out_b)
+
+
+def test_each_k_draws_from_its_own_stream(tmp_path):
+    """Each k's field and curve draw only from the generator seeded
+    seed + 1000·k, so ρ₂'s spectrum and reconstruction are the same bytes
+    whether ρ₁ is computed before it or not."""
+    outs = {}
+    for ks in ([2], [1, 2]):
+        outs[len(ks)] = out = tmp_path / str(len(ks))
+        cfg = _write_config(tmp_path, {**SMALL_MONTE_CARLO, "params": {"ks": ks}})
+        assert main(["appendix-c", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+    for name in ("spectrum_rho2.csv", "reconstruction_rho2.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
 
 # Every subcommand; the three of the Monte Carlo study at its small size.
@@ -293,6 +306,9 @@ _LAYER = BOUND_CONFIG["params"]["layers"][0]
     ("admissibility", {"profiles": {"sigma": "gauss_dx"}}, "profiles.sigma"),
     ("admissibility", {"profiles": {"sigma": 3}}, "profiles.sigma"),
     ("admissibility", {"profiles": {"sigma": "gauss_d-1"}}, "profiles.sigma"),
+    ("admissibility", {"profiles": {"sigma": "gauss_d46"}}, "profiles.sigma"),
+    ("admissibility", {"profiles": {"sigma": "gauss_d300"}}, "profiles.sigma"),
+    ("lazy", {"params": [20]}, "params"),
     ("decompose", {"grids": {"input": [-8.0, 8.0]}}, "grids.input"),
     ("decompose", {"grids": {"input": [8.0, -8.0, 161]}}, "grids.input"),
     ("decompose", {"grids": {"param": [[-12.0, -48.0], [12.0], [241, 257]]}}, "grids.param"),
@@ -308,6 +324,7 @@ _LAYER = BOUND_CONFIG["params"]["layers"][0]
         "terms-above-basis", "trials-0", "depth-bool", "n-float", "fraction-above-1",
         "fraction-neg", "fraction-bool", "B-0", "B-inf", "epsilon-neg", "epsilon-nan",
         "epsilon-str", "delta-box", "sigma-order-str", "sigma-int", "sigma-order-neg",
+        "sigma-order-46", "sigma-order-300", "params-list",
         "grid-two-entries", "grid-reversed", "grid-axes-disagree", "layer-M-neg",
         "layer-keys-missing", "layer-exclusive-above-inclusive", "layers-str",
         "layer-M-str", "tolerances-scalar", "tolerance-str"])
@@ -324,11 +341,40 @@ def test_bad_integer_setting_is_usage_error(tmp_path, capsys, experiment, change
     M = −1 in DomainErrors, missing layer keys, a string for the layers and a
     string M in TypeErrors, a scalar tolerances in an AttributeError; and
     "gauss_d-1" ran with gauss_d1's real evaluator beside the spectrum
-    (iω)^{−1}√(2π)e^{−ω²/2}."""
+    (iω)^{−1}√(2π)e^{−ω²/2}. "gauss_d300" ended in an OverflowError, and
+    gauss_d46 ran on a spectrum that has not decayed by |ω| = 12 (above
+    1e-10 of its peak there). A params list ended in an AttributeError."""
     cfg = _write_config(tmp_path, {"experiment": experiment, **change})
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment, change, keys", [
+    ("lazy", {"params": {"n_trial": 1}}, ["params.n_trial"]),
+    ("admissibility", {"profiles": {"sigm": "tanh"}, "grids": {"paramz": [0, 1, 2]}},
+     ["grids.paramz", "profiles.sigm"]),
+    ("bound", {"params": {**BOUND_CONFIG["params"], "measure": True}}, ["params.layers"]),
+    ("bound", {**BOUND_CONFIG, "grids": {"input": [-8.0, 8.0, 161]}}, ["grids.input"]),
+], ids=["lazy-misspelled", "admissibility-misspelled", "bound-layers-moot",
+        "bound-grid-moot"])
+def test_unread_setting_is_usage_error(tmp_path, capsys, experiment, change, keys):
+    """A setting the run never reads exits 2 and names it: a misspelled key,
+    or one another setting makes moot (measure: true builds its own layers;
+    given layers need no testbed grid). `lazy` with n_trial ran the default
+    20 trials and exited 0, and so did each of the others. Settings are
+    known to be unread only once the run is done, so its artifacts are left."""
+    cfg = _write_config(tmp_path, {"experiment": experiment, **change})
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert str(keys) in capsys.readouterr().err
+
+
+def test_gauss_d_at_its_cap_runs_cleanly(tmp_path):
+    """gauss_d45, the highest order whose spectrum has decayed on the ω box,
+    runs `admissibility` without a warning (pytest turns warnings into
+    errors)."""
+    cfg = _write_config(tmp_path, {"profiles": {"sigma": "gauss_d45"}})
+    assert main(["admissibility", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("experiment, params", [

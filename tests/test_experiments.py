@@ -7,12 +7,12 @@ from ghostlet.experiments import ExperimentConfig, _mc_ridgelet_field, run_subco
 
 def _serial_field(f_eval, rho, param_grid, x_lo, x_hi, n_per_node, rng, ordered=True):
     """The per-node Monte Carlo estimator as a plain serial loop: fresh draws
-    per a-node, in node order, each (a, b) node's draws sorted when
-    `ordered` and in draw order otherwise."""
+    per a-node, row i from `rng.spawn(len(a))[i]`, each (a, b) node's draws
+    sorted when `ordered` and in draw order otherwise."""
     a, b = param_grid.axis(0), param_grid.axis(1)
     rows = []
-    for ai in a:
-        u = rng.random((len(b), n_per_node))
+    for ai, stream in zip(a, rng.spawn(len(a))):
+        u = stream.random((len(b), n_per_node))
         if ordered:
             u = np.sort(u, axis=1)
         xs = x_lo + (x_hi - x_lo) * u
@@ -21,28 +21,33 @@ def _serial_field(f_eval, rho, param_grid, x_lo, x_hi, n_per_node, rng, ordered=
     return np.array(rows)
 
 
-@pytest.mark.parametrize("sigma", [tanh_profile(), gaussian_profile(center=0.5)],
-                         ids=["tanh", "gaussian-shifted"])
-def test_mc_ridgelet_field_matches_serial_loop(monkeypatch, sigma):
+@pytest.mark.parametrize("sigma, bit_generator", [
+    (tanh_profile(), np.random.PCG64),
+    (gaussian_profile(center=0.5), np.random.PCG64),
+    (gaussian_profile(center=0.5), np.random.MT19937),
+], ids=["tanh", "gaussian-shifted", "gaussian-shifted-mt19937"])
+def test_mc_ridgelet_field_matches_serial_loop(monkeypatch, sigma, bit_generator):
     """The block-parallel field equals the serial loop over sorted draws bit
-    for bit, and the generator ends in the same state, for a real and a
-    complex ρ. Against the draw-order loop only the summation order of each
-    node's mean differs, so the fields agree to roundoff."""
+    for bit, for a real and a complex ρ, and leaves the generator's own
+    stream where it was. Any bit generator serves, since no row jumps
+    through a stream: MT19937 was refused while rows drew at PCG64 offsets.
+    Against the draw-order loop only the summation order of each node's mean
+    differs, so the fields agree to roundoff."""
     import os
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     rho = make_rho_family(2, sigma=sigma)[2]
     grid = Grid((-6.0, -6.0), (6.0, 6.0), (9, 11))
     f_eval = lambda xs: np.sin(2.0 * np.pi * xs)
-    rng_par, rng_ser = np.random.default_rng(42), np.random.default_rng(42)
+    new_rng = lambda: np.random.Generator(bit_generator(42))
+    rng_par = new_rng()
     got = _mc_ridgelet_field(f_eval, rho, grid, -1.0, 1.0, 50, rng_par)
-    want = _serial_field(f_eval, rho, grid, -1.0, 1.0, 50, rng_ser)
+    want = _serial_field(f_eval, rho, grid, -1.0, 1.0, 50, new_rng())
     assert got.shape == (9, 11)
     assert np.iscomplexobj(got) == np.iscomplexobj(rho.real_eval(np.zeros(1)))
     np.testing.assert_array_equal(got, want)
-    assert rng_par.bit_generator.state == rng_ser.bit_generator.state
-    draw_order = _serial_field(f_eval, rho, grid, -1.0, 1.0, 50,
-                               np.random.default_rng(42), ordered=False)
+    np.testing.assert_equal(rng_par.bit_generator.state, new_rng().bit_generator.state)
+    draw_order = _serial_field(f_eval, rho, grid, -1.0, 1.0, 50, new_rng(), ordered=False)
     assert np.max(np.abs(got - draw_order)) <= 1e-14 * np.max(np.abs(got))
 
 
@@ -73,16 +78,18 @@ def _counted_field(monkeypatch, cores, rng):
 
 
 def test_mc_ridgelet_field_same_bits_inline_and_on_four_workers(monkeypatch):
-    """Each row draws at its own offset of the stream, so the field and the
-    generator's end state do not depend on which thread computes which row:
-    one core computes every row on the calling thread, four cores none."""
+    """Each row draws from its own child stream, so the field does not
+    depend on which thread computes which row (one core computes every row
+    on the calling thread, four cores none), and neither run moves the
+    generator's own stream."""
     import threading
 
     inline_rng, pooled_rng = np.random.default_rng(7), np.random.default_rng(7)
     inline, inline_calls = _counted_field(monkeypatch, 1, inline_rng)
     pooled, pooled_calls = _counted_field(monkeypatch, 4, pooled_rng)
     np.testing.assert_array_equal(inline, pooled)
-    assert inline_rng.bit_generator.state == pooled_rng.bit_generator.state
+    start = np.random.default_rng(7).bit_generator.state
+    assert inline_rng.bit_generator.state == start == pooled_rng.bit_generator.state
     assert set(inline_calls) == {threading.get_ident()}
     assert threading.get_ident() not in pooled_calls
 
@@ -91,31 +98,6 @@ def test_mc_ridgelet_field_evaluates_rho_once_per_a_node(monkeypatch):
     """ρ's evaluator takes a whole a-row (all b-nodes and draws) per call."""
     _, calls = _counted_field(monkeypatch, 4, np.random.default_rng(0))
     assert len(calls) == 9
-
-
-def test_mc_ridgelet_field_keeps_a_pending_32_bit_draw():
-    """`advance` clears PCG64's buffered 32-bit half-draw; the field puts it
-    back, so the generator ends where drawing the rows in order leaves it."""
-    rho = make_rho_family(2)[2]
-    grid = Grid((-6.0, -6.0), (6.0, 6.0), (9, 11))
-    f_eval = lambda xs: np.sin(2.0 * np.pi * xs)
-    rng_par, rng_ser = np.random.default_rng(3), np.random.default_rng(3)
-    for rng in (rng_par, rng_ser):
-        rng.integers(0, 2 ** 32, dtype=np.uint32)
-    assert rng_par.bit_generator.state["has_uint32"] == 1
-    got = _mc_ridgelet_field(f_eval, rho, grid, -1.0, 1.0, 50, rng_par)
-    np.testing.assert_array_equal(got, _serial_field(f_eval, rho, grid, -1.0, 1.0, 50, rng_ser))
-    assert rng_par.bit_generator.state == rng_ser.bit_generator.state
-
-
-def test_mc_ridgelet_field_refuses_a_generator_that_cannot_jump():
-    """MT19937 has no exact advance, so the rows could not draw the stream
-    that the serial loop draws; it is refused by name, before any draw."""
-    rng = np.random.Generator(np.random.MT19937(0))
-    with pytest.raises(TypeError, match="MT19937"):
-        _mc_ridgelet_field(np.sin, make_rho_family(2)[2], Grid((-6.0, -6.0), (6.0, 6.0), (9, 11)),
-                           -1.0, 1.0, 50, rng)
-    assert rng.random() == np.random.Generator(np.random.MT19937(0)).random()
 
 
 def test_finite_model_error_keeps_falling_past_p_1000(tmp_path):
