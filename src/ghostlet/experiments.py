@@ -310,7 +310,10 @@ def _reconstruction_study(cfg: ExperimentConfig):
     `seed + 1000·k`, spawns the field's row streams (`_mc_ridgelet_field`)
     and then draws the curve S[γ]: a finite model of `s_samples` neurons
     drawn uniformly in the (a, b) box, weighted by γ·volume
-    (`sample_parameters`, `point_mass_network`).
+    (`sample_parameters`, `point_mass_network`). `quadrature.kind:
+    "trapezoid"` draws nothing, so only the Monte Carlo kind reads
+    `r_samples`, and only where it draws the curve (not for spectrum) does
+    it read `s_samples`; a moot count is an unread setting.
 
     Emits per k: the ridgelet spectrum (CSV + PGM; not for reconstruct), the
     reconstruction curve (CSV; not for spectrum), an admissibility entry
@@ -329,9 +332,13 @@ def _reconstruction_study(cfg: ExperimentConfig):
     if quad_kind not in (MONTE_CARLO, TRAPEZOID):
         raise UsageError(f"quadrature.kind must be {MONTE_CARLO!r} or {TRAPEZOID!r}, "
                          f"not {quad_kind!r}")
-    r_samples = _int_setting(cfg.quadrature.get("r_samples", 4000), "quadrature.r_samples")
-    s_samples = _int_setting(cfg.quadrature.get("s_samples", 1_000_000),
-                             "quadrature.s_samples")
+    monte_carlo = quad_kind == MONTE_CARLO
+    if monte_carlo:  # the sample counts are read only where they are drawn
+        r_samples = _int_setting(cfg.quadrature.get("r_samples", 4000),
+                                 "quadrature.r_samples")
+    if monte_carlo and emit_curves:
+        s_samples = _int_setting(cfg.quadrature.get("s_samples", 1_000_000),
+                                 "quadrature.s_samples")
     sigma = tanh_profile()
     family = make_rho_family(max_k, sigma=sigma)
 
@@ -348,7 +355,7 @@ def _reconstruction_study(cfg: ExperimentConfig):
     for k in ks:
         rho = family[k]
         rng = np.random.default_rng(cfg.seed + 1000 * k)
-        if quad_kind == MONTE_CARLO:
+        if monte_carlo:
             field_vals = _mc_ridgelet_field(f_eval, rho, param_grid,
                                             x_grid.lower[0], x_grid.upper[0],
                                             r_samples, rng)
@@ -368,7 +375,7 @@ def _reconstruction_study(cfg: ExperimentConfig):
             metrics[f"spectrum_rho{k}_max_imag"] = float(np.max(np.abs(field_vals.imag)))
 
         if emit_curves:
-            if quad_kind == MONTE_CARLO:
+            if monte_carlo:
                 model = sample_parameters(field, s_samples, rng, UNIFORM_BOX)
                 curve = point_mass_network(model, sigma, x_grid).values
             else:
@@ -559,11 +566,11 @@ def run_lazy(cfg: ExperimentConfig):
     gamma_lazy = lazy_solution(op, f, gamma_init)
     fit = _rel_l2(forward_s(op, gamma_lazy), f)
     base_dist = l2_norm(gamma_lazy - gamma_init)
+    atoms = [ridgelet_atom(basis, i, ghost_profile, op.param_grid) for i in (2, 3)]
     wins = 0
     for trial in range(n_trials):
         coeffs = rng.normal(size=2)
-        g = coeffs[0] * ridgelet_atom(basis, 2, ghost_profile, op.param_grid) \
-            + coeffs[1] * ridgelet_atom(basis, 3, ghost_profile, op.param_grid)
+        g = coeffs[0] * atoms[0] + coeffs[1] * atoms[1]
         rival = gamma_lazy + g
         if base_dist <= l2_norm(rival - gamma_init) + 1e-12:
             wins += 1

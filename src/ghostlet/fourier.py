@@ -42,8 +42,10 @@ _KERNEL_CACHE_ENTRIES = 1 << 20
 # `_TRANSFORM_BLOCKS` column blocks, which 1, 2 or 4 cores share evenly. On a
 # 2-core AMD EPYC VM with BLAS on one thread, 4 blocks took a 257 × 288 kernel
 # times 241 columns (1.8e7 entries) from 1.29 to 0.97 ms, and 3 blocks took a
-# 129 × 161 kernel times 161 columns (3.3e6) from 0.25 to 0.37 ms: below about
-# 1 ms of GEMM, starting the worker threads costs more than they save.
+# 129 × 161 kernel times 161 columns (3.3e6) from 0.25 to 0.37 ms. Those times
+# were measured with a fresh pool per `_block_map` call, whose thread start-up
+# made blocks under about 1 ms of GEMM a loss. `_block_map` keeps its pool for
+# the process, and the threshold has not been measured with that pool.
 _TRANSFORM_SPLIT = 1 << 23
 _TRANSFORM_BLOCKS = 4
 

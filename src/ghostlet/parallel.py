@@ -1,4 +1,4 @@
-"""The program's one level of parallelism: `_block_map`'s worker threads.
+"""The program's one level of parallelism: `_block_map` on one worker pool.
 
 Importing ghostlet pins the OpenBLAS that numpy's wheel bundles, and the one
 scipy's wheel bundles, to one thread each, for the whole process. A BLAS call
@@ -7,6 +7,11 @@ then runs on the thread that makes it and gives the same bits whatever
 `_block_map` worker needs. Where numpy's BLAS exports no thread-count symbol
 (an MKL or a system BLAS build), it is left alone, `BLAS_PINNED` is False,
 and `_block_map` runs every block on the calling thread.
+
+The workers are one `ThreadPoolExecutor` kept for the life of the process,
+made by the first `_block_map` call that needs workers (importing starts no
+thread), one thread per usable core, and replaced when that count changes. A
+forked child drops the inherited pool, whose threads stayed in the parent.
 """
 from __future__ import annotations
 
@@ -14,7 +19,9 @@ import ctypes
 import glob
 import itertools
 import os
+import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -60,30 +67,70 @@ def _pin_openblas() -> bool:
 BLAS_PINNED = _pin_openblas()
 
 
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (threads, pool)
+_pool_lock = threading.Lock()
+_on_worker = threading.local()  # `.active` is True on the pool's threads
+
+
+def _mark_worker():
+    _on_worker.active = True
+
+
+def _worker_pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool, with `workers` threads; a pool of another size is
+    shut down (its queued blocks still run) and replaced."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = workers, ThreadPoolExecutor(workers, thread_name_prefix="ghostlet-block",
+                                                initializer=_mark_worker)
+        return _pool[1]
+
+
+def _forget_pool():
+    """In a forked child: the inherited pool's threads, and any holder of the
+    lock, stayed in the parent."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _block_map(fn, blocks):
     """Yield fn(block) for each block, in block order; `fn` may call BLAS.
 
-    Where BLAS is pinned (`BLAS_PINNED`), the blocks run on one thread per
-    usable core (`os.sched_getaffinity`), with at most two blocks per thread
-    in flight, so a lazy `blocks` iterable is consumed only that far ahead of
-    the results. A single block or a single core runs inline, and so does
-    every block where BLAS is not pinned: that BLAS runs each call on its own
-    threads as well, and calls from every worker would oversubscribe the
-    cores.
+    Where BLAS is pinned (`BLAS_PINNED`), the blocks run on the process's
+    pool, one thread per usable core (`os.sched_getaffinity`), with at most
+    two blocks per thread in flight, so a lazy `blocks` iterable is consumed
+    only that far ahead of the results. A single block or a single core runs
+    inline, and so does every block where BLAS is not pinned: that BLAS runs
+    each call on its own threads as well, and calls from every worker would
+    oversubscribe the cores. A call made on one of the pool's own threads
+    also runs inline, since its blocks would wait for the thread they hold.
+
+    When the generator is closed early (a block raised, or the consumer
+    stopped), its queued blocks are cancelled and its running ones waited
+    for, so no block of the call outlives it.
     """
     blocks = iter(blocks)
     head = list(itertools.islice(blocks, 2))
     workers = len(os.sched_getaffinity(0))
-    if len(head) < 2 or workers == 1 or not BLAS_PINNED:
+    if len(head) < 2 or workers == 1 or not BLAS_PINNED or getattr(_on_worker, "active", False):
         yield from map(fn, itertools.chain(head, blocks))
         return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
+    pool = _worker_pool(workers)
+    pending = deque()
+    try:
         for block in itertools.chain(head, blocks):
             pending.append(pool.submit(fn, block))
             if len(pending) >= 2 * workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)

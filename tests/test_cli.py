@@ -171,9 +171,10 @@ def test_each_k_draws_from_its_own_stream(tmp_path):
 
 
 # Every subcommand; the three of the Monte Carlo study at its small size.
+# spectrum draws no S curve, so it takes no s_samples.
 ALL_SUBCOMMANDS = {
     "appendix-c": SMALL_MONTE_CARLO,
-    "spectrum": SMALL_MONTE_CARLO,
+    "spectrum": {**SMALL_MONTE_CARLO, "quadrature": {"r_samples": 200}},
     "reconstruct": SMALL_MONTE_CARLO,
     "admissibility": {},
     "decompose": {},
@@ -214,7 +215,7 @@ def test_every_experiment_is_a_subcommand():
 def test_study_subcommands_write_their_share(tmp_path, name, files, spectra, curves):
     """appendix-c, spectrum and reconstruct run one study: spectrum writes no
     curves and reconstruct no spectra, and each reports what it wrote."""
-    cfg = ExperimentConfig.from_dict({**SMALL_MONTE_CARLO, "experiment": name,
+    cfg = ExperimentConfig.from_dict({**ALL_SUBCOMMANDS[name], "experiment": name,
                                       "output_dir": str(tmp_path)})
     report = run_subcommand(cfg)
     assert sorted(p.name for p in tmp_path.iterdir()) == files
@@ -279,6 +280,8 @@ def test_bad_reconstruction_config_is_usage_error(tmp_path, capsys, change):
 
 
 _LAYER = BOUND_CONFIG["params"]["layers"][0]
+# SMALL_MONTE_CARLO's grid and ks, for any subcommand of the study
+_SMALL_STUDY = {"grids": SMALL_MONTE_CARLO["grids"], "params": SMALL_MONTE_CARLO["params"]}
 
 
 @pytest.mark.parametrize("experiment, change, key", [
@@ -356,13 +359,18 @@ def test_bad_integer_setting_is_usage_error(tmp_path, capsys, experiment, change
      ["grids.paramz", "profiles.sigm"]),
     ("bound", {"params": {**BOUND_CONFIG["params"], "measure": True}}, ["params.layers"]),
     ("bound", {**BOUND_CONFIG, "grids": {"input": [-8.0, 8.0, 161]}}, ["grids.input"]),
+    ("appendix-c", {**_SMALL_STUDY, "quadrature": {"kind": "trapezoid", "r_samples": 200}},
+     ["quadrature.r_samples"]),
+    ("spectrum", {**_SMALL_STUDY, "quadrature": {"r_samples": 200, "s_samples": 20_000}},
+     ["quadrature.s_samples"]),
 ], ids=["lazy-misspelled", "admissibility-misspelled", "bound-layers-moot",
-        "bound-grid-moot"])
+        "bound-grid-moot", "trapezoid-r-samples-moot", "spectrum-s-samples-moot"])
 def test_unread_setting_is_usage_error(tmp_path, capsys, experiment, change, keys):
     """A setting the run never reads exits 2 and names it: a misspelled key,
     or one another setting makes moot (measure: true builds its own layers;
-    given layers need no testbed grid). `lazy` with n_trial ran the default
-    20 trials and exited 0, and so did each of the others. Settings are
+    given layers need no testbed grid; the trapezoid rule draws no samples;
+    spectrum draws no S curve). `lazy` with n_trial ran the default 20
+    trials and exited 0, and so did each of the others. Settings are
     known to be unread only once the run is done, so its artifacts are left."""
     cfg = _write_config(tmp_path, {"experiment": experiment, **change})
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -408,12 +416,13 @@ def test_trapezoid_quadrature_runs_the_deterministic_study(tmp_path):
     it agrees with the 200-draw Monte Carlo spectrum to within its noise
     (RMS difference 0.19 of the RMS spectrum)."""
     spectra = {}
+    quadrature = {"trapezoid": {"kind": "trapezoid"},  # draws nothing: no sample counts
+                  "monte_carlo": {**SMALL_MONTE_CARLO["quadrature"], "kind": "monte_carlo"}}
     for kind, seed in (("trapezoid", 0), ("trapezoid", 5), ("monte_carlo", 0)):
         out = tmp_path / f"{kind}{seed}"
         cfg = ExperimentConfig.from_dict({**SMALL_MONTE_CARLO, "seed": seed,
                                           "output_dir": str(out),
-                                          "quadrature": {**SMALL_MONTE_CARLO["quadrature"],
-                                                         "kind": kind}})
+                                          "quadrature": quadrature[kind]})
         run_subcommand(cfg)
         spectra[kind, seed] = np.loadtxt(out / "spectrum_rho2.csv", delimiter=",",
                                          skiprows=1)[:, 1:]

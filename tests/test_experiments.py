@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghostlet import Grid, gaussian_profile, make_rho_family, tanh_profile
+from ghostlet import Grid, gaussian_profile, make_rho_family, ridgelet_atom, tanh_profile
 from ghostlet.experiments import ExperimentConfig, _mc_ridgelet_field, run_subcommand
 
 
@@ -98,6 +98,26 @@ def test_mc_ridgelet_field_evaluates_rho_once_per_a_node(monkeypatch):
     """ρ's evaluator takes a whole a-row (all b-nodes and draws) per call."""
     _, calls = _counted_field(monkeypatch, 4, np.random.default_rng(0))
     assert len(calls) == 9
+
+
+@pytest.mark.parametrize("n_trials", [20, 1])
+def test_lazy_builds_each_ghost_atom_once(monkeypatch, tmp_path, n_trials):
+    """`lazy` builds R[e₁;ρ] for γ_init and the trial atoms R[e₂;ρ] and
+    R[e₃;ρ] once each, before its trial loop, whatever the trial count."""
+    from ghostlet import experiments
+
+    built = []
+
+    def counting(basis, i, rho, grid):
+        built.append(i)
+        return ridgelet_atom(basis, i, rho, grid)
+
+    monkeypatch.setattr(experiments, "ridgelet_atom", counting)
+    cfg = ExperimentConfig(experiment="lazy", output_dir=str(tmp_path),
+                           params={"n_trials": n_trials})
+    metrics = run_subcommand(cfg).metrics
+    assert sorted(built) == [1, 2, 3]
+    assert metrics["trials"] == n_trials
 
 
 def test_finite_model_error_keeps_falling_past_p_1000(tmp_path):

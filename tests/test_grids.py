@@ -386,3 +386,29 @@ def test_spline_each_matches_per_entry_loop_bit_for_bit(dim):
     assert np.all(got[:, 43] == 0.0) and np.all(got[:, 40] != 0.0)
     with pytest.raises(DomainError):
         spline.each(pts[:-1])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_outside_box_matches_the_whole_array_comparison(dim):
+    """The per-axis out-of-box mask equals the one comparison of the whole
+    (..., dim) array it replaced, with NaN outside: on both edges, a
+    rounding step beyond them, at ±inf, at NaN in either coordinate, and
+    with a leading batch axis."""
+    from ghostlet.grids import _outside_box
+
+    g = Grid((-4.0, -3.0, 0.5)[:dim], (4.0, 3.0, 2.0)[:dim], (9, 7, 5)[:dim])
+    lo, hi = np.array(g.lower), np.array(g.upper)
+    specials = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), (lo + hi) / 2,
+                np.full(dim, np.inf), np.full(dim, -np.inf), np.full(dim, np.nan)]
+    rng = np.random.default_rng(3)
+    pts = np.vstack(specials + [rng.uniform(lo - 1.0, hi + 1.0, (60, dim))])
+    cols = rng.integers(0, dim, len(pts))
+    edited = pts.copy()
+    edited[np.arange(len(pts)), cols] = rng.choice([np.nan, np.inf, -np.inf], len(pts))
+    pts = np.stack([pts, edited])                                # batch axis in front
+    old = ~np.all((pts >= g.lower) & (pts <= g.upper), axis=-1)
+    got = _outside_box(g, pts)
+    assert got.shape == pts.shape[:-1]
+    np.testing.assert_array_equal(got, old)
+    assert not got[0, :2].any() and got[0, 2:4].all() and not got[0, 4]
+    assert got[0, 5:8].all() and got[1].all()
