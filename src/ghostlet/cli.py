@@ -49,6 +49,8 @@ def load_config(experiment: str, config_path, seed, out) -> ExperimentConfig:
             raise UsageError(f"config file not found: {config_path}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"config file {config_path} cannot be read: {exc}")
         if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")
     file_experiment = data.get("experiment")

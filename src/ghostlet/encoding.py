@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (
+    DEFAULT_OMEGA_GRID,
     DomainError,
     Grid,
     ParamDistribution,
@@ -23,7 +24,6 @@ from .grids import (
     weighted_omega_inner,
 )
 from .profiles import (
-    DEFAULT_OMEGA_GRID,
     BasisFamily,
     Profile1D,
     _interp_profile,
@@ -103,7 +103,7 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3) -> GhostCodebook:
 
     resid = gram_residual_l2m([mbr.spectral_values(omega_grid) for mbr in members], m,
                               omega_grid)
-    pairs = [pairing(stored_sigma, mbr, m, omega_grid) for mbr in members]
+    pairs = [pairing(stored_sigma, mbr, m) for mbr in members]
     if abs(pairs[0] - 1.0) > tol:
         raise DomainError(f"slot-0 pairing {pairs[0]:.3e} deviates from 1 beyond {tol:g}")
     for i, pv in enumerate(pairs[1:], start=1):

@@ -51,6 +51,7 @@ from .finite_models import (
     smooth_convolve,
 )
 from .grids import (
+    DEFAULT_OMEGA_GRID,
     MONTE_CARLO,
     TRAPEZOID,
     Grid,
@@ -68,7 +69,6 @@ from .nullspace import (
 )
 from .profiles import (
     _EVAL_BLOCK,
-    DEFAULT_OMEGA_GRID,
     GAUSS_D_MAX_ORDER,
     RHO_MAX_ORDER,
     AdmissibilityReport,
@@ -121,6 +121,9 @@ class ExperimentConfig:
         bad = [name for name in _SECTIONS if not isinstance(getattr(self, name), dict)]
         if bad:
             raise UsageError(f"config sections {bad} must map setting names to values")
+        _int_setting(self.seed, "seed", lo=0)
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise UsageError(f"output_dir must be a non-empty string, not {self.output_dir!r}")
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -589,7 +592,10 @@ def run_bound(cfg: ExperimentConfig):
     params = cfg.params
     n = _int_setting(params.get("n", 1024), "params.n")
     B = _float_setting(params.get("B", 1.0), "params.B")
-    if params.get("measure", False):
+    measure = params.get("measure", False)
+    if not isinstance(measure, bool):
+        raise UsageError(f"params.measure must be true or false, not {measure!r}")
+    if measure:
         depth = _int_setting(params.get("depth", 3), "params.depth")
         ghost_fraction = _float_setting(params.get("ghost_energy_fraction", 0.9),
                                         "params.ghost_energy_fraction", hi=1.0, zero_ok=True)

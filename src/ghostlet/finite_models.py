@@ -23,6 +23,7 @@ from .grids import (
     ParamDistribution,
     SampledFunction,
     SpectralFunction,
+    convolution_grid,
     interpolate,
     l2_inner,
     l2_norm,
@@ -253,7 +254,7 @@ def point_mass_network(model: FiniteModel, sigma: Profile1D,
 def smooth_convolve(gamma: ParamDistribution, delta: NascentDelta) -> ParamDistribution:
     """γ ∗ δ^ε via the spectral engine (multiply by δ̂^ε, transform back)."""
     grid = gamma.grid
-    freq = Grid.symmetric([np.pi / d * 0.75 for d in grid.spacing], grid.counts)
+    freq = convolution_grid(grid)
     spec = fourier_forward(gamma, freq)
     mult = delta.spectrum(freq.points()).reshape(freq.counts)
     smoothed = fourier_inverse(SpectralFunction._adopt(freq, spec.values * mult), grid)

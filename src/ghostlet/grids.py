@@ -6,7 +6,9 @@ frequency grids meant to straddle ω = 0 must use an even point count so no
 node lands on the origin (the |ω|^{-m} weight is then finite at every node
 and odd integrands cancel in the symmetric sum). The weighted ω inner product
 adds an Euler–Maclaurin correction for the kink the |ω|^{-m} weight puts at
-the origin (see `weighted_omega_inner`).
+the origin (see `weighted_omega_inner`). The last section chooses every
+frequency grid: `DEFAULT_OMEGA_GRID`, the slice path's `spectral_grids` and
+`smooth_convolve`'s `convolution_grid`.
 
 Every cubic interpolation goes through one spline, the exact not-a-knot
 cubic of `cubic_spline`, which is 0 outside the grid box: `interpolate`, the
@@ -474,3 +476,49 @@ def weighted_omega_inner(u: np.ndarray, v: np.ndarray, m: int, omega_grid: Grid)
 
 def weighted_omega_norm(u: np.ndarray, m: int, omega_grid: Grid) -> float:
     return float(np.sqrt(max(weighted_omega_inner(u, u, m, omega_grid).real, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# Spectral discretization: every frequency grid the package samples on
+
+# Default ω box: the stock spectra are below 1e-10 by |ω| = 12; Δω ≈ 0.012 resolves pairings.
+DEFAULT_OMEGA_GRID = Grid.line(-12.0, 12.0, 2048)
+
+
+@dataclass(frozen=True)
+class SpectralGrids:
+    omega: Grid
+    xi: Grid
+    fhat: Grid
+
+
+def _box_count(half: float, extent: float) -> int:
+    """Nodes on [−half, half] at 0.8 of the Nyquist spacing π/extent, rounded up to even."""
+    return 2 * int(np.ceil(half * extent * 1.25 / np.pi))
+
+
+def spectral_grids(param_grid: Grid, input_grid: Grid) -> SpectralGrids:
+    """The Fourier-slice path's grids: ω conjugate to b, ξ for Ŝ, and f̂'s spline grid."""
+    # ω: out to 8 (the stock spectra), at most 0.9 of the b Nyquist frequency (the b-trapezoid
+    # aliases beyond it), resolving e^{iωb} over the b box, taken at least ±8 wide
+    b_half = max(abs(param_grid.lower[-1]), abs(param_grid.upper[-1]), 8.0)
+    half = min(8.0, 0.9 * np.pi / param_grid.spacing[-1])
+    omega = Grid.line(-half, half, _box_count(half, b_half))
+    # ξ, per axis: out to 2 + a quarter of the x grid's Nyquist frequency, within [10, 16]
+    x_half = [max(abs(lo), abs(hi)) for lo, hi in zip(input_grid.lower, input_grid.upper)]
+    xi_half = [min(max(2.0 + np.pi / d / 4.0, 10.0), 16.0) for d in input_grid.spacing]
+    xi = Grid.symmetric(xi_half, [_box_count(h, x) for h, x in zip(xi_half, x_half)])
+    # f̂: out to the x grid's Nyquist frequency at Δξ ≈ 0.4/max|x|, capped at 64 and 16,001
+    # nodes (m = 1) or at 24 and 513 nodes per axis (m ≥ 2, so the spline stays small)
+    if input_grid.dim == 1:
+        half = min(np.pi / input_grid.spacing[0], 64.0)
+        n = min(int(np.ceil(2 * half * x_half[0] / 0.4)) + 1, 16001)
+        return SpectralGrids(omega, xi, Grid.line(-half, half, n))
+    hs = tuple(min(np.pi / d, 24.0) for d in input_grid.spacing)
+    counts = [min(int(2 * h * max(x_half) / 0.4) | 1, 513) for h in hs]
+    return SpectralGrids(omega, xi, Grid.symmetric(hs, counts))
+
+
+def convolution_grid(grid: Grid) -> Grid:
+    """`smooth_convolve`'s frequency grid: the field's counts to 0.75 of its Nyquist frequency."""
+    return Grid.symmetric([np.pi / d * 0.75 for d in grid.spacing], grid.counts)

@@ -35,17 +35,18 @@ import numpy as np
 
 from .fourier import partial_sharp_b
 from .grids import (
+    DEFAULT_OMEGA_GRID,
     DomainError,
     Grid,
     ParamDistribution,
     SampledFunction,
     UnsupportedProfileError,
     l2_norm,
+    spectral_grids,
     weighted_omega_inner,
     weighted_omega_norm,
 )
 from .profiles import (
-    DEFAULT_OMEGA_GRID,
     BasisFamily,
     Profile1D,
     _interp_profile,
@@ -53,7 +54,6 @@ from .profiles import (
 )
 from .transforms import (
     NetworkOperator,
-    _default_op_omega_grid,
     _slice_ridgelet,
     _spectrum_to_b,
     forward_s_via_fourier,
@@ -106,8 +106,8 @@ def make_nonadmissible(sigma: Profile1D, recipe) -> Profile1D:
         return _interp_profile(f"disjoint({sigma.name})", omega_grid, vals)
 
     if isinstance(recipe, NormalizedDifference):
-        ra = admissibility(sigma, recipe.rho_a, m, omega_grid)
-        rb = admissibility(sigma, recipe.rho_b, m, omega_grid)
+        ra = admissibility(sigma, recipe.rho_a, m)
+        rb = admissibility(sigma, recipe.rho_b, m)
         if ra.numerically_zero or rb.numerically_zero:
             raise DomainError("recipe (ii) needs two admissible inputs with nonzero pairings")
         va = recipe.rho_a.spectral_values(omega_grid) / np.conj(ra.pairing)
@@ -164,8 +164,8 @@ def ridgelet_atom(basis_e: BasisFamily, i: int, rho: Profile1D,
     when available, falls back to the sampled-function slice path)."""
     if basis_e.fourier_evaluators:
         ehat = basis_e.fourier_evaluators[i]
-        return _slice_ridgelet(lambda xi: ehat(xi[..., 0]), rho, param_grid,
-                               _default_op_omega_grid(param_grid))
+        omega_grid = spectral_grids(param_grid, basis_e.members[i].grid).omega
+        return _slice_ridgelet(lambda xi: ehat(xi[..., 0]), rho, param_grid, omega_grid)
     return ridgelet_fourier(basis_e.members[i], rho, param_grid)
 
 
@@ -205,7 +205,7 @@ def structure_decompose(op: NetworkOperator, gamma: ParamDistribution,
     if m != 1:
         raise DomainError("structure extraction implemented for m = 1")
     principal, ghost = project(op, gamma)
-    omega_grid = _default_op_omega_grid(op.param_grid)
+    omega_grid = spectral_grids(op.param_grid, op.input_grid).omega
     omega = omega_grid.axis(0)
     gs = partial_sharp_b(ghost, omega_grid)          # (Na, Nω)
     u_nodes = op.param_grid.axis(0)

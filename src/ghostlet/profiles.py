@@ -24,6 +24,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import dawsn
 
 from .grids import (
+    DEFAULT_OMEGA_GRID,
     DomainError,
     Grid,
     SampledFunction,
@@ -33,11 +34,6 @@ from .grids import (
     weighted_omega_inner,
     weighted_omega_norm,
 )
-
-# Default ω box: every stock profile decays below 1e-10 by |ω| = 12 (Gaussian
-# envelopes) and the pairing integrands are resolved at Δω ≈ 0.012. 2048 points
-# keep the origin straddled at ±Δω/2.
-DEFAULT_OMEGA_GRID = Grid.line(-12.0, 12.0, 2048)
 
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
@@ -272,13 +268,11 @@ def gaussian_derivative_profile(k: int = 1) -> Profile1D:
                      spectral_eval=spec, parity=PARITY_ODD if k % 2 == 1 else PARITY_EVEN)
 
 
-def pairing(sigma: Profile1D, rho: Profile1D, m: int,
-            omega_grid: Grid | None = None) -> complex:
-    """⟨⟨σ, ρ⟩⟩ = (2π)^{m-1} ∫ σ♯(ω) conj(ρ♯(ω)) |ω|^{-m} dω."""
-    omega_grid = omega_grid or DEFAULT_OMEGA_GRID
-    su = sigma.spectral_values(omega_grid)
-    ru = rho.spectral_values(omega_grid)
-    return weighted_omega_inner(su, ru, m, omega_grid)
+def pairing(sigma: Profile1D, rho: Profile1D, m: int) -> complex:
+    """⟨⟨σ, ρ⟩⟩ = (2π)^{m-1} ∫ σ♯(ω) conj(ρ♯(ω)) |ω|^{-m} dω on `DEFAULT_OMEGA_GRID`."""
+    su = sigma.spectral_values(DEFAULT_OMEGA_GRID)
+    ru = rho.spectral_values(DEFAULT_OMEGA_GRID)
+    return weighted_omega_inner(su, ru, m, DEFAULT_OMEGA_GRID)
 
 
 ANALYTIC_SPECTRA = "analytic_spectra"
@@ -297,23 +291,21 @@ class AdmissibilityReport:
         return abs(self.pairing) <= max(1e-8, 10.0 * self.error_estimate)
 
 
-def admissibility(sigma: Profile1D, rho: Profile1D, m: int,
-                  omega_grid: Grid | None = None) -> AdmissibilityReport:
-    """Evaluate ⟨⟨σ,ρ⟩⟩ on a straddling grid and report how sure the zero is.
+def admissibility(sigma: Profile1D, rho: Profile1D, m: int) -> AdmissibilityReport:
+    """Evaluate ⟨⟨σ,ρ⟩⟩ on `DEFAULT_OMEGA_GRID` and report how sure the zero is.
 
     parity_forced_zero is set when the declared parities make the integrand
     odd (the symmetric trapezoid sum then cancels to roundoff).
     """
-    omega_grid = omega_grid or DEFAULT_OMEGA_GRID
     if sigma.spectral_eval is None or rho.spectral_eval is None:
         raise UnsupportedProfileError(
             f"admissibility needs spectra for both {sigma.name!r} and {rho.name!r}")
-    su = sigma.spectral_values(omega_grid)
-    ru = rho.spectral_values(omega_grid)
-    pair = weighted_omega_inner(su, ru, m, omega_grid)
-    total_variation = weighted_omega_inner(np.abs(su), np.abs(ru), m, omega_grid).real
-    ends = np.abs(omega_grid.axis(0)[[0, -1]]) ** float(-m)
-    boundary = float(np.sum(np.abs(su * ru)[[0, -1]] * ends)) * omega_grid.spacing[0]
+    su = sigma.spectral_values(DEFAULT_OMEGA_GRID)
+    ru = rho.spectral_values(DEFAULT_OMEGA_GRID)
+    pair = weighted_omega_inner(su, ru, m, DEFAULT_OMEGA_GRID)
+    total_variation = weighted_omega_inner(np.abs(su), np.abs(ru), m, DEFAULT_OMEGA_GRID).real
+    ends = np.abs(DEFAULT_OMEGA_GRID.axis(0)[[0, -1]]) ** float(-m)
+    boundary = float(np.sum(np.abs(su * ru)[[0, -1]] * ends)) * DEFAULT_OMEGA_GRID.spacing[0]
     err = 1e-13 * total_variation + boundary
     # integrand parity: σ♯·conj(ρ♯)·even-weight; equal parities give an even
     # integrand, mixed parities an odd one that cancels on the symmetric grid.
@@ -361,7 +353,7 @@ def make_rho_family(max_k: int, sigma: Profile1D | None = None) -> list[Profile1
     family = [rho0_profile()]
     for k in range(1, max_k + 1):
         raw = _rho_k_unnormalized(k)
-        report = admissibility(sigma, raw, m, omega_grid)
+        report = admissibility(sigma, raw, m)
         if report.numerically_zero:
             c_k = 1j / weighted_omega_norm(raw.spectral_values(omega_grid), m, omega_grid)
         else:

@@ -28,6 +28,7 @@ from .fourier import (
     partial_sharp_b,
 )
 from .grids import (
+    DEFAULT_OMEGA_GRID,
     DomainError,
     Grid,
     ParamDistribution,
@@ -37,9 +38,10 @@ from .grids import (
     TRAPEZOID,
     UnsupportedProfileError,
     cubic_spline,
+    spectral_grids,
 )
 from .parallel import _block_map
-from .profiles import DEFAULT_OMEGA_GRID, Profile1D, pairing, weighted_space_norm
+from .profiles import Profile1D, pairing, weighted_space_norm
 
 
 @dataclass(frozen=True)
@@ -217,18 +219,8 @@ def ridgelet(f: SampledFunction, rho: Profile1D, param_grid: Grid,
     return ParamDistribution._adopt(param_grid, out)
 
 
-def _fhat_evaluator(f: SampledFunction):
-    """Return a callable ξ ↦ f̂(ξ) on points of shape (..., m): the cubic
-    spline of f̂ on a dense grid out to the input grid's Nyquist frequency,
-    zero beyond (band-limited use)."""
-    x_extent = max(abs(v) for v in f.grid.lower + f.grid.upper)
-    if f.grid.dim == 1:
-        half = min(np.pi / f.grid.spacing[0], 64.0)
-        n = int(np.ceil(2 * half * x_extent / 0.4)) + 1
-        xi_grid = Grid.line(-half, half, min(n, 16001))
-    else:
-        half = tuple(min(np.pi / d, 24.0) for d in f.grid.spacing)
-        xi_grid = Grid.symmetric(half, [min(int(2 * h * x_extent / 0.4) | 1, 513) for h in half])
+def _fhat_evaluator(f: SampledFunction, xi_grid: Grid):
+    """ξ ↦ f̂(ξ) on points of shape (..., m): the cubic spline of f̂ on `xi_grid`, 0 beyond."""
     return cubic_spline(xi_grid, fourier_forward(f, xi_grid).values)
 
 
@@ -257,21 +249,8 @@ def ridgelet_fourier(f: SampledFunction, rho: Profile1D, param_grid: Grid) -> Pa
         raise UnsupportedProfileError(f"profile {rho.name!r} has no spectral evaluator")
     if param_grid.dim != f.grid.dim + 1:
         raise DomainError("parameter grid dim must be f's dim + 1")
-    return _slice_ridgelet(_fhat_evaluator(f), rho, param_grid,
-                           _default_op_omega_grid(param_grid))
-
-
-def _default_op_omega_grid(param_grid: Grid) -> Grid:
-    """ω grid conjugate to the b axis: fine enough to resolve phases e^{iωb}
-    across the whole b box, wide enough for the stock profile spectra, and
-    capped below the b grid's Nyquist frequency (beyond it the b-trapezoid
-    aliases low-ω content into the band)."""
-    b_half = max(abs(param_grid.lower[-1]), abs(param_grid.upper[-1]))
-    b_spacing = param_grid.spacing[-1]
-    half = min(8.0, 0.9 * np.pi / b_spacing)
-    n = int(np.ceil(2 * half * max(b_half, 8.0) * 1.25 / np.pi))
-    n += n % 2  # even count straddles ω = 0
-    return Grid.line(-half, half, n)
+    grids = spectral_grids(param_grid, f.grid)
+    return _slice_ridgelet(_fhat_evaluator(f, grids.fhat), rho, param_grid, grids.omega)
 
 
 def forward_s_fourier(op: NetworkOperator, gamma: ParamDistribution) -> SpectralFunction:
@@ -284,31 +263,18 @@ def forward_s_fourier(op: NetworkOperator, gamma: ParamDistribution) -> Spectral
     if gamma.grid != op.param_grid:
         raise DomainError("γ lives on a different grid than the operator")
     m = op.m
-    omega_grid = _default_op_omega_grid(op.param_grid)
+    grids = spectral_grids(op.param_grid, op.input_grid)
+    omega_grid, output_grid = grids.omega, grids.xi
     omega = omega_grid.axis(0)
     gam_sharp = partial_sharp_b(gamma, omega_grid)
     weight = op.sigma.spectral_values(omega_grid) * np.abs(omega) ** (-m) \
         * omega_grid.axis_weights(0)
-    output_grid = _default_xi_grid(op.input_grid)
     spline = cubic_spline(op.param_grid.sub(slice(-1)), gam_sharp.values)
     sheared = spline.each(output_grid.points() / omega[:, None, None])
     acc = np.zeros(sheared.shape[1], dtype=complex)
     for row, w in zip(sheared, weight):
         acc += row * w
     return SpectralFunction._adopt(output_grid, (2.0 * np.pi) ** (m - 1) * acc)
-
-
-def _default_xi_grid(input_grid: Grid) -> Grid:
-    half = []
-    counts = []
-    for k in range(input_grid.dim):
-        h = 2.0 + np.pi / input_grid.spacing[k] / 4.0
-        h = min(max(h, 10.0), 16.0)
-        n = int(np.ceil(2 * h * max(abs(input_grid.lower[k]), abs(input_grid.upper[k])) * 1.25 / np.pi))
-        n += n % 2
-        half.append(h)
-        counts.append(n)
-    return Grid.symmetric(half, counts)
 
 
 def forward_s_via_fourier(op: NetworkOperator, gamma: ParamDistribution) -> SampledFunction:

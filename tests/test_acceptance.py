@@ -47,10 +47,9 @@ from ghostlet import (
 )
 from ghostlet.experiments import ExperimentConfig, run_subcommand
 from ghostlet.finite_models import EXCLUSIVE, INCLUSIVE, finite_ridgelet_coeffs
-from ghostlet.grids import weighted_omega_norm
+from ghostlet.grids import DEFAULT_OMEGA_GRID, spectral_grids, weighted_omega_norm
 from ghostlet.nullspace import build_atoms, ridgelet_atom
-from ghostlet.profiles import DEFAULT_OMEGA_GRID, _rho_k_unnormalized
-from ghostlet.transforms import _default_op_omega_grid
+from ghostlet.profiles import _rho_k_unnormalized
 
 from conftest import bump_mix, rel_l2
 
@@ -188,7 +187,7 @@ def test_criterion_07_structure_parseval(op3, hermite12, ghost_profile):
             * ridgelet_atom(hermite12, i, ghost_profile, op3.param_grid)
     deco = structure_decompose(op3, gam, hermite12, max_terms=6)
     gap = deco.parseval_gap()
-    og = _default_op_omega_grid(op3.param_grid)
+    og = spectral_grids(op3.param_grid, op3.input_grid).omega
     worst_pairing = 0.0
     worst_norm = 0.0
     for rho in deco.ghost_ridgelets:

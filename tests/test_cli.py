@@ -67,8 +67,24 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_missing_config_file_is_usage_error(tmp_path):
-    assert main(["bound", "--config", str(tmp_path / "nope.json")]) == 2
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: tmp / "nope.json",
+    lambda tmp: tmp,
+    lambda tmp: _write_bytes(tmp / "latin1.json", '{"seed": "Köln"}'.encode("latin-1")),
+], ids=["missing", "directory", "not-utf8"])
+def test_missing_config_file_is_usage_error(tmp_path, capsys, make):
+    """A config path that cannot be read as UTF-8 text exits 2 and names the
+    path: a directory ended in an IsADirectoryError traceback and a Latin-1
+    file in a UnicodeDecodeError one, both exit 1."""
+    path = make(tmp_path)
+    assert main(["bound", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_mismatched_experiment_name_is_usage_error(tmp_path):
@@ -323,6 +339,15 @@ _SMALL_STUDY = {"grids": SMALL_MONTE_CARLO["grids"], "params": SMALL_MONTE_CARLO
     ("bound", {"params": {"layers": [{**_LAYER, "M": "1"}]}}, "params.layers[0].M"),
     ("bound", {**BOUND_CONFIG, "tolerances": 5}, "tolerances"),
     ("bound", {**BOUND_CONFIG, "tolerances": {"bound_inclusive": "1e-9"}}, "tolerances"),
+    ("bound", {**BOUND_CONFIG, "seed": "abc"}, "seed"),
+    ("bound", {**BOUND_CONFIG, "seed": 1.5}, "seed"),
+    ("bound", {**BOUND_CONFIG, "seed": -1}, "seed"),
+    ("bound", {**BOUND_CONFIG, "seed": None}, "seed"),
+    ("bound", {**BOUND_CONFIG, "seed": True}, "seed"),
+    ("bound", {**BOUND_CONFIG, "output_dir": 5}, "output_dir"),
+    ("bound", {**BOUND_CONFIG, "output_dir": ""}, "output_dir"),
+    ("bound", {"params": {"measure": "no"}}, "params.measure"),
+    ("bound", {"params": {"measure": 1}}, "params.measure"),
 ], ids=["n-seeds-float", "p-bool", "p-scalar", "basis-2", "basis-above-grid",
         "terms-above-basis", "trials-0", "depth-bool", "n-float", "fraction-above-1",
         "fraction-neg", "fraction-bool", "B-0", "B-inf", "epsilon-neg", "epsilon-nan",
@@ -330,8 +355,11 @@ _SMALL_STUDY = {"grids": SMALL_MONTE_CARLO["grids"], "params": SMALL_MONTE_CARLO
         "sigma-order-46", "sigma-order-300", "params-list",
         "grid-two-entries", "grid-reversed", "grid-axes-disagree", "layer-M-neg",
         "layer-keys-missing", "layer-exclusive-above-inclusive", "layers-str",
-        "layer-M-str", "tolerances-scalar", "tolerance-str"])
-def test_bad_integer_setting_is_usage_error(tmp_path, capsys, experiment, change, key):
+        "layer-M-str", "tolerances-scalar", "tolerance-str", "seed-str", "seed-float",
+        "seed-neg", "seed-null", "seed-bool", "output-dir-int", "output-dir-empty",
+        "measure-str", "measure-int"])
+def test_bad_integer_setting_is_usage_error(tmp_path, capsys, monkeypatch, experiment, change,
+                                            key):
     """Every integer setting is read by one checked reader, and every real one
     by another (finite, in range); delta_shape must name a shape. A bad value
     exits 2 with the setting's name, before any work. n_seeds = 2.5 used to
@@ -346,10 +374,29 @@ def test_bad_integer_setting_is_usage_error(tmp_path, capsys, experiment, change
     "gauss_d-1" ran with gauss_d1's real evaluator beside the spectrum
     (iω)^{−1}√(2π)e^{−ω²/2}. "gauss_d300" ended in an OverflowError, and
     gauss_d46 ran on a spectrum that has not decayed by |ω| = 12 (above
-    1e-10 of its peak there). A params list ended in an AttributeError."""
+    1e-10 of its peak there). A params list ended in an AttributeError. A
+    seed of "abc" or 1.5 ended in a TypeError and −1 in a ValueError, null
+    in a TypeError (appendix-c) or an unseeded run (lazy), and true ran as
+    seed 1; output_dir 5 ended in a TypeError, and measure "no" ran the
+    measured model. The output_dir cases give no --out, which would replace
+    it, and run in tmp_path, where an empty output_dir would write."""
+    monkeypatch.chdir(tmp_path)
     cfg = _write_config(tmp_path, {"experiment": experiment, **change})
-    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    argv = [experiment, "--config", str(cfg)]
+    if "output_dir" not in change:
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
     assert key in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_negative_seed_flag_is_usage_error(tmp_path, capsys):
+    """--seed −1 exits 2 and names the seed; lazy ended in a ValueError
+    traceback from default_rng."""
+    cfg = _write_config(tmp_path, {"experiment": "lazy", "params": {"n_trials": 1}})
+    assert main(["lazy", "--config", str(cfg), "--seed", "-1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "seed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

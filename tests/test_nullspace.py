@@ -29,10 +29,15 @@ from ghostlet import (
     structure_decompose,
     tanh_profile,
 )
-from ghostlet.grids import UnsupportedProfileError, weighted_omega_norm
+from ghostlet.grids import (
+    DEFAULT_OMEGA_GRID,
+    UnsupportedProfileError,
+    spectral_grids,
+    weighted_omega_norm,
+)
 from ghostlet.nullspace import _atom_matrix, ridgelet_atom
-from ghostlet.profiles import DEFAULT_OMEGA_GRID, relu_profile
-from ghostlet.transforms import _default_op_omega_grid, _kernel_matrix
+from ghostlet.profiles import relu_profile
+from ghostlet.transforms import _kernel_matrix
 
 from conftest import bump_mix, rel_l2
 
@@ -199,7 +204,7 @@ class TestStructure:
                 * ridgelet_atom(hermite12, i, ghost_profile, op3.param_grid)
         deco = structure_decompose(op3, gam, hermite12, max_terms=6)
         assert deco.parseval_gap() <= 2e-2
-        og = _default_op_omega_grid(op3.param_grid)
+        og = spectral_grids(op3.param_grid, op3.input_grid).omega
         for rho in deco.ghost_ridgelets:
             if rho is None:
                 continue

@@ -22,9 +22,8 @@ from ghostlet import (
     tanh_profile,
     weighted_omega_inner,
 )
-from ghostlet.grids import UnsupportedProfileError, weighted_omega_norm
+from ghostlet.grids import DEFAULT_OMEGA_GRID, UnsupportedProfileError, weighted_omega_norm
 from ghostlet.profiles import (
-    DEFAULT_OMEGA_GRID,
     SingularPointError,
     _GAUSS_FLOOR,
     _gauss,

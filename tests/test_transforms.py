@@ -26,9 +26,13 @@ from ghostlet import (
     sample,
     tanh_profile,
 )
-from ghostlet.grids import UnsupportedProfileError, weighted_omega_norm
-from ghostlet.profiles import DEFAULT_OMEGA_GRID, Profile1D
-from ghostlet.transforms import _default_op_omega_grid, _default_xi_grid
+from ghostlet.grids import (
+    DEFAULT_OMEGA_GRID,
+    UnsupportedProfileError,
+    spectral_grids,
+    weighted_omega_norm,
+)
+from ghostlet.profiles import Profile1D
 
 from conftest import bump_mix, rel_l2
 
@@ -264,13 +268,14 @@ def _forward_s_fourier_per_omega_loop(op, gamma):
 
     from ghostlet import partial_sharp_b
 
-    omega_grid = _default_op_omega_grid(op.param_grid)
+    grids = spectral_grids(op.param_grid, op.input_grid)
+    omega_grid = grids.omega
     omega = omega_grid.axis(0)
     gam_sharp = partial_sharp_b(gamma, omega_grid)
     weight = op.sigma.spectral_values(omega_grid) * np.abs(omega) ** -1.0 \
         * omega_grid.axis_weights(0)
     a_nodes = op.param_grid.axis(0)
-    xi = _default_xi_grid(op.input_grid).axis(0)
+    xi = grids.xi.axis(0)
     acc = np.zeros(len(xi), dtype=complex)
     for i, om in enumerate(omega):
         spline = CubicSpline(a_nodes, gam_sharp.values[:, i])
@@ -303,6 +308,34 @@ def test_slice_path_m2_matches_direct():
     assert rel_l2(r_slice, r_direct) < 1e-3
     s_direct = forward_s(op, r_direct)
     assert rel_l2(forward_s_via_fourier(op, r_direct), s_direct) < 2e-2
+
+
+@pytest.mark.parametrize("param_grid, input_grid, omega, xi, fhat", [
+    # the compact testbed (conftest's PARAM_GRID, INPUT_GRID)
+    (Grid((-12.0, -48.0), (12.0, 48.0), (241, 257)), Grid.line(-8.0, 8.0, 161),
+     ((288,), (0.9 * np.pi / 0.375,)), ((64,), (10.0,)), ((1258,), (10 * np.pi,))),
+    # the finite-model defaults
+    (Grid((-10.0, -32.0), (10.0, 32.0), (161, 129)), Grid.line(-6.0, 6.0, 121),
+     ((144,), (0.9 * np.pi / 0.5,)), ((48,), (10.0,)), ((944,), (10 * np.pi,))),
+    # the m = 2 grids of test_slice_path_m2_matches_direct
+    (Grid((-4.0, -4.0, -16.0), (4.0, 4.0, 16.0), (33, 33, 65)),
+     Grid((-4.0, -4.0), (4.0, 4.0), (33, 33)),
+     ((72,), (0.9 * np.pi / 0.5,)), ((32, 32), (10.0, 10.0)),
+     ((251, 251), (4 * np.pi, 4 * np.pi))),
+    # fine and wide enough for every cap: ω at 8, ξ at 16, f̂ at 64 and 16,001 nodes
+    (Grid((-12.0, -48.0), (12.0, 48.0), (241, 513)), Grid.line(-64.0, 64.0, 4097),
+     ((306,), (8.0,)), ((816,), (16.0,)), ((16001,), (64.0,))),
+])
+def test_spectral_grids_are_pinned(param_grid, input_grid, omega, xi, fhat):
+    """The slice path's ω, ξ and f̂ grids (node counts, half-widths): a
+    change to the sampling rules shows here first."""
+    grids = spectral_grids(param_grid, input_grid)
+    for grid, (counts, half) in zip((grids.omega, grids.xi, grids.fhat), (omega, xi, fhat)):
+        assert grid.counts == counts
+        assert grid.upper == pytest.approx(half)
+        assert grid.lower == tuple(-h for h in grid.upper)
+    assert all(n % 2 == 0 for n in grids.omega.counts + grids.xi.counts)
+    assert grids.omega.straddles_zero()
 
 
 def test_forward_s_fourier_needs_spectrum(param_grid, input_grid):
