@@ -17,7 +17,7 @@ Reruns with the same config and seed are byte-identical, whatever the core
 count and the BLAS thread count: every random draw comes from a stream that
 the seed fixes, on the calling thread in a fixed order or, for a Monte Carlo
 ridgelet row, from the row's own child stream (`_mc_ridgelet_field`, into
-buffers each worker keeps); the blocks that run on worker threads
+buffers the calling thread makes); the blocks that run on worker threads
 (`parallel._block_map`, which may call the pinned BLAS) are cut by array
 sizes alone; and partial sums are added in block order. A Monte Carlo S
 curve is a uniformly drawn finite model (`point_mass_network`).
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,7 +82,7 @@ from .profiles import (
     make_rho_family,
     tanh_profile,
 )
-from .parallel import _block_map
+from .parallel import _block_map, _block_threads
 from .reporting import write_csv, write_json, write_matrix_csv, write_pgm
 from .transforms import (
     forward_s,
@@ -163,7 +162,8 @@ class RunReport:
 
 def _grid_setting(cfg: ExperimentConfig, key: str, default: Grid) -> Grid:
     """`grids.<key>`: [lo, hi, n] for a line or [[lo, ...], [hi, ...], [n, ...]]
-    for a box, each axis with finite lo < hi and an integer n of at least 2."""
+    for a box, each axis with finite lo < hi and an integer n of at least 4,
+    the fewest nodes the not-a-knot cubic (`cubic_spline`) takes."""
     spec = cfg.grids.get(key)
     if spec is None:
         return default
@@ -176,7 +176,7 @@ def _grid_setting(cfg: ExperimentConfig, key: str, default: Grid) -> Grid:
             and all(lo < hi for lo, hi in zip(rows[0], rows[1]))):
         raise UsageError(f"grids.{key} must be [lo, hi, n] or [[lo, ...], [hi, ...], [n, ...]] "
                          f"with finite lo < hi, not {spec!r}")
-    counts = tuple(_int_setting(v, f"grids.{key} node count", lo=2) for v in rows[2])
+    counts = tuple(_int_setting(v, f"grids.{key} node count", lo=4) for v in rows[2])
     return Grid(tuple(rows[0]), tuple(rows[1]), counts)
 
 
@@ -249,12 +249,19 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
     field does not depend on which thread computes which row, and `rng`'s
     own stream is left where it was. The field is real when f and ρ are.
 
-    Each worker keeps its draw and argument buffers across its rows: the
-    sort, the scale and a·x − b run in place, and f(x)·conj(ρ) and the node
-    means run a few b-nodes at a time. ρ's evaluator, called once per row,
-    makes the row's only array of its size. Fresh row-sized arrays cost
-    page faults on every row of a cold process (glibc returns freed large
-    blocks to the system until its thresholds rise).
+    A row takes a draw and argument buffer pair from a free list and gives
+    it back when done: the sort, the scale and a·x − b run in place, and
+    f(x)·conj(ρ) and the node means run a few b-nodes at a time. ρ's
+    evaluator, called once per row, makes the row's only array of its size.
+    Fresh row-sized arrays cost page faults on every row of a cold process
+    (glibc returns freed large blocks to the system until its thresholds
+    rise). The calling thread fills the list, one pair per thread the rows
+    run on (`_block_threads`); a row that finds it empty makes its own pair
+    rather than wait. Pairs made on the pool's threads stayed in those
+    threads' malloc arenas after the field, where the S curve drawn next on
+    the calling thread could not reuse them: warm in-process `appendix-c`
+    iterations (ks [2]) peaked at 145.8 MB with those pairs and at 128.1 MB
+    with the pairs made here (2-vCPU Xeon, glibc).
 
     Each (a, b) node's draws are sorted before they are evaluated. The
     estimate is a mean, so it averages the same samples; only the summation
@@ -268,13 +275,14 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
     measure = x_hi - x_lo
     streams = rng.spawn(len(a))
     chunk = max(1, _EVAL_BLOCK // n_per_node)  # b-nodes per f(x)·conj(ρ) pass
-    buffers = threading.local()
+    new_pair = lambda: (np.empty((len(b), n_per_node)), np.empty((len(b), n_per_node)))
+    free = [new_pair() for _ in range(min(_block_threads(), len(a)))]
 
     def row(i):
-        if not hasattr(buffers, "xs"):
-            buffers.xs = np.empty((len(b), n_per_node))
-            buffers.arg = np.empty_like(buffers.xs)
-        xs, arg = buffers.xs, buffers.arg
+        try:
+            xs, arg = pair = free.pop()
+        except IndexError:  # more rows running than pairs made
+            xs, arg = pair = new_pair()
         streams[i].random(out=xs)
         xs.sort(axis=1)
         xs *= x_hi - x_lo  # in place: the same values as x_lo + (x_hi − x_lo)·u
@@ -287,6 +295,7 @@ def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
         for j in range(0, len(b), chunk):
             rj = np.conj(r[j:j + chunk]) if conj else r[j:j + chunk]
             means.append(measure * np.mean(f_eval(xs[j:j + chunk]) * rj, axis=1))
+        free.append(pair)
         return np.concatenate(means)
 
     return np.stack(list(_block_map(row, range(len(a)))))

@@ -219,7 +219,8 @@ def sample_parameters(gamma_smooth: ParamDistribution, p: int, seed,
     grid = gamma_smooth.grid
     if scheme == UNIFORM_BOX:
         pts = uniform_points(grid, p, rng)
-        weights = interpolate(gamma_smooth, pts) * grid.volume
+        weights = interpolate(gamma_smooth, pts)
+        weights *= grid.volume  # in place: the bits of interpolate(...) * volume
         return FiniteModel(points=pts, weights=weights)
     if scheme == DENSITY_PROPORTIONAL:
         density = (np.abs(gamma_smooth.values) * grid.weights()).ravel()
@@ -243,11 +244,13 @@ def point_mass_network(model: FiniteModel, sigma: Profile1D,
                        input_grid: Grid) -> SampledFunction:
     """Exact (non-mollified) finite network S[γ_p](x) = (1/p) Σ w_k σ(a_k·x − b_k):
     the oracle the mollified models converge to as ε → 0, and, drawn uniformly
-    in the box, appendix-c's Monte Carlo estimate of S[γ]."""
+    in the box, appendix-c's Monte Carlo estimate of S[γ]. The weights go in
+    once, and each kernel block divides its own rows by p (`_neuron_sum`'s
+    `divisor`), so no full-size w/p copy is made."""
     if sigma.real_eval is None:
         raise DomainError(f"{sigma.name!r} has no real-domain evaluator")
-    vals = _neuron_sum(model.points[:, :-1], model.points[:, -1], model.weights / model.p,
-                       input_grid.points(), sigma.real_eval)
+    vals = _neuron_sum(model.points[:, :-1], model.points[:, -1], model.weights,
+                       input_grid.points(), sigma.real_eval, divisor=model.p)
     return SampledFunction._adopt(input_grid, vals)
 
 

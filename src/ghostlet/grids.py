@@ -261,10 +261,22 @@ class QuadratureScheme:
 def uniform_points(grid: Grid, n: int, seed) -> np.ndarray:
     """n uniform points in the grid box, (n, dim), drawn one axis after the
     other from `seed`: an int, or a `np.random.Generator`, which the draw
-    advances."""
+    advances.
+
+    Each axis is drawn into one axis-sized buffer, scaled by `*= hi − lo`
+    and shifted by `+= lo` in place (the same operations, so the same
+    values, as lo + (hi − lo)·u), and copied into its column of the result.
+    At the S curve's 10⁶ 2-D points that peaks at 24 MB, where per-axis
+    products and an `np.column_stack` peaked at 32 MB (tracemalloc)."""
     rng = np.random.default_rng(seed)
-    return np.column_stack([lo + (hi - lo) * rng.random(n)
-                            for lo, hi in zip(grid.lower, grid.upper)])
+    pts = np.empty((n, grid.dim))
+    u = np.empty(n)
+    for d, (lo, hi) in enumerate(zip(grid.lower, grid.upper)):
+        rng.random(out=u)
+        u *= hi - lo
+        u += lo
+        pts[:, d] = u
+    return pts
 
 
 def _outside_box(grid: Grid, pts: np.ndarray) -> np.ndarray:
@@ -340,10 +352,14 @@ def cubic_spline(grid: Grid, values: np.ndarray) -> Spline:
     One banded solve per grid axis turns the node values into B-spline
     coefficients (de Boor, A Practical Guide to Splines, ch. XVII), with the
     real and imaginary parts as one trailing batch. The spline reproduces the
-    node values to roundoff and cubic polynomials exactly.
+    node values to roundoff and cubic polynomials exactly. Not-a-knot needs
+    at least 4 nodes on every axis.
     """
     from scipy.interpolate import make_interp_spline
 
+    if min(grid.counts) < 4:
+        raise DomainError(f"a not-a-knot cubic spline needs at least 4 nodes per axis, "
+                          f"not {grid.counts}")
     values = np.asarray(values)
     coef = np.stack([values.real, values.imag], axis=-1)
     knots = []

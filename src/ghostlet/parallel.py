@@ -99,6 +99,15 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _block_threads() -> int:
+    """How many threads a `_block_map` call made here runs its blocks on:
+    one per usable core where BLAS is pinned, else 1 (the calling thread),
+    and 1 on one of the pool's own threads."""
+    if not BLAS_PINNED or getattr(_on_worker, "active", False):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _block_map(fn, blocks):
     """Yield fn(block) for each block, in block order; `fn` may call BLAS.
 
@@ -117,8 +126,8 @@ def _block_map(fn, blocks):
     """
     blocks = iter(blocks)
     head = list(itertools.islice(blocks, 2))
-    workers = len(os.sched_getaffinity(0))
-    if len(head) < 2 or workers == 1 or not BLAS_PINNED or getattr(_on_worker, "active", False):
+    workers = _block_threads()
+    if len(head) < 2 or workers == 1:
         yield from map(fn, itertools.chain(head, blocks))
         return
     pool = _worker_pool(workers)

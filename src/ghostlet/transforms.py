@@ -172,13 +172,21 @@ def _kernel_blocks(fn, points_a: np.ndarray, points_b: np.ndarray, x_nodes: np.n
 
 
 def _neuron_sum(points_a: np.ndarray, points_b: np.ndarray, coeff: np.ndarray,
-                x_nodes: np.ndarray, profile_eval) -> np.ndarray:
+                x_nodes: np.ndarray, profile_eval, divisor=None) -> np.ndarray:
     """Σ_k coeff_k · σ(a_k·x − b_k) evaluated for every x node: the partial
     sums of `_kernel_blocks` added in block order, so the result does not
-    depend on the core count."""
+    depend on the core count.
+
+    With a `divisor` the sum takes coeff / divisor, divided block by block
+    (`coeff[rows] / divisor`): the division is elementwise, so each entry is
+    the number the full-array division gives, without its full-size copy.
+    Multiplying by 1/divisor instead would round twice and change the bits."""
+    def block_sum(rows, kernel):
+        c = coeff[rows] if divisor is None else coeff[rows] / divisor
+        return _kernel_sum(c, kernel)
+
     out = np.zeros(x_nodes.shape[0], dtype=complex)
-    for partial in _kernel_blocks(lambda rows, kernel: _kernel_sum(coeff[rows], kernel),
-                                  points_a, points_b, x_nodes, profile_eval):
+    for partial in _kernel_blocks(block_sum, points_a, points_b, x_nodes, profile_eval):
         out += partial
     return out
 

@@ -348,6 +348,15 @@ _SMALL_STUDY = {"grids": SMALL_MONTE_CARLO["grids"], "params": SMALL_MONTE_CARLO
     ("bound", {**BOUND_CONFIG, "output_dir": ""}, "output_dir"),
     ("bound", {"params": {"measure": "no"}}, "params.measure"),
     ("bound", {"params": {"measure": 1}}, "params.measure"),
+    ("appendix-c", {**_SMALL_STUDY, "grids": {"param": [[-6.0, -6.0], [6.0, 6.0], [3, 3]]}},
+     "grids.param"),
+    ("finite-model", {"grids": {"param": [[-10.0, -32.0], [10.0, 32.0], [3, 3]]}},
+     "grids.param"),
+    ("decompose", {"grids": {"param": [[-12.0, -48.0], [12.0, 48.0], [3, 257]]}}, "grids.param"),
+    ("reconstruct", {**_SMALL_STUDY, "grids": {"param": [[-6.0, -6.0], [6.0, 6.0], [3, 25]]}},
+     "grids.param"),
+    ("spectrum", {**_SMALL_STUDY, "grids": {"param": [[-6.0, -6.0], [6.0, 6.0], [2, 25]]}},
+     "grids.param"),
 ], ids=["n-seeds-float", "p-bool", "p-scalar", "basis-2", "basis-above-grid",
         "terms-above-basis", "trials-0", "depth-bool", "n-float", "fraction-above-1",
         "fraction-neg", "fraction-bool", "B-0", "B-inf", "epsilon-neg", "epsilon-nan",
@@ -357,7 +366,8 @@ _SMALL_STUDY = {"grids": SMALL_MONTE_CARLO["grids"], "params": SMALL_MONTE_CARLO
         "layer-keys-missing", "layer-exclusive-above-inclusive", "layers-str",
         "layer-M-str", "tolerances-scalar", "tolerance-str", "seed-str", "seed-float",
         "seed-neg", "seed-null", "seed-bool", "output-dir-int", "output-dir-empty",
-        "measure-str", "measure-int"])
+        "measure-str", "measure-int", "appendix-c-grid-3", "finite-model-grid-3",
+        "decompose-a-count-3", "reconstruct-a-count-3", "spectrum-a-count-2"])
 def test_bad_integer_setting_is_usage_error(tmp_path, capsys, monkeypatch, experiment, change,
                                             key):
     """Every integer setting is read by one checked reader, and every real one
@@ -379,7 +389,12 @@ def test_bad_integer_setting_is_usage_error(tmp_path, capsys, monkeypatch, exper
     in a TypeError (appendix-c) or an unseeded run (lazy), and true ran as
     seed 1; output_dir 5 ended in a TypeError, and measure "no" ran the
     measured model. The output_dir cases give no --out, which would replace
-    it, and run in tmp_path, where an empty output_dir would write."""
+    it, and run in tmp_path, where an empty output_dir would write. A grid
+    axis of 2 or 3 nodes, fewer than the not-a-knot cubic takes, ended in a
+    ValueError traceback from scipy's make_interp_spline (appendix-c and
+    finite-model at [3, 3], decompose and reconstruct at an a-count of 3);
+    one floor of 4 serves every grid setting, so spectrum, which builds no
+    spline, no longer runs at an a-count of 2."""
     monkeypatch.chdir(tmp_path)
     cfg = _write_config(tmp_path, {"experiment": experiment, **change})
     argv = [experiment, "--config", str(cfg)]

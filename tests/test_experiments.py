@@ -100,6 +100,68 @@ def test_mc_ridgelet_field_evaluates_rho_once_per_a_node(monkeypatch):
     assert len(calls) == 9
 
 
+def _row_buffer_threads(monkeypatch):
+    """The thread of each array `experiments` itself makes with np.empty
+    from here on (the field's row buffers; ρ's evaluator makes its row-sized
+    output where it runs, and is not counted)."""
+    import sys
+    import threading
+
+    made = []
+    empty = np.empty
+
+    def counting(shape, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "ghostlet.experiments":
+            made.append(threading.get_ident())
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", counting)
+    return made
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_mc_ridgelet_field_makes_its_row_buffers_on_the_calling_thread(monkeypatch, cores):
+    """The rows' draw and argument buffers are made on the calling thread,
+    one pair per thread the rows run on, and the rows still run on the pool
+    when there is one. Pairs made on the pool's threads stayed in those
+    threads' malloc arenas, where the S curve drawn next could not reuse
+    them."""
+    import threading
+
+    made = _row_buffer_threads(monkeypatch)
+    _, calls = _counted_field(monkeypatch, cores, np.random.default_rng(0))
+    assert made == [threading.get_ident()] * (2 * cores)
+    assert (threading.get_ident() in calls) == (cores == 1)
+
+
+def test_mc_ridgelet_field_rows_never_share_a_buffer_pair(monkeypatch):
+    """Stress: 33 rows on eight workers (more than the cores) with a short
+    switch interval. A pair handed to two rows at once would mix their draws
+    and break the serial loop's bits; eight pairs serve every row, so none
+    is made off the calling thread."""
+    import os
+    import sys
+    import threading
+
+    from ghostlet import parallel
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(parallel, "BLAS_PINNED", True)
+    made = _row_buffer_threads(monkeypatch)
+    rho = make_rho_family(2)[2]
+    grid = Grid((-6.0, -6.0), (6.0, 6.0), (33, 11))
+    f_eval = lambda xs: np.sin(2.0 * np.pi * xs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _mc_ridgelet_field(f_eval, rho, grid, -1.0, 1.0, 50, np.random.default_rng(5))
+    finally:
+        sys.setswitchinterval(interval)
+    want = _serial_field(f_eval, rho, grid, -1.0, 1.0, 50, np.random.default_rng(5))
+    np.testing.assert_array_equal(got, want)
+    assert made == [threading.get_ident()] * 16
+
+
 @pytest.mark.parametrize("n_trials", [20, 1])
 def test_lazy_builds_each_ghost_atom_once(monkeypatch, tmp_path, n_trials):
     """`lazy` builds R[e₁;ρ] for γ_init and the trial atoms R[e₂;ρ] and

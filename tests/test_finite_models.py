@@ -518,3 +518,66 @@ def test_uniform_finite_model_is_the_appendix_c_curve():
     want = _mc_forward_curve(field, sigma, x_grid.axis(0), 20_000, rng_old)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_point_mass_network_divides_each_block_as_the_whole_array(monkeypatch, cores):
+    """Each kernel block divides its own weight rows by p: the bits of the
+    sum over the full-array division w/p, for complex weights with signed
+    zeros and negative parts, p not a multiple of the block's rows, inline
+    and on four workers."""
+    import os
+
+    import ghostlet.transforms as transforms
+    from ghostlet import parallel, tanh_profile
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(parallel, "BLAS_PINNED", True)
+    x_grid = Grid.line(-1.0, 1.0, 201)
+    p = 5_001
+    assert p % (transforms._BLOCK // x_grid.total_points) != 0
+    rng = np.random.default_rng(23)
+    re, im = rng.standard_normal(p), rng.standard_normal(p)
+    re[::7], im[3::11] = -0.0, -0.0
+    re[1::13], im[5::17] = 0.0, 0.0
+    model = FiniteModel(points=rng.uniform(-6.0, 6.0, (p, 2)), weights=re + 1j * im)
+    sigma = tanh_profile()
+    got = point_mass_network(model, sigma, x_grid).values
+    want = transforms._neuron_sum(model.points[:, :-1], model.points[:, -1],
+                                  model.weights / model.p, x_grid.points(), sigma.real_eval)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_uniform_s_curve_keeps_one_copy_of_points_and_weights(monkeypatch):
+    """Drawing the appendix-c S curve (`sample_parameters` with UNIFORM_BOX,
+    then `point_mass_network`) at p = 2·10⁵ allocates, above the model's
+    live points and weights, at most one axis of draws (p floats) and one
+    kernel block's argument and values: 4.2 MB on one core. Per-axis
+    products with a `column_stack`, a second complex array for γ·volume and
+    a full-size w/p copy put it at 7.4 MB."""
+    import os
+    import tracemalloc
+
+    import ghostlet.transforms as transforms
+    from ghostlet import tanh_profile
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    grid = Grid((-6.0, -6.0), (6.0, 6.0), (25, 25))
+    a, b = grid.mesh()
+    field = ParamDistribution(grid, np.exp(-(a / 3.0) ** 2 - (b / 2.0) ** 2) * np.sin(a - b))
+    field.spline   # built before the measurement
+    x_grid = Grid.line(-1.0, 1.0, 201)
+    sigma = tanh_profile()
+    p = 200_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model = sample_parameters(field, p, np.random.default_rng(3), UNIFORM_BOX)
+        point_mass_network(model, sigma, x_grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    live = model.points.nbytes + model.weights.nbytes
+    block = 2 * transforms._BLOCK * 8   # σ's float64 argument and values
+    assert peak - live <= p * 8 + block, (peak - live) / 1e6

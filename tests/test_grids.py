@@ -349,6 +349,22 @@ def test_cubic_spline_matches_scipy_cubic_spline_on_complex_1d_data():
     assert np.array_equal(spline(outside[:, None]), np.zeros(4, dtype=complex))
 
 
+@pytest.mark.parametrize("counts", [(2,), (3,), (3, 9), (9, 2)])
+def test_cubic_spline_needs_four_nodes_per_axis(counts):
+    """The not-a-knot cubic takes at least 4 nodes on every axis: fewer is a
+    DomainError naming the counts, where scipy's make_interp_spline raised
+    "The number of derivatives at boundaries does not match"; 4 nodes
+    reproduce a cubic exactly."""
+    g = Grid((-1.0,) * len(counts), (1.0,) * len(counts), counts)
+    with pytest.raises(DomainError, match="at least 4 nodes"):
+        cubic_spline(g, np.zeros(counts))
+    line = Grid.line(-1.0, 2.0, 4)
+    x = line.axis(0)
+    spline = cubic_spline(line, x ** 3 - x)
+    off = np.linspace(-1.0, 2.0, 13)
+    assert_allclose(spline(off[:, None]).real, off ** 3 - off, atol=1e-13)
+
+
 def _each_by_entry_loop(spline, points):
     """Reference for `Spline.each`: the spline of batch entry i alone,
     evaluated by `__call__` at points[i]."""
