@@ -35,11 +35,9 @@ from .grids import (
 from .fourier import (
     fourier_forward,
     fourier_inverse,
-    flat,
     fractional_bracket,
     partial_flat_b,
     partial_sharp_b,
-    sharp,
 )
 from .profiles import (
     AdmissibilityReport,

@@ -85,6 +85,7 @@ from .profiles import (
 from .parallel import _block_map, _block_threads
 from .reporting import write_csv, write_json, write_matrix_csv, write_pgm
 from .transforms import (
+    NetworkOperator,
     forward_s,
     make_operator,
     ridgelet,
@@ -162,8 +163,9 @@ class RunReport:
 
 def _grid_setting(cfg: ExperimentConfig, key: str, default: Grid) -> Grid:
     """`grids.<key>`: [lo, hi, n] for a line or [[lo, ...], [hi, ...], [n, ...]]
-    for a box, each axis with finite lo < hi and an integer n of at least 4,
-    the fewest nodes the not-a-knot cubic (`cubic_spline`) takes."""
+    for a box of the default's axis count (every run is m = 1), each axis with
+    finite lo < hi and an integer n of at least 4, the fewest nodes the
+    not-a-knot cubic (`cubic_spline`) takes."""
     spec = cfg.grids.get(key)
     if spec is None:
         return default
@@ -171,11 +173,12 @@ def _grid_setting(cfg: ExperimentConfig, key: str, default: Grid) -> Grid:
     line = isinstance(spec, seq) and len(spec) == 3 and not isinstance(spec[0], seq)
     rows = [[v] for v in spec] if line else spec
     if not (isinstance(rows, seq) and len(rows) == 3
-            and all(isinstance(r, seq) and 0 < len(r) == len(rows[0]) for r in rows)
+            and all(isinstance(r, seq) and len(r) == default.dim for r in rows)
             and all(map(_finite_number, (*rows[0], *rows[1])))
             and all(lo < hi for lo, hi in zip(rows[0], rows[1]))):
-        raise UsageError(f"grids.{key} must be [lo, hi, n] or [[lo, ...], [hi, ...], [n, ...]] "
-                         f"with finite lo < hi, not {spec!r}")
+        form = "[lo, hi, n]" if default.dim == 1 else \
+            f"[[lo, ...], [hi, ...], [n, ...]] of {default.dim} axes"
+        raise UsageError(f"grids.{key} must be {form} with finite lo < hi, not {spec!r}")
     counts = tuple(_int_setting(v, f"grids.{key} node count", lo=4) for v in rows[2])
     return Grid(tuple(rows[0]), tuple(rows[1]), counts)
 
@@ -391,8 +394,7 @@ def _reconstruction_study(cfg: ExperimentConfig):
                 model = sample_parameters(field, s_samples, rng, UNIFORM_BOX)
                 curve = point_mass_network(model, sigma, x_grid).values
             else:
-                op = make_operator(sigma, param_grid, x_grid, normalize=False)
-                curve = forward_s(op, field).values
+                curve = forward_s(NetworkOperator(sigma, param_grid, x_grid), field).values
             path = write_csv(out_dir / f"reconstruction_rho{k}.csv",
                              ["x", "f", "recon_re", "recon_im"],
                              zip(x, f_vals, curve.real, curve.imag))
@@ -470,7 +472,12 @@ def _require_hermite(input_grid: Grid, count: int) -> int:
 def _ghost_testbed(op, basis_size: int = 4):
     """The first `basis_size` Hermite functions on the operator's input grid,
     and the ghost profile: the non-admissible combination of ρ₁ and ρ₃
-    against the operator's σ."""
+    against the operator's σ. The runs that take it project onto the ghosts,
+    which needs a σ of finite weighted norm (`NetworkOperator.is_normalized`);
+    tanh, gaussian and gauss_d0 have none, and are refused before any work."""
+    if not op.is_normalized:
+        raise UsageError(f"profiles.sigma {op.sigma.name!r} has no finite weighted norm, "
+                         "which the projection onto the ghosts needs")
     _require_hermite(op.input_grid, basis_size)
     basis = hermite_basis(basis_size, op.input_grid)
     family = make_rho_family(4, sigma=op.sigma)

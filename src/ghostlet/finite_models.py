@@ -73,22 +73,20 @@ class NascentDelta:
         dim = v.shape[-1]
         return self.base_values(v / self.epsilon) / self.epsilon ** dim
 
-    def spectrum(self, xi_points: np.ndarray) -> np.ndarray:
-        """δ̂^ε(ξ); analytic for the Gaussian base, numeric for the bump."""
-        xi = np.asarray(xi_points, dtype=float)
+    def spectrum(self, freq: Grid) -> np.ndarray:
+        """δ̂^ε(ξ) = φ̂(εξ) on the frequency grid's nodes, shaped as `freq.counts`:
+        the closed form exp(−ε²|ξ|²/2) for the Gaussian base; for the bump,
+        `fourier_forward` of φ on 129 nodes per axis of [−1, 1]^dim onto the
+        grid scaled by ε (the trapezoid rule on φ's support)."""
         if self.base_shape == GAUSSIAN:
-            return np.exp(-(self.epsilon ** 2) * np.sum(xi ** 2, axis=-1) / 2.0) + 0.0j
-        dim = xi.shape[-1]
-        g = Grid.symmetric([1.0] * dim, [129] * dim)
-        flat_xi = xi.reshape(-1, dim) * self.epsilon
-        vals = np.empty(flat_xi.shape[0], dtype=complex)
-        pts = g.points()
-        w = g.weights().ravel()
-        bv = self.base_values(pts).astype(complex)
-        for idx in range(0, flat_xi.shape[0], 4096):
-            chunk = flat_xi[idx:idx + 4096]
-            vals[idx:idx + 4096] = np.exp(-1j * chunk @ pts.T) @ (w * bv)
-        return vals.reshape(xi.shape[:-1])
+            xi = freq.points()
+            return (np.exp(-(self.epsilon ** 2) * np.sum(xi ** 2, axis=-1) / 2.0)
+                    + 0.0j).reshape(freq.counts)
+        g = Grid.symmetric([1.0] * freq.dim, [129] * freq.dim)
+        phi = SampledFunction._adopt(g, self.base_values(g.points()))
+        scaled = Grid(tuple(self.epsilon * lo for lo in freq.lower),
+                      tuple(self.epsilon * hi for hi in freq.upper), freq.counts)
+        return fourier_forward(phi, scaled).values
 
 
 # Factors below this are set to 0, and so are entries of T·B below it. T is the
@@ -259,7 +257,7 @@ def smooth_convolve(gamma: ParamDistribution, delta: NascentDelta) -> ParamDistr
     grid = gamma.grid
     freq = convolution_grid(grid)
     spec = fourier_forward(gamma, freq)
-    mult = delta.spectrum(freq.points()).reshape(freq.counts)
+    mult = delta.spectrum(freq)
     smoothed = fourier_inverse(SpectralFunction._adopt(freq, spec.values * mult), grid)
     return ParamDistribution._adopt(grid, smoothed.values)
 

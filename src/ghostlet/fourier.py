@@ -6,7 +6,7 @@ bare cyclic FFTs, so identities hold in the continuous normalization):
 
     m-dim forward   f̂(ξ) = ∫ f(x) e^{-i x·ξ} dx
     m-dim inverse   f(x) = (2π)^{-m} ∫ f̂(ξ) e^{+i x·ξ} dξ
-    1-dim sharp     φ♯(ω) = ∫ φ(b) e^{-i b ω} db         (inverse: flat)
+    1-dim sharp     φ♯(ω) = ∫ φ(b) e^{-i b ω} db  (the m = 1 forward transform)
     Plancherel      ‖f̂‖² = (2π)^m ‖f‖²
 
 The japanese bracket is ⟨y⟩ = (1 + |y|²)^{1/2}.
@@ -29,10 +29,6 @@ from .grids import (
     SpectralFunction,
 )
 from .parallel import _block_map
-
-
-def bracket(y: np.ndarray) -> np.ndarray:
-    return np.sqrt(1.0 + np.abs(np.asarray(y, dtype=float)) ** 2)
 
 
 # Kernels above 2²⁰ entries (16 MB of complex128) are built per call, so the 8 cached
@@ -113,19 +109,6 @@ def fourier_inverse(u: SpectralFunction, output_grid: Grid) -> SampledFunction:
     return SampledFunction._adopt(output_grid, vals / (2.0 * np.pi) ** u.grid.dim)
 
 
-def sharp(phi: SampledFunction, omega_grid: Grid) -> SpectralFunction:
-    """1-D forward transform φ ↦ φ♯ for profiles on the b axis."""
-    if phi.grid.dim != 1 or omega_grid.dim != 1:
-        raise DomainError("sharp is the 1-D transform")
-    return fourier_forward(phi, omega_grid)
-
-
-def flat(phi_sharp: SpectralFunction, b_grid: Grid) -> SampledFunction:
-    if phi_sharp.grid.dim != 1 or b_grid.dim != 1:
-        raise DomainError("flat is the 1-D inverse transform")
-    return fourier_inverse(phi_sharp, b_grid)
-
-
 def partial_sharp_b(gamma: ParamDistribution, omega_grid: Grid) -> SpectralFunction:
     """1-D transform along the trailing b axis for each fixed a row:
     γ♯(a, ω) = ∫ γ(a, b) e^{-iωb} db."""
@@ -164,6 +147,7 @@ def fractional_bracket(phi_sharp: SpectralFunction, order: float) -> SpectralFun
     grid = phi_sharp.grid
     half = max(abs(grid.lower[0]), abs(grid.upper[0]))
     b_grid = Grid.line(-half, half, grid.counts[0])
-    phi = flat(phi_sharp, b_grid)
-    weighted = SampledFunction._adopt(b_grid, phi.values * bracket(b_grid.axis(0)) ** order)
-    return sharp(weighted, grid)
+    phi = fourier_inverse(phi_sharp, b_grid)
+    bracket = np.sqrt(1.0 + np.abs(b_grid.axis(0)) ** 2)  # ⟨b⟩
+    weighted = SampledFunction._adopt(b_grid, phi.values * bracket ** order)
+    return fourier_forward(weighted, grid)

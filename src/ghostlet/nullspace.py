@@ -40,7 +40,6 @@ from .grids import (
     Grid,
     ParamDistribution,
     SampledFunction,
-    UnsupportedProfileError,
     l2_norm,
     spectral_grids,
     weighted_omega_inner,
@@ -132,20 +131,12 @@ def make_nonadmissible(sigma: Profile1D, recipe) -> Profile1D:
     raise DomainError(f"unknown recipe {type(recipe).__name__}")
 
 
-def _require_plain_normalized(op: NetworkOperator):
-    """P = S*∘S is a projection only for a unit-norm σ, and it runs on the
-    Fourier-slice path, which needs σ's spectrum."""
-    if not op.is_normalized:
-        raise DomainError("plain-L² projection requires a unit-norm activation")
-    if op.sigma.spectral_eval is None:
-        raise UnsupportedProfileError(
-            f"projection needs the spectrum of {op.sigma.name!r}, which has no spectral evaluator")
-
-
 def project(op: NetworkOperator, gamma: ParamDistribution):
     """(P[γ], γ − P[γ]) with P = S*∘S on the Fourier-slice path; the ghost
-    part is annihilated by S."""
-    _require_plain_normalized(op)
+    part is annihilated by S. P is a projection only for a unit-norm σ
+    (`NetworkOperator.is_normalized`, which only a σ with a spectrum can be)."""
+    if not op.is_normalized:
+        raise DomainError("plain-L² projection requires a unit-norm activation")
     principal = ridgelet_fourier(forward_s_via_fourier(op, gamma), op.sigma, op.param_grid)
     return principal, gamma - principal
 
@@ -160,13 +151,13 @@ def lazy_solution(op: NetworkOperator, f: SampledFunction,
 
 def ridgelet_atom(basis_e: BasisFamily, i: int, rho: Profile1D,
                   param_grid: Grid) -> ParamDistribution:
-    """R[e_i;ρ] built from the basis' analytic Fourier evaluator (fast path
-    when available, falls back to the sampled-function slice path)."""
-    if basis_e.fourier_evaluators:
-        ehat = basis_e.fourier_evaluators[i]
-        omega_grid = spectral_grids(param_grid, basis_e.members[i].grid).omega
-        return _slice_ridgelet(lambda xi: ehat(xi[..., 0]), rho, param_grid, omega_grid)
-    return ridgelet_fourier(basis_e.members[i], rho, param_grid)
+    """R[e_i;ρ] on the slice path from the basis' Fourier evaluator ê_i
+    (`hermite_basis` gives every member one): R♯(a,ω) = ê_i(ωa)·conj(ρ♯(ω))."""
+    if not basis_e.fourier_evaluators:
+        raise DomainError("ridgelet_atom needs a basis with Fourier evaluators")
+    ehat = basis_e.fourier_evaluators[i]
+    omega_grid = spectral_grids(param_grid, basis_e.members[i].grid).omega
+    return _slice_ridgelet(lambda xi: ehat(xi[..., 0]), rho, param_grid, omega_grid)
 
 
 @dataclass(frozen=True)

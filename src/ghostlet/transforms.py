@@ -48,16 +48,14 @@ from .profiles import Profile1D, pairing, weighted_space_norm
 class NetworkOperator:
     """S with a fixed activation, parameter grid, input grid and trapezoid rule.
 
-    When `normalize` is requested at construction the activation is rescaled
-    so its weighted norm is 1 (this is what makes P = S*∘S a projection);
-    the original scale is kept for reporting.
+    σ is taken as given: `make_operator` rescales it to unit weighted norm
+    first (this is what makes P = S*∘S a projection), and a caller that wants
+    σ unscaled builds the operator directly.
     """
 
     sigma: Profile1D
     param_grid: Grid
     input_grid: Grid
-    norm_constant: float | None = None
-    original_scale: float = 1.0
     scheme = QuadratureScheme()  # a class constant, not a field: S uses the trapezoid rule only
 
     def __post_init__(self):
@@ -68,9 +66,21 @@ class NetworkOperator:
     def m(self) -> int:
         return self.input_grid.dim
 
+    @cached_property
+    def sigma_norm(self) -> float | None:
+        """σ's weighted norm on `DEFAULT_OMEGA_GRID`; None where σ has no
+        spectrum or the norm is not finite (tanh, ReLU)."""
+        if self.sigma.spectral_eval is None:
+            return None
+        try:
+            return weighted_space_norm(self.sigma.spectral_values(DEFAULT_OMEGA_GRID), self.m,
+                                       DEFAULT_OMEGA_GRID)
+        except DomainError:  # also SingularPointError, UnsupportedProfileError
+            return None
+
     @property
     def is_normalized(self) -> bool:
-        return self.norm_constant is not None and abs(self.norm_constant - 1.0) < 1e-6
+        return self.sigma_norm is not None and abs(self.sigma_norm - 1.0) < 1e-6
 
     @cached_property
     def kernel(self) -> np.ndarray | None:
@@ -85,22 +95,14 @@ class NetworkOperator:
                               self.sigma.real_eval)
 
 
-def make_operator(sigma: Profile1D, param_grid: Grid, input_grid: Grid,
-                  normalize: bool = True) -> NetworkOperator:
-    """Build a NetworkOperator, normalizing σ in the weighted norm when it is
-    finite there (tanh and ReLU are not; they keep norm_constant = None)."""
-    norm = None
-    if sigma.spectral_eval is not None:
-        try:
-            norm = weighted_space_norm(sigma.spectral_values(DEFAULT_OMEGA_GRID),
-                                       input_grid.dim, DEFAULT_OMEGA_GRID)
-        except DomainError:  # also SingularPointError, UnsupportedProfileError
-            norm = None
-    if normalize and norm is not None:
-        sigma = sigma.scaled(1.0 / norm, name=f"{sigma.name}~unit")
-        return NetworkOperator(sigma, param_grid, input_grid, norm_constant=1.0,
-                               original_scale=norm)
-    return NetworkOperator(sigma, param_grid, input_grid, norm_constant=norm)
+def make_operator(sigma: Profile1D, param_grid: Grid, input_grid: Grid) -> NetworkOperator:
+    """A NetworkOperator with σ rescaled to unit weighted norm where that norm
+    is finite (`NetworkOperator.sigma_norm`); tanh and ReLU are kept as given."""
+    op = NetworkOperator(sigma, param_grid, input_grid)
+    if op.sigma_norm is None:
+        return op
+    return NetworkOperator(sigma.scaled(1.0 / op.sigma_norm, name=f"{sigma.name}~unit"),
+                           param_grid, input_grid)
 
 
 # An operator whose σ(a·x − b) matrix has at most _CHUNK entries
@@ -291,26 +293,20 @@ def forward_s_via_fourier(op: NetworkOperator, gamma: ParamDistribution) -> Samp
     return fourier_inverse(spec, op.input_grid)
 
 
-def reconstruct(op: NetworkOperator, f: SampledFunction, rho: Profile1D,
-                use_fourier: bool = False):
-    """S[R[f;ρ]] together with the computed pairing ⟨⟨σ,ρ⟩⟩.
+def reconstruct(op: NetworkOperator, f: SampledFunction, rho: Profile1D):
+    """S[R[f;ρ]] by the direct paths (`ridgelet`, `forward_s`), together with
+    the computed pairing ⟨⟨σ,ρ⟩⟩.
 
     With an admissible ρ normalized to unit pairing the output approximates f;
     with a non-admissible ρ it degenerates toward zero.
     """
     pair = pairing(op.sigma, rho, op.m)
-    if use_fourier:
-        gam = ridgelet_fourier(f, rho, op.param_grid)
-        out = forward_s_via_fourier(op, gam)
-    else:
-        gam = ridgelet(f, rho, op.param_grid)
-        out = forward_s(op, gam)
-    return out, pair
+    return forward_s(op, ridgelet(f, rho, op.param_grid)), pair
 
 
 def adjoint(op: NetworkOperator, f: SampledFunction) -> ParamDistribution:
-    """S*[f] = R[f;σ], for σ with a finite weighted norm. With σ normalized to
-    unit norm (`make_operator`'s default), P = S*∘S is a projection."""
-    if op.norm_constant is None:
+    """S*[f] = R[f;σ], for σ with a finite weighted norm. With σ rescaled to
+    unit norm (`make_operator`), P = S*∘S is a projection."""
+    if op.sigma_norm is None:
         raise DomainError("the adjoint needs σ with a finite weighted norm")
     return ridgelet(f, op.sigma, op.param_grid)

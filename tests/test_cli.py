@@ -37,6 +37,15 @@ SMALL_FINITE_MODEL = {
     "params": {"p_values": [100, 2000], "n_seeds": 3},
 }
 
+# the bump nascent delta, which mollify sums point by point, on a 41×129 parameter
+# grid: spacing 0.5 on both axes, ε/4 at the default ε = 2
+SMALL_BUMP_FINITE_MODEL = {
+    "experiment": "finite-model",
+    "grids": {"input": [-6.0, 6.0, 61],
+              "param": [[-10.0, -32.0], [10.0, 32.0], [41, 129]]},
+    "params": {"delta_shape": "bump", "p_values": [100, 1000], "n_seeds": 2},
+}
+
 # the Appendix-C Monte Carlo study on a 25² parameter grid, one k
 SMALL_MONTE_CARLO = {
     "experiment": "appendix-c",
@@ -298,6 +307,9 @@ def test_bad_reconstruction_config_is_usage_error(tmp_path, capsys, change):
 _LAYER = BOUND_CONFIG["params"]["layers"][0]
 # SMALL_MONTE_CARLO's grid and ks, for any subcommand of the study
 _SMALL_STUDY = {"grids": SMALL_MONTE_CARLO["grids"], "params": SMALL_MONTE_CARLO["params"]}
+# grid settings with one axis more than the runs' defaults
+_BOX_3D = [[-6.0, -6.0, -6.0], [6.0, 6.0, 6.0], [9, 9, 9]]
+_BOX_2D = [[-8.0, -8.0], [8.0, 8.0], [33, 33]]
 
 
 @pytest.mark.parametrize("experiment, change, key", [
@@ -357,6 +369,19 @@ _SMALL_STUDY = {"grids": SMALL_MONTE_CARLO["grids"], "params": SMALL_MONTE_CARLO
      "grids.param"),
     ("spectrum", {**_SMALL_STUDY, "grids": {"param": [[-6.0, -6.0], [6.0, 6.0], [2, 25]]}},
      "grids.param"),
+    ("appendix-c", {**_SMALL_STUDY, "grids": {"param": _BOX_3D}}, "grids.param"),
+    ("decompose", {"grids": {"param": _BOX_3D}}, "grids.param"),
+    ("encode-series", {"grids": {"param": _BOX_3D}}, "grids.param"),
+    ("finite-model", {"grids": {"param": _BOX_3D}}, "grids.param"),
+    ("decompose", {"grids": {"param": [-12.0, 12.0, 241]}}, "grids.param"),
+    ("appendix-c", {**_SMALL_STUDY, "grids": {"input": _BOX_2D}}, "grids.input"),
+    ("encode-series", {"grids": {"input": _BOX_2D}}, "grids.input"),
+    ("lazy", {"grids": {"input": _BOX_2D}}, "grids.input"),
+    ("bound", {"params": {"measure": True}, "grids": {"input": _BOX_2D}}, "grids.input"),
+    ("decompose", {"profiles": {"sigma": "tanh"}}, "profiles.sigma"),
+    ("lazy", {"profiles": {"sigma": "gaussian"}}, "profiles.sigma"),
+    ("bound", {"params": {"measure": True}, "profiles": {"sigma": "gauss_d0"}},
+     "profiles.sigma"),
 ], ids=["n-seeds-float", "p-bool", "p-scalar", "basis-2", "basis-above-grid",
         "terms-above-basis", "trials-0", "depth-bool", "n-float", "fraction-above-1",
         "fraction-neg", "fraction-bool", "B-0", "B-inf", "epsilon-neg", "epsilon-nan",
@@ -367,7 +392,11 @@ _SMALL_STUDY = {"grids": SMALL_MONTE_CARLO["grids"], "params": SMALL_MONTE_CARLO
         "layer-M-str", "tolerances-scalar", "tolerance-str", "seed-str", "seed-float",
         "seed-neg", "seed-null", "seed-bool", "output-dir-int", "output-dir-empty",
         "measure-str", "measure-int", "appendix-c-grid-3", "finite-model-grid-3",
-        "decompose-a-count-3", "reconstruct-a-count-3", "spectrum-a-count-2"])
+        "decompose-a-count-3", "reconstruct-a-count-3", "spectrum-a-count-2",
+        "appendix-c-param-3d", "decompose-param-3d", "encode-series-param-3d",
+        "finite-model-param-3d", "decompose-param-1d", "appendix-c-input-2d",
+        "encode-series-input-2d", "lazy-input-2d", "bound-input-2d", "decompose-sigma-tanh",
+        "lazy-sigma-gaussian", "bound-sigma-gauss-d0"])
 def test_bad_integer_setting_is_usage_error(tmp_path, capsys, monkeypatch, experiment, change,
                                             key):
     """Every integer setting is read by one checked reader, and every real one
@@ -394,7 +423,16 @@ def test_bad_integer_setting_is_usage_error(tmp_path, capsys, monkeypatch, exper
     ValueError traceback from scipy's make_interp_spline (appendix-c and
     finite-model at [3, 3], decompose and reconstruct at an a-count of 3);
     one floor of 4 serves every grid setting, so spectrum, which builds no
-    spline, no longer runs at an a-count of 2."""
+    spline, no longer runs at an a-count of 2. Every run is m = 1, and a grid
+    setting of another axis count than its default's ended in a traceback: a
+    3-D grids.param in a DomainError (appendix-c: value count 81 != grid
+    point count 729; decompose, encode-series and finite-model: parameter
+    grid dim must be input grid dim + 1), a 2-D grids.input in a TypeError
+    (appendix-c, encode-series) or a DomainError from hermite_basis (lazy,
+    bound). The runs that project onto the ghosts (decompose, lazy, bound)
+    need σ of finite weighted norm; with tanh, gaussian or gauss_d0, which
+    have none, they ended in a DomainError from the projection ("plain-L²
+    projection requires a unit-norm activation")."""
     monkeypatch.chdir(tmp_path)
     cfg = _write_config(tmp_path, {"experiment": experiment, **change})
     argv = [experiment, "--config", str(cfg)]
@@ -460,6 +498,29 @@ def test_coarse_input_grid_is_usage_error(tmp_path, capsys, experiment, params):
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "grids.input" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"experiment": "encode-series"},
+    {**SMALL_BUMP_FINITE_MODEL, "params": {"p_values": [100, 1000], "n_seeds": 2}},
+], ids=["encode-series", "finite-model"])
+def test_tanh_runs_where_nothing_is_projected(tmp_path, config):
+    """encode-series and finite-model make no projection, so they run with
+    tanh, which has no finite weighted norm."""
+    cfg = _write_config(tmp_path, {**config, "profiles": {"sigma": "tanh"}})
+    assert main([config["experiment"], "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+def test_bump_finite_model_converges(tmp_path):
+    """The bump nascent delta takes the same path as the Gaussian one, apart
+    from `mollify`'s point loop: the sampling error falls from p = 100 to
+    p = 1000 (ratio 0.15–0.51 at seeds 0–5). The grid must resolve the bump:
+    on 41×33, whose b spacing 2 equals ε, the ratio was 0.56–1.03."""
+    cfg = _write_config(tmp_path, SMALL_BUMP_FINITE_MODEL)
+    assert main(["finite-model", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["metrics"]["error_ratio_last_over_first"] < 1.0
 
 
 @pytest.mark.parametrize("max_k", [0, -2, 9, 40, 4.0, True])

@@ -36,6 +36,7 @@ from ghostlet.finite_models import (
     UNIFORM_BOX,
     _axis_factors,
 )
+from ghostlet.grids import convolution_grid
 from ghostlet.nullspace import ridgelet_atom
 from ghostlet.profiles import Profile1D, _rho_k_unnormalized
 
@@ -287,6 +288,38 @@ def test_bump_mass_is_computed_once_per_dimension(monkeypatch):
     assert (info.misses, info.hits) == (1, model.p - 1)
     monkeypatch.setattr(finite_models, "_bump_mass", finite_models._bump_mass.__wrapped__)
     np.testing.assert_array_equal(mollify(model, delta, grid).values, cached)
+
+
+def _bump_spectrum_by_direct_sum(delta, freq):
+    """δ̂^ε(ξ) of the bump as one dense sum Σ_v w_v φ(v) e^{−iεξ·v} over the
+    129-per-axis trapezoid nodes v of [−1, 1]^dim, a few ξ at a time."""
+    g = Grid.symmetric([1.0] * freq.dim, [129] * freq.dim)
+    nodes = g.points()
+    terms = g.weights().ravel() * delta.base_values(nodes)
+    xi = delta.epsilon * freq.points()
+    return np.concatenate([np.exp(-1j * xi[i:i + 64] @ nodes.T) @ terms
+                           for i in range(0, len(xi), 64)]).reshape(freq.counts)
+
+
+@pytest.mark.parametrize("freq, epsilon", [
+    (convolution_grid(Grid((-10.0, -32.0), (10.0, 32.0), (21, 17))), 0.5),
+    (Grid.symmetric([20.0], [50]), 0.1),
+    (Grid.symmetric([20.0], [50]), 2.0),
+], ids=["2d", "1d-narrow", "1d-wide"])
+def test_bump_spectrum_matches_the_direct_sum(freq, epsilon):
+    """The bump's spectrum is `fourier_forward` of φ onto the ε-scaled grid:
+    the dense quadrature sum, to within roundoff."""
+    delta = NascentDelta("bump", epsilon)
+    ref = _bump_spectrum_by_direct_sum(delta, freq)
+    assert np.max(np.abs(delta.spectrum(freq) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_gaussian_spectrum_is_the_closed_form():
+    freq = convolution_grid(PG)
+    delta = NascentDelta("gaussian", 0.3)
+    xi = freq.points()
+    expected = np.exp(-(0.3 ** 2) * np.sum(xi ** 2, axis=-1) / 2.0) + 0.0j
+    np.testing.assert_array_equal(delta.spectrum(freq), expected.reshape(freq.counts))
 
 
 def test_mollified_network_converges_to_point_masses(opf, gamma_smooth_pair):

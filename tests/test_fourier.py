@@ -10,19 +10,16 @@ from ghostlet import (
     SpectralFunction,
     fourier_forward,
     fourier_inverse,
-    flat,
     fractional_bracket,
     l2_inner,
     l2_norm,
     partial_sharp_b,
     sample,
-    sharp,
 )
 from ghostlet.fourier import (
     _KERNEL_CACHE_ENTRIES,
     _axis_kernel,
     _boundary_decay,
-    bracket,
 )
 XG = Grid.line(-12.0, 12.0, 1024)
 WG = Grid.line(-12.0, 12.0, 1024)
@@ -95,7 +92,7 @@ def test_partial_sharp_b_separable_factorization():
     a = pg.axis(0)
     h = SampledFunction(Grid.line(-12.0, 12.0, 513),
                         np.exp(-(Grid.line(-12.0, 12.0, 513).axis(0) ** 2) / 2) + 0j)
-    h_sharp = sharp(h, WG).values
+    h_sharp = fourier_forward(h, WG).values
     expected = np.exp(-(a - 0.5) ** 2)[:, None] * h_sharp[None, :]
     assert np.max(np.abs(gs.values - expected)) < 1e-8
 

@@ -36,7 +36,7 @@ from ghostlet.grids import (
     weighted_omega_norm,
 )
 from ghostlet.nullspace import _atom_matrix, ridgelet_atom
-from ghostlet.profiles import relu_profile
+from ghostlet.profiles import BasisFamily, relu_profile
 from ghostlet.transforms import _kernel_matrix
 
 from conftest import bump_mix, rel_l2
@@ -164,21 +164,21 @@ class TestProjection:
             assert l2_norm(grid_project(exact) - exact) <= 1e-10 * l2_norm(gam)
 
     def test_requires_normalized_operator(self, param_grid, input_grid):
-        op = make_operator(gaussian_derivative_profile(3), param_grid, input_grid,
-                           normalize=False)
+        op = NetworkOperator(gaussian_derivative_profile(3), param_grid, input_grid)
         gam = ParamDistribution(param_grid, np.zeros(param_grid.counts))
         with pytest.raises(DomainError):
             project(op, gam)
 
-    def test_unit_norm_sigma_without_spectrum_is_refused(self, param_grid, input_grid):
-        # make_operator gives a unit norm only to a σ with a spectrum; a
-        # hand-built one without it cannot take the Fourier-slice path
-        op = NetworkOperator(relu_profile(), param_grid, input_grid, norm_constant=1.0)
+    def test_relu_operator_is_refused(self, param_grid, input_grid):
+        # ReLU has no spectrum, so no weighted norm, and no operator can give
+        # it the unit norm the projection needs
+        op = make_operator(relu_profile(), param_grid, input_grid)
+        assert op.sigma_norm is None
         gam = ParamDistribution(param_grid, np.zeros(param_grid.counts))
         f = SampledFunction(input_grid, np.zeros(input_grid.counts))
-        with pytest.raises(UnsupportedProfileError, match="spectrum of 'relu'"):
+        with pytest.raises(DomainError, match="unit-norm activation"):
             project(op, gam)
-        with pytest.raises(UnsupportedProfileError, match="spectrum of 'relu'"):
+        with pytest.raises(DomainError, match="unit-norm activation"):
             lazy_solution(op, f, gam)
 
 
@@ -223,6 +223,15 @@ class TestStructure:
         gam = ParamDistribution(op3.param_grid, np.zeros(op3.param_grid.counts))
         with pytest.raises(DomainError):
             structure_decompose(op3, gam, hermite12, max_terms=13)
+
+    def test_basis_without_fourier_evaluators_is_refused(self, op3, hermite12, ghost_profile):
+        # ridgelet_atom builds R[e_i;ρ] from ê_i alone, as structure_decompose does
+        bare = BasisFamily(hermite12.members, hermite12.gram_residual)
+        gam = ParamDistribution(op3.param_grid, np.zeros(op3.param_grid.counts))
+        with pytest.raises(DomainError, match="Fourier evaluators"):
+            ridgelet_atom(bare, 1, ghost_profile, op3.param_grid)
+        with pytest.raises(DomainError, match="Fourier evaluators"):
+            structure_decompose(op3, gam, bare, max_terms=3)
 
     def test_zero_gamma_gives_empty_coefficients(self, op3, hermite12):
         gam = ParamDistribution(op3.param_grid, np.zeros(op3.param_grid.counts))

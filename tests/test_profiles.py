@@ -9,7 +9,7 @@ from ghostlet import (
     DomainError,
     Grid,
     SpectralFunction,
-    flat,
+    fourier_inverse,
     gaussian_derivative_profile,
     gaussian_profile,
     gram_schmidt_l2m,
@@ -133,7 +133,7 @@ def round_trip_error(profile) -> float:
     omega_grid = Grid.line(-12.0, 12.0, 8192)
     b_grid = Grid.line(-10.0, 10.0, 801)
     spec = SpectralFunction(omega_grid, profile.spectral_values(omega_grid))
-    return float(np.max(np.abs(flat(spec, b_grid).values - profile.real_values(b_grid))))
+    return float(np.max(np.abs(fourier_inverse(spec, b_grid).values - profile.real_values(b_grid))))
 
 
 def test_profile_round_trips():

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from ghostlet import (
     DomainError,
     Grid,
+    NetworkOperator,
     ParamDistribution,
     SampledFunction,
     adjoint,
@@ -39,14 +40,18 @@ from conftest import bump_mix, rel_l2
 
 def test_operator_normalization(op3):
     assert op3.is_normalized
-    assert op3.original_scale == pytest.approx(np.sqrt(4 * np.pi), rel=1e-6)
+    assert op3.sigma_norm == pytest.approx(1.0, rel=1e-6)
+    # make_operator divides gauss_d3 by its weighted norm, √(4π)
+    x = np.array([-2.5, -1.0, 0.5, 2.0])
+    scale = gaussian_derivative_profile(3).real_eval(x) / op3.sigma.real_eval(x)
+    assert_allclose(scale, np.sqrt(4 * np.pi), rtol=1e-6)
     vals = op3.sigma.spectral_values(DEFAULT_OMEGA_GRID)
     assert weighted_omega_norm(vals, 1, DEFAULT_OMEGA_GRID) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_tanh_operator_has_no_weighted_norm(param_grid, input_grid):
     op = make_operator(tanh_profile(), param_grid, input_grid)
-    assert op.norm_constant is None
+    assert op.sigma_norm is None
 
 
 def test_forward_s_zero(op3):
@@ -75,7 +80,7 @@ def test_forward_s_bump_approaches_single_neuron(op3):
     """
     a0, b0 = 1.5, 2.0
     local = Grid((a0 - 1.5, b0 - 1.5), (a0 + 1.5, b0 + 1.5), (121, 121))
-    op = make_operator(op3.sigma, local, op3.input_grid, normalize=False)
+    op = NetworkOperator(op3.sigma, local, op3.input_grid)
     x = op.input_grid.axis(0)
     oracle = np.asarray(op.sigma.real_eval(a0 * x - b0))
     errs = []
@@ -194,24 +199,30 @@ def test_reconstruct_admissible(op3):
     assert rel_l2(out, f) < 1e-2
 
 
+def _reconstruct_by_slices(op, f, rho):
+    """S[R[f;ρ]] on the Fourier-slice path, and ⟨⟨σ,ρ⟩⟩."""
+    out = forward_s_via_fourier(op, ridgelet_fourier(f, rho, op.param_grid))
+    return out, pairing(op.sigma, rho, op.m)
+
+
 def test_reconstruct_nonadmissible_degenerates(op3, ghost_profile):
     f = bump_mix(26)
-    out, pair = reconstruct(op3, f, ghost_profile, use_fourier=True)
+    out, pair = _reconstruct_by_slices(op3, f, ghost_profile)
     assert abs(pair) < 1e-8
     assert l2_norm(out) < 0.05 * l2_norm(f)
 
 
 def test_reconstruct_zero_input(op3, ghost_profile):
     z = SampledFunction(op3.input_grid, np.zeros(op3.input_grid.counts))
-    out, _ = reconstruct(op3, z, ghost_profile, use_fourier=True)
+    out, _ = _reconstruct_by_slices(op3, z, ghost_profile)
     assert l2_norm(out) == 0.0
 
 
 def test_reconstruct_scaling_sesquilinear(op3):
     f = bump_mix(27)
     alpha = 0.7 - 1.1j
-    out1, pair1 = reconstruct(op3, f, op3.sigma, use_fourier=True)
-    out2, pair2 = reconstruct(op3, f, op3.sigma.scaled(alpha), use_fourier=True)
+    out1, pair1 = _reconstruct_by_slices(op3, f, op3.sigma)
+    out2, pair2 = _reconstruct_by_slices(op3, f, op3.sigma.scaled(alpha))
     assert pair2 == pytest.approx(np.conj(alpha) * pair1, rel=1e-9)
     assert rel_l2(out2, np.conj(alpha) * out1) < 1e-9
 
@@ -339,7 +350,7 @@ def test_spectral_grids_are_pinned(param_grid, input_grid, omega, xi, fhat):
 
 
 def test_forward_s_fourier_needs_spectrum(param_grid, input_grid):
-    op = make_operator(relu_profile(), param_grid, input_grid, normalize=False)
+    op = NetworkOperator(relu_profile(), param_grid, input_grid)
     gam = ParamDistribution(param_grid, np.zeros(param_grid.counts))
     with pytest.raises(UnsupportedProfileError):
         forward_s_fourier(op, gam)
@@ -450,4 +461,4 @@ def test_make_operator_propagates_evaluator_bugs(param_grid, input_grid):
     with pytest.raises(TypeError, match="bug in a spectral evaluator"):
         make_operator(sigma, param_grid, input_grid)
     for sigma in (tanh_profile(), relu_profile()):
-        assert make_operator(sigma, param_grid, input_grid).norm_constant is None, sigma.name
+        assert make_operator(sigma, param_grid, input_grid).sigma_norm is None, sigma.name
