@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 from . import parallel  # first, so that no BLAS call runs before the pin
 from .grids import (
-    AccuracyError,
     DataError,
     DomainError,
     Grid,
@@ -25,7 +24,6 @@ from .grids import (
     SampledFunction,
     SpectralFunction,
     UnsupportedProfileError,
-    integrate,
     l2_inner,
     l2_norm,
     sample,
@@ -61,7 +59,6 @@ from .transforms import (
     forward_s_fourier,
     forward_s_via_fourier,
     make_operator,
-    reconstruct,
     ridgelet,
     ridgelet_fourier,
 )

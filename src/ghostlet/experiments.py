@@ -124,6 +124,11 @@ class ExperimentConfig:
         _int_setting(self.seed, "seed", lo=0)
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise UsageError(f"output_dir must be a non-empty string, not {self.output_dir!r}")
+        out = Path(self.output_dir).absolute()
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise UsageError(f"output_dir {self.output_dir!r} cannot be a directory: "
+                             f"{existing} is not one")
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -210,10 +215,13 @@ def _float_setting(value, name: str, hi: float = np.inf, zero_ok: bool = False) 
 
 
 def _int_list(value, name: str, hi: float = np.inf) -> list[int]:
-    """A list of integer settings, each at least 1 and at most hi."""
-    if not isinstance(value, (list, tuple)):
-        raise UsageError(f"{name} must be a list of integers, not {value!r}")
-    return [_int_setting(v, f"{name} entry", hi=hi) for v in value]
+    """A non-empty list of distinct integer settings, each at least 1 and at most hi."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise UsageError(f"{name} must be a non-empty list of integers, not {value!r}")
+    out = [_int_setting(v, f"{name} entry", hi=hi) for v in value]
+    if len(set(out)) < len(out):
+        raise UsageError(f"{name} repeats an entry: {value!r}")
+    return out
 
 
 def _rho_max_k(cfg: ExperimentConfig) -> int:
@@ -542,10 +550,12 @@ def run_finite_model(cfg: ExperimentConfig):
     input_grid = _grid_setting(cfg, "input", Grid.line(-6.0, 6.0, 121))
     _require_hermite(input_grid, 4)  # the coefficient cross-check's basis
     grid = _grid_setting(cfg, "param", Grid((-10.0, -32.0), (10.0, 32.0), (161, 129)))
-    eps = _float_setting(cfg.params.get("epsilon", 4.0 * min(grid.spacing)), "params.epsilon")
     shape = cfg.params.get("delta_shape", GAUSSIAN)
     if shape not in (GAUSSIAN, BUMP):
         raise UsageError(f"params.delta_shape must be {GAUSSIAN!r} or {BUMP!r}, not {shape!r}")
+    # the bump's support must span 8 nodes of the coarser axis (see NascentDelta)
+    spacing = max(grid.spacing) if shape == BUMP else min(grid.spacing)
+    eps = _float_setting(cfg.params.get("epsilon", 4.0 * spacing), "params.epsilon")
     delta = NascentDelta(shape, eps)
     op = make_operator(_named_sigma(cfg, "gauss_d3"), grid, input_grid)
     gamma = ridgelet_fourier(_bump(op.input_grid, 0.0, 1.4), op.sigma, grid)

@@ -1,14 +1,14 @@
 """Uniform closed-box grids, sampled fields, quadrature, and inner products.
 
 Everything downstream integrates over truncated boxes with the trapezoid rule
-(deterministic) or seeded Monte Carlo. Grids store both endpoints; symmetric
-frequency grids meant to straddle ω = 0 must use an even point count so no
-node lands on the origin (the |ω|^{-m} weight is then finite at every node
-and odd integrands cancel in the symmetric sum). The weighted ω inner product
-adds an Euler–Maclaurin correction for the kink the |ω|^{-m} weight puts at
-the origin (see `weighted_omega_inner`). The last section chooses every
-frequency grid: `DEFAULT_OMEGA_GRID`, the slice path's `spectral_grids` and
-`smooth_convolve`'s `convolution_grid`.
+(`Grid.weights`). Grids store both endpoints; symmetric frequency grids meant
+to straddle ω = 0 must use an even point count so no node lands on the origin
+(the |ω|^{-m} weight is then finite at every node and odd integrands cancel
+in the symmetric sum). The weighted ω inner product adds an Euler–Maclaurin
+correction for the kink the |ω|^{-m} weight puts at the origin (see
+`weighted_omega_inner`). The last section chooses every frequency grid:
+`DEFAULT_OMEGA_GRID`, the slice path's `spectral_grids` and `smooth_convolve`'s
+`convolution_grid`.
 
 Every cubic interpolation goes through one spline, the exact not-a-knot
 cubic of `cubic_spline`, which is 0 outside the grid box: `interpolate`, the
@@ -44,10 +44,6 @@ class DataError(ValueError):
 
 class UnsupportedProfileError(DomainError):
     """A profile lacks the evaluator (real or spectral) an operation needs."""
-
-
-class AccuracyError(RuntimeError):
-    """Requested computation cannot meet its accuracy contract on this grid."""
 
 
 @dataclass(frozen=True)
@@ -240,22 +236,16 @@ MONTE_CARLO = "monte_carlo"
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Trapezoid uses every grid node with end-weights; Monte Carlo draws
-    uniform points in the grid box from an explicit seed."""
+    """A quadrature kind by name. The direct S and R integrate by the
+    trapezoid rule only (`ridgelet` refuses any other kind); the benchmark's
+    tracer reads `kind` from `NetworkOperator.scheme` and `ridgelet`'s
+    `scheme`."""
 
     kind: str = TRAPEZOID
-    sample_count: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in (TRAPEZOID, MONTE_CARLO):
             raise DomainError(f"unknown quadrature kind {self.kind!r}")
-        if self.kind == MONTE_CARLO and self.sample_count <= 0:
-            raise DomainError("MonteCarlo requires positive sample_count")
-
-    @staticmethod
-    def monte_carlo(sample_count: int, seed: int) -> "QuadratureScheme":
-        return QuadratureScheme(MONTE_CARLO, sample_count, seed)
 
 
 def uniform_points(grid: Grid, n: int, seed) -> np.ndarray:
@@ -375,36 +365,20 @@ def interpolate(fld: _Field, points: np.ndarray, method: str = "cubic") -> np.nd
     """Evaluate a field at off-grid points of shape (n, dim), or at one point
     of shape (dim,), 0 outside the grid box.
 
-    Cubic (the default) evaluates the field's one spline (`_Field.spline`,
-    the module's `cubic_spline`: exact not-a-knot, BSpline-evaluated on 1-D
-    grids and NdBSpline-evaluated otherwise), built on the field's first
-    cubic call. Other methods go through scipy's RegularGridInterpolator.
+    The one method is cubic: the field's one spline (`_Field.spline`, the
+    module's `cubic_spline`: exact not-a-knot, BSpline-evaluated on 1-D grids
+    and NdBSpline-evaluated otherwise), built on the field's first call.
+    `method` names it for the benchmark's tracer, which binds it; any other
+    value is a DomainError.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
+    if method != "cubic":
+        raise DomainError(f"interpolate evaluates the cubic spline, not {method!r}")
     pts = np.asarray(points, dtype=float)
     if pts.shape == (fld.grid.dim,):
         pts = pts[None]
     if pts.ndim != 2 or pts.shape[1] != fld.grid.dim:
         raise DomainError(f"points of shape {pts.shape} are not (n, {fld.grid.dim})")
-    if method == "cubic":
-        return fld.spline(pts)
-    return RegularGridInterpolator(fld.grid.axes(), fld.values, method=method,
-                                   bounds_error=False, fill_value=0.0)(pts)
-
-
-def integrate(fld: _Field, scheme: QuadratureScheme = QuadratureScheme()) -> complex:
-    """∫ field over its grid box.
-
-    Trapezoid is deterministic and exact for constants; Monte Carlo draws
-    uniform points in the box, evaluates the field by interpolation, and
-    returns volume · mean (reproducible under a fixed seed).
-    """
-    if scheme.kind == TRAPEZOID:
-        return complex(np.sum(fld.grid.weights() * fld.values))
-    pts = uniform_points(fld.grid, scheme.sample_count, scheme.seed)
-    vals = interpolate(fld, pts, method="linear")
-    return complex(fld.grid.volume * np.mean(vals))
+    return fld.spline(pts)
 
 
 def l2_inner(u: _Field, v: _Field) -> complex:

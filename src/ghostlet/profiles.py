@@ -70,8 +70,7 @@ class Profile1D:
     evaluator ω ↦ profile♯(ω). At least one must be present.
 
     The real-domain evaluators of real profiles (tanh, ReLU, Gaussian,
-    gauss_d<k>) return float arrays, so kernel sums over them stay real;
-    `real_values` always returns complex.
+    gauss_d<k>) return float arrays, so kernel sums over them stay real.
     """
 
     name: str
@@ -84,11 +83,6 @@ class Profile1D:
             raise DomainError(f"profile {self.name!r} needs at least one evaluator")
         if self.parity not in (PARITY_EVEN, PARITY_ODD, PARITY_NONE):
             raise DomainError(f"unknown parity {self.parity!r}")
-
-    def real_values(self, grid: Grid) -> np.ndarray:
-        if self.real_eval is None:
-            raise UnsupportedProfileError(f"profile {self.name!r} has no real-domain evaluator")
-        return np.asarray(self.real_eval(grid.axis(0)), dtype=complex)
 
     def spectral_values(self, grid: Grid) -> np.ndarray:
         if self.spectral_eval is None:

@@ -41,7 +41,7 @@ from .grids import (
     spectral_grids,
 )
 from .parallel import _block_map
-from .profiles import Profile1D, pairing, weighted_space_norm
+from .profiles import Profile1D, weighted_space_norm
 
 
 @dataclass(frozen=True)
@@ -291,17 +291,6 @@ def forward_s_via_fourier(op: NetworkOperator, gamma: ParamDistribution) -> Samp
     """Convenience: slice-path S[γ] brought back to the input grid."""
     spec = forward_s_fourier(op, gamma)
     return fourier_inverse(spec, op.input_grid)
-
-
-def reconstruct(op: NetworkOperator, f: SampledFunction, rho: Profile1D):
-    """S[R[f;ρ]] by the direct paths (`ridgelet`, `forward_s`), together with
-    the computed pairing ⟨⟨σ,ρ⟩⟩.
-
-    With an admissible ρ normalized to unit pairing the output approximates f;
-    with a non-admissible ρ it degenerates toward zero.
-    """
-    pair = pairing(op.sigma, rho, op.m)
-    return forward_s(op, ridgelet(f, rho, op.param_grid)), pair
 
 
 def adjoint(op: NetworkOperator, f: SampledFunction) -> ParamDistribution:

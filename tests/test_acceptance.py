@@ -36,7 +36,6 @@ from ghostlet import (
     pairing,
     project,
     readout_mutate,
-    reconstruct,
     ridgelet,
     ridgelet_fourier,
     sample,
@@ -110,11 +109,11 @@ def test_criterion_02_admissibility_table(appendix_report):
 
 
 def test_criterion_03_reconstruction_formula(op1):
+    assert pairing(op1.sigma, op1.sigma, op1.m) == pytest.approx(1.0, abs=1e-8)
     worst = 0.0
     for seed in range(10):
         f = bump_mix(300 + seed)
-        out, pair = reconstruct(op1, f, op1.sigma)
-        assert pair == pytest.approx(1.0, abs=1e-8)
+        out = forward_s(op1, ridgelet(f, op1.sigma, op1.param_grid))
         worst = max(worst, rel_l2(out, f))
     ok, msg = check(3, "S[R[f;rho]] = f within 2e-2 for 10 random band-limited f",
                     worst <= 2e-2, f"worst rel error = {worst:.4f}")

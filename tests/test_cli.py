@@ -38,7 +38,7 @@ SMALL_FINITE_MODEL = {
 }
 
 # the bump nascent delta, which mollify sums point by point, on a 41×129 parameter
-# grid: spacing 0.5 on both axes, ε/4 at the default ε = 2
+# grid: spacing 0.5 on both axes, so the default ε = 4·max spacing = 2
 SMALL_BUMP_FINITE_MODEL = {
     "experiment": "finite-model",
     "grids": {"input": [-6.0, 6.0, 61],
@@ -382,6 +382,10 @@ _BOX_2D = [[-8.0, -8.0], [8.0, 8.0], [33, 33]]
     ("lazy", {"profiles": {"sigma": "gaussian"}}, "profiles.sigma"),
     ("bound", {"params": {"measure": True}, "profiles": {"sigma": "gauss_d0"}},
      "profiles.sigma"),
+    ("appendix-c", {**_SMALL_STUDY, "params": {"ks": []}}, "params.ks"),
+    ("appendix-c", {**_SMALL_STUDY, "params": {"ks": [1, 1]}}, "params.ks"),
+    ("finite-model", {"params": {"p_values": []}}, "params.p_values"),
+    ("finite-model", {"params": {"p_values": [100, 100]}}, "params.p_values"),
 ], ids=["n-seeds-float", "p-bool", "p-scalar", "basis-2", "basis-above-grid",
         "terms-above-basis", "trials-0", "depth-bool", "n-float", "fraction-above-1",
         "fraction-neg", "fraction-bool", "B-0", "B-inf", "epsilon-neg", "epsilon-nan",
@@ -396,7 +400,8 @@ _BOX_2D = [[-8.0, -8.0], [8.0, 8.0], [33, 33]]
         "appendix-c-param-3d", "decompose-param-3d", "encode-series-param-3d",
         "finite-model-param-3d", "decompose-param-1d", "appendix-c-input-2d",
         "encode-series-input-2d", "lazy-input-2d", "bound-input-2d", "decompose-sigma-tanh",
-        "lazy-sigma-gaussian", "bound-sigma-gauss-d0"])
+        "lazy-sigma-gaussian", "bound-sigma-gauss-d0", "ks-empty", "ks-repeated",
+        "p-values-empty", "p-values-repeated"])
 def test_bad_integer_setting_is_usage_error(tmp_path, capsys, monkeypatch, experiment, change,
                                             key):
     """Every integer setting is read by one checked reader, and every real one
@@ -432,7 +437,11 @@ def test_bad_integer_setting_is_usage_error(tmp_path, capsys, monkeypatch, exper
     bound). The runs that project onto the ghosts (decompose, lazy, bound)
     need σ of finite weighted norm; with tanh, gaussian or gauss_d0, which
     have none, they ended in a DomainError from the projection ("plain-L²
-    projection requires a unit-norm activation")."""
+    projection requires a unit-norm activation"). An empty or repeated
+    params.ks or params.p_values ran: ks [1, 1] wrote each k's files twice and
+    reported spectra_min_pairwise_distinctness = 0, p_values [100, 100] an
+    error_ratio_last_over_first of 1; ks [] reported no metric and p_values []
+    only coeff_formula_gap."""
     monkeypatch.chdir(tmp_path)
     cfg = _write_config(tmp_path, {"experiment": experiment, **change})
     argv = [experiment, "--config", str(cfg)]
@@ -441,6 +450,18 @@ def test_bad_integer_setting_is_usage_error(tmp_path, capsys, monkeypatch, exper
     assert main(argv) == 2
     assert key in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path, capsys, out):
+    """--out naming a file, or a path under one, exits 2 before any work and
+    creates nothing; both ended in a traceback (FileExistsError,
+    NotADirectoryError) when the first artifact was written."""
+    (tmp_path / "file").write_text("kept")
+    assert main(["admissibility", "--out", str(tmp_path / out)]) == 2
+    assert "output_dir" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_negative_seed_flag_is_usage_error(tmp_path, capsys):
@@ -515,12 +536,27 @@ def test_tanh_runs_where_nothing_is_projected(tmp_path, config):
 def test_bump_finite_model_converges(tmp_path):
     """The bump nascent delta takes the same path as the Gaussian one, apart
     from `mollify`'s point loop: the sampling error falls from p = 100 to
-    p = 1000 (ratio 0.15–0.51 at seeds 0–5). The grid must resolve the bump:
-    on 41×33, whose b spacing 2 equals ε, the ratio was 0.56–1.03."""
+    p = 1000 (ratio 0.15–0.51 at seeds 0–5)."""
     cfg = _write_config(tmp_path, SMALL_BUMP_FINITE_MODEL)
     assert main(["finite-model", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["metrics"]["error_ratio_last_over_first"] < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bump_default_epsilon_resolves_the_coarser_axis(tmp_path, seed):
+    """On a 41×33 grid (spacing 0.5 × 2) the bump's default ε is 4·max
+    spacing = 8. At 4·min spacing = 2, which equals the b spacing, the grid
+    mass of δ^ε was 0.958 at a node and 1.097 at a cell centre: the ratio
+    read 0.56–1.03 (1.026 at seed 0) and coeff_formula_gap 0.19–0.35 at seeds
+    0–5, against 0.29–0.63 and 0.007–0.013 at ε = 8."""
+    grids = {**SMALL_BUMP_FINITE_MODEL["grids"], "param": [[-10.0, -32.0], [10.0, 32.0], [41, 33]]}
+    cfg = _write_config(tmp_path, {**SMALL_BUMP_FINITE_MODEL, "grids": grids})
+    assert main(["finite-model", "--config", str(cfg), "--seed", str(seed),
+                 "--out", str(tmp_path / "o")]) == 0
+    metrics = json.loads((tmp_path / "o" / "report.json").read_text())["metrics"]
+    assert metrics["error_ratio_last_over_first"] < 1.0
+    assert metrics["coeff_formula_gap"] <= 0.05
 
 
 @pytest.mark.parametrize("max_k", [0, -2, 9, 40, 4.0, True])

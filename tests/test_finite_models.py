@@ -16,7 +16,6 @@ from ghostlet import (
     generalization_bound,
     gram_schmidt_l2m,
     hermite_basis,
-    integrate,
     l2_inner,
     l2_norm,
     layer_norms,
@@ -110,11 +109,16 @@ def test_smoothing_converges_to_identity(gamma_smooth_pair):
     assert errs[0] > errs[1] > errs[2]
 
 
+def _mass(fld) -> complex:
+    """∫ field over its grid box by the trapezoid rule (`Grid.weights`)."""
+    return complex(np.sum(fld.grid.weights() * fld.values))
+
+
 def test_mollify_single_point_unit_mass():
     delta = NascentDelta("gaussian", 0.4)
     model = FiniteModel(points=np.array([[0.5, 1.0]]), weights=np.array([1.0 + 0j]))
     emb = mollify(model, delta, PG)
-    assert integrate(emb) == pytest.approx(1.0, abs=1e-4)
+    assert _mass(emb) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_mollify_zero_weights():
@@ -142,7 +146,7 @@ def test_mollify_mass_identity(gamma_smooth_pair):
     model = sample_parameters(gamma, 500, seed=1)
     emb = mollify(model, delta, PG)
     expect = np.sum(model.weights) / model.p
-    assert integrate(emb) == pytest.approx(expect, abs=1e-4 * max(1.0, abs(expect)))
+    assert _mass(emb) == pytest.approx(expect, abs=1e-4 * max(1.0, abs(expect)))
 
 
 def test_mollify_margin_warning():

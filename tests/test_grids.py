@@ -9,9 +9,7 @@ from ghostlet import (
     DomainError,
     Grid,
     ParamDistribution,
-    QuadratureScheme,
     SampledFunction,
-    integrate,
     l2_inner,
     l2_norm,
     sample,
@@ -32,30 +30,25 @@ def test_grid_invariants():
         Grid.line(0.0, 1.0, 1)           # needs 2+ points per axis
 
 
+def _trapezoid(fld) -> complex:
+    """∫ field over its grid box by the trapezoid rule: the sum over `Grid.weights`."""
+    return complex(np.sum(fld.grid.weights() * fld.values))
+
+
 def test_integrate_constant_is_exact():
     g = Grid.line(0.0, 1.0, 64)
-    assert_allclose(integrate(sample(g, lambda x: np.ones_like(x))).real, 1.0, atol=1e-14)
+    assert_allclose(_trapezoid(sample(g, lambda x: np.ones_like(x))).real, 1.0, atol=1e-14)
 
 
 def test_integrate_zero():
     g = Grid.line(-3.0, 5.0, 33)
-    assert integrate(sample(g, lambda x: 0.0 * x)) == 0.0
+    assert _trapezoid(sample(g, lambda x: 0.0 * x)) == 0.0
 
 
 def test_integrate_x_squared_vs_antiderivative_oracle():
     # closed form: x^3/3 on [0,1] -> 1/3
     g = Grid.line(0.0, 1.0, 101)
-    assert_allclose(integrate(sample(g, lambda x: x ** 2)).real, 1.0 / 3.0, atol=1e-4)
-
-
-def test_integrate_monte_carlo_reproducible():
-    g = Grid.line(-1.0, 1.0, 201)
-    f = sample(g, lambda x: np.cos(3 * x))
-    scheme = QuadratureScheme.monte_carlo(4096, seed=42)
-    a = integrate(f, scheme)
-    b = integrate(f, scheme)
-    assert a == b
-    assert abs(a - integrate(f)) < 0.05
+    assert_allclose(_trapezoid(sample(g, lambda x: x ** 2)).real, 1.0 / 3.0, atol=1e-4)
 
 
 def test_uniform_points_draw_one_axis_after_the_other():
@@ -91,12 +84,23 @@ def test_interpolate_rejects_points_of_the_wrong_shape():
             interpolate(fld, bad)
 
 
+def test_interpolate_evaluates_the_cubic_spline_only():
+    """`method` names the one interpolation; scipy's linear and nearest
+    interpolators are no longer reachable through it."""
+    f = sample(Grid.line(-1.0, 1.0, 21), lambda x: x ** 3)
+    x = np.array([[0.15], [0.55]])
+    assert_allclose(interpolate(f, x, method="cubic"), x[:, 0] ** 3, atol=1e-14)
+    for method in ("linear", "nearest"):
+        with pytest.raises(DomainError, match=method):
+            interpolate(f, x, method=method)
+
+
 def test_integrate_refinement_is_second_order():
     exact = 2.0 * np.sin(2.0)  # ∫_{-2}^{2} cos x dx
     errs = []
     for n in (33, 65, 129):
         g = Grid.line(-2.0, 2.0, n)
-        errs.append(abs(integrate(sample(g, np.cos)).real - exact))
+        errs.append(abs(_trapezoid(sample(g, np.cos)).real - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
@@ -184,8 +188,8 @@ def test_trapezoid_linearity_machine_precision():
     g = Grid.line(-2.0, 3.0, 57)
     u = sample(g, lambda x: np.exp(-x ** 2) * (1 + 0.3j))
     v = sample(g, lambda x: np.sin(x))
-    lhs = integrate(2.5 * u + (-1.0 + 0.5j) * v)
-    rhs = 2.5 * integrate(u) + (-1.0 + 0.5j) * integrate(v)
+    lhs = _trapezoid(2.5 * u + (-1.0 + 0.5j) * v)
+    rhs = 2.5 * _trapezoid(u) + (-1.0 + 0.5j) * _trapezoid(v)
     assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(lhs))
 
 

@@ -9,8 +9,11 @@
 - No frozen dataclass declares a dict, list or set field: freezing such an
   object does not freeze what the field holds.
 - Every module-level function, class and constant of a `ghostlet` module is
-  referenced somewhere in `src/`, `tests/` or `bench/` beyond its own
-  definition, so no definition lives on that nothing reads.
+  reached by a run: from a runner in `experiments._RUNNERS`, from `cli.main`,
+  from a module-level statement or from a name the benchmark (`bench/`, its
+  tests excluded) uses, through the definitions each one names. A test is no
+  root, so no definition lives on that only tests call. The few exempt names
+  each wait on the ROADMAP item that routes them into a run.
 - Every backticked identifier in a `ghostlet` docstring or comment names
   something `src/` defines, reads or imports, so no text points at a name
   that is gone.
@@ -156,39 +159,106 @@ def test_frozen_dataclasses_hold_no_mutable_containers():
 
 
 def _module_definitions(tree: ast.Module):
-    """(name, line) of every module-level function, class and assigned name."""
+    """(name, statement) of every module-level function, class and assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
-                    yield target.id, node.lineno
+                    yield target.id, node
 
 
-def _references() -> set[str]:
-    """Every name read, attribute read or name imported in `src/`, `tests/`
-    and `bench/`. A definition binds its name without reading it, so it does
-    not count as its own reference."""
-    refs = set()
-    for path in CALLERS:
+def _loaded_names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _bench_names() -> set[str]:
+    """Every identifier and string constant of the benchmark's own files
+    (`bench/test_*.py` excluded): the tracer looks functions up by the
+    strings of its `LAYERS` table."""
+    names = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        if path.name.startswith("test_"):
+            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                refs.add(node.id)
+            if isinstance(node, ast.Name):
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                refs.update(alias.name for alias in node.names)
-    return refs
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
 
 
-def test_every_module_definition_is_referenced():
-    refs = _references()
-    dead = [f"{path.stem}.{name} (line {line})" for path in MODULES
-            for name, line in _module_definitions(ast.parse(path.read_text()))
-            if name not in refs]
-    assert not dead, f"module-level definitions nothing references: {', '.join(dead)}"
+# What a run starts from, besides the module-level statements and the bench.
+_ROOTS = (("experiments", "_RUNNERS"), ("cli", "main"))
+
+# Definitions no run reaches yet, each with the ROADMAP item that routes it
+# into one. The list only shrinks: a name here that a run reaches, or that is
+# gone, fails the test.
+_UNREACHED = {
+    "nullspace.density_expand": "item 3",
+    "nullspace.density_synthesize": "item 3",
+    "nullspace._atom_matrix": "item 3",
+    "transforms.adjoint": "item 2",
+    "profiles.relu_profile": "item 2",
+    "finite_models.edge_points": "item 5",
+    "fourier._boundary_decay": "item 5",
+    "encoding.ModulationMap": "item 13 (encode-series reports the modulated readout)",
+    "encoding.modulate": "item 13 (encode-series reports the modulated readout)",
+}
+
+
+def _reached() -> tuple[set[str], set[str]]:
+    """(every module-level definition, the ones a run reaches), as
+    "module.name". Roots: `_ROOTS`, every name a module-level statement reads
+    (`os.register_at_fork(...)` included), and every name `_bench_names`
+    finds, in any module that defines it. A definition reaches every
+    definition its statement names, resolved through its module's own
+    definitions and its `from .x import y` imports."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    defs = {(mod, name): node for mod, tree in trees.items()
+            for name, node in _module_definitions(tree)}
+    imports = {mod: {alias.asname or alias.name: (node.module, alias.name)
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                     for alias in node.names}
+               for mod, tree in trees.items()}
+
+    def resolve(mod, name):
+        while (mod, name) not in defs and name in imports.get(mod, {}):
+            mod, name = imports[mod][name]
+        return (mod, name) if (mod, name) in defs else None
+
+    todo = [resolve(mod, name) for mod, name in _ROOTS]
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                todo += [resolve(mod, name) for name in _loaded_names(stmt)]
+    bench = _bench_names()
+    todo += [key for key in defs if key[1] in bench]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key is None or key in reached:
+            continue
+        reached.add(key)
+        todo += [resolve(key[0], name) for name in _loaded_names(defs[key])]
+    return {f"{m}.{n}" for m, n in defs}, {f"{m}.{n}" for m, n in reached}
+
+
+def test_every_module_definition_is_reached_by_a_run():
+    """Tests are no root: a definition only a test calls is dead code."""
+    defined, reached = _reached()
+    dead = sorted(defined - reached - set(_UNREACHED))
+    assert not dead, f"module-level definitions no run, CLI path or bench reaches: {dead}"
+    stale = sorted(name for name in _UNREACHED if name in reached or name not in defined)
+    assert not stale, f"exempt names that a run now reaches or that are gone: {stale}"
 
 
 def _source_names() -> set[str]:
@@ -228,7 +298,7 @@ def _docs(path: Path):
             yield tok.start[0], tok.string
 
 
-# A dotted identifier, optionally called: `grids.integrate`, `Spline.each(points)`.
+# A dotted identifier, optionally called: `grids.interpolate`, `Spline.each(points)`.
 _BACKTICKED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\([^`]*\))?`")
 _EXTERNAL = ("np.", "numpy.", "scipy.", "ghostlet.")
 # Names the docs may cite that are not Python names of `src/`: a config key

@@ -133,7 +133,8 @@ def round_trip_error(profile) -> float:
     omega_grid = Grid.line(-12.0, 12.0, 8192)
     b_grid = Grid.line(-10.0, 10.0, 801)
     spec = SpectralFunction(omega_grid, profile.spectral_values(omega_grid))
-    return float(np.max(np.abs(fourier_inverse(spec, b_grid).values - profile.real_values(b_grid))))
+    return float(np.max(np.abs(fourier_inverse(spec, b_grid).values
+                               - profile.real_eval(b_grid.axis(0)))))
 
 
 def test_profile_round_trips():
@@ -156,17 +157,14 @@ def test_tanh_profile_values():
 
 def test_stock_real_evaluators_are_real():
     """Real profiles evaluate to float arrays (kernel sums over them stay
-    real); a real scale keeps them real; real_values is always complex."""
+    real); a real scale keeps them real, and a complex one makes them complex."""
     b = np.linspace(-3.0, 3.0, 13)
-    grid = Grid.line(-3.0, 3.0, 13)
     stock = [tanh_profile(), relu_profile(), gaussian_profile(),
              *(gaussian_derivative_profile(k) for k in (1, 2, 3))]
     for prof in stock:
         assert np.asarray(prof.real_eval(b)).dtype == np.float64, prof.name
         assert np.asarray(prof.scaled(0.5).real_eval(b)).dtype == np.float64, prof.name
         assert np.iscomplexobj(prof.scaled(1j).real_eval(b)), prof.name
-        assert prof.real_values(grid).dtype == np.complex128, prof.name
-        np.testing.assert_array_equal(prof.real_values(grid), prof.real_eval(b))
 
 
 def test_tanh_rho_family_evaluators_are_real():

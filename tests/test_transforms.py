@@ -20,7 +20,6 @@ from ghostlet import (
     make_operator,
     make_rho_family,
     pairing,
-    reconstruct,
     relu_profile,
     ridgelet,
     ridgelet_fourier,
@@ -192,9 +191,15 @@ def test_ridgelet_boundedness(op3, ghost_profile):
     assert l2_norm(r) ** 2 <= bound * (1 + 1e-6)
 
 
+def _reconstruct(op, f, rho):
+    """S[R[f;ρ]] on the direct paths, and ⟨⟨σ,ρ⟩⟩."""
+    pair = pairing(op.sigma, rho, op.m)
+    return forward_s(op, ridgelet(f, rho, op.param_grid)), pair
+
+
 def test_reconstruct_admissible(op3):
     f = bump_mix(25)
-    out, pair = reconstruct(op3, f, op3.sigma)
+    out, pair = _reconstruct(op3, f, op3.sigma)
     assert pair == pytest.approx(1.0, abs=1e-9)
     assert rel_l2(out, f) < 1e-2
 
@@ -230,7 +235,7 @@ def test_reconstruct_scaling_sesquilinear(op3):
 def test_reconstruct_rejects_relu_pairing(op3):
     f = bump_mix(28)
     with pytest.raises(UnsupportedProfileError):
-        reconstruct(op3, f, relu_profile())
+        _reconstruct(op3, f, relu_profile())
 
 
 def test_adjoint_zero(op3):
@@ -357,10 +362,10 @@ def test_forward_s_fourier_needs_spectrum(param_grid, input_grid):
 
 
 def test_ridgelet_integrates_by_the_trapezoid_rule_only(op3):
-    from ghostlet import QuadratureScheme
+    from ghostlet.grids import MONTE_CARLO, QuadratureScheme
 
     with pytest.raises(DomainError):
-        ridgelet(bump_mix(38), op3.sigma, op3.param_grid, QuadratureScheme.monte_carlo(64, 0))
+        ridgelet(bump_mix(38), op3.sigma, op3.param_grid, QuadratureScheme(MONTE_CARLO))
 
 
 @pytest.mark.parametrize("m", [1, 2])
