@@ -63,10 +63,7 @@ from .transforms import (
     ridgelet_fourier,
 )
 from .nullspace import (
-    DisjointSupport,
     ExpansionCoefficients,
-    LinearCombination,
-    NormalizedDifference,
     StructureDecomposition,
     density_expand,
     density_synthesize,

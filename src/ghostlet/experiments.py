@@ -60,7 +60,6 @@ from .grids import (
     sample,
 )
 from .nullspace import (
-    LinearCombination,
     lazy_solution,
     make_nonadmissible,
     ridgelet_atom,
@@ -147,7 +146,7 @@ class RunReport:
     metrics: dict
     artifacts: list
     config_echo: dict
-    version: str = __version__
+    version: str = field(default=__version__, init=False)
 
     def finish(self, out_dir: Path, tolerances: dict) -> "RunReport":
         """Write the report, verify artifacts exist, enforce tolerances."""
@@ -479,17 +478,20 @@ def _require_hermite(input_grid: Grid, count: int) -> int:
 
 def _ghost_testbed(op, basis_size: int = 4):
     """The first `basis_size` Hermite functions on the operator's input grid,
-    and the ghost profile: the non-admissible combination of ρ₁ and ρ₃
-    against the operator's σ. The runs that take it project onto the ghosts,
-    which needs a σ of finite weighted norm (`NetworkOperator.is_normalized`);
-    tanh, gaussian and gauss_d0 have none, and are refused before any work."""
+    and the ghost profile: the sum of the first two ρ_k (1 ≤ k ≤ 4) that pair
+    to zero with the operator's σ (`make_nonadmissible`), ρ₁ and ρ₃ for an
+    odd σ and ρ₂ and ρ₄ for an even one. The runs that take it project onto
+    the ghosts, which needs a σ of finite weighted norm
+    (`NetworkOperator.is_normalized`); tanh, gaussian and gauss_d0 have none,
+    and are refused before any work."""
     if not op.is_normalized:
         raise UsageError(f"profiles.sigma {op.sigma.name!r} has no finite weighted norm, "
                          "which the projection onto the ghosts needs")
     _require_hermite(op.input_grid, basis_size)
     basis = hermite_basis(basis_size, op.input_grid)
     family = make_rho_family(4, sigma=op.sigma)
-    ghost_profile = make_nonadmissible(op.sigma, LinearCombination(family[1], family[3]))
+    ghosts = [rho for rho in family[1:] if admissibility(op.sigma, rho, 1).numerically_zero]
+    ghost_profile = make_nonadmissible(op.sigma, *ghosts[:2])
     return basis, ghost_profile
 
 

@@ -48,6 +48,10 @@ class NascentDelta:
     At finite-model's bump default ε = 4·max(h) the 2-D sum on spacings
     0.125 × 0.5 is 1.0022 at a node and 0.9976 at a cell centre (at
     ε = 4·min(h), 0.9575 and 1.0973).
+
+    `mollify` scatters the bump, of any dimension, onto a stencil of
+    ∏ᵢ(2⌊ε/hᵢ⌋ + 3) nodes around each point, and sums the Gaussian in
+    separable form on 2-D grids only.
     """
 
     base_shape: str = GAUSSIAN
@@ -158,35 +162,70 @@ def mollify(model: FiniteModel, delta: NascentDelta, grid: Grid) -> ParamDistrib
     is Aᵀ·(T·B) for axis factors A, B of the distinct a and b values
     (`_axis_factors`) and T the sparse table of s_k = w_k/(p·ε²) summed on
     each (a, b) pair, two real GEMMs (Re s, Im s) floored as `_FACTOR_FLOOR`
-    states. A model on grid nodes costs the same for any p. Other bases and
-    dimensions sum δ^ε point by point.
+    states. A model on grid nodes costs the same for any p. The Gaussian base
+    takes 2-D grids only: every parameter grid of a run is 2-D. The bump
+    base, of any dimension, scatters each point onto its stencil
+    (`_bump_scatter`).
     """
     dim = grid.dim
     if model.points.shape[1] != dim:
         raise DomainError("model dimension does not match the grid")
-    if delta.base_shape == GAUSSIAN and dim == 2:
-        from scipy.sparse import csr_matrix
+    if delta.base_shape == BUMP:
+        return ParamDistribution._adopt(grid, _bump_scatter(model, delta, grid))
+    if dim != 2:
+        raise DomainError(f"the Gaussian base mollifies onto 2-D grids only, not {dim}-D")
+    from scipy.sparse import csr_matrix
 
-        ua, ia = np.unique(model.points[:, 0], return_inverse=True)
-        ub, ib = np.unique(model.points[:, 1], return_inverse=True)
-        a_fac = _axis_factors(grid.axis(0), ua, delta.epsilon)
-        b_fac = _axis_factors(grid.axis(1), ub, delta.epsilon)
-        scale = model.weights / (model.p * delta.epsilon ** dim)
-        shift = np.frexp(np.max(np.abs(scale)))[1]
-        parts = []
-        for part in (scale.real, scale.imag):
-            table = csr_matrix((np.ldexp(part, -shift), (ia, ib)), shape=(ua.size, ub.size))
-            rows = table @ b_fac
-            rows[np.abs(rows) < _FACTOR_FLOOR] = 0.0
-            parts.append(np.ldexp(a_fac.T @ rows, shift))
-        vals = parts[0] + 1j * parts[1]
-    else:
-        vals = np.zeros(grid.counts, dtype=complex)
-        nodes = grid.points()
-        for k in range(model.p):
-            vals += (model.weights[k] / model.p) * delta.values(
-                nodes - model.points[k]).reshape(grid.counts)
-    return ParamDistribution._adopt(grid, vals)
+    ua, ia = np.unique(model.points[:, 0], return_inverse=True)
+    ub, ib = np.unique(model.points[:, 1], return_inverse=True)
+    a_fac = _axis_factors(grid.axis(0), ua, delta.epsilon)
+    b_fac = _axis_factors(grid.axis(1), ub, delta.epsilon)
+    scale = model.weights / (model.p * delta.epsilon ** dim)
+    shift = np.frexp(np.max(np.abs(scale)))[1]
+    parts = []
+    for part in (scale.real, scale.imag):
+        table = csr_matrix((np.ldexp(part, -shift), (ia, ib)), shape=(ua.size, ub.size))
+        rows = table @ b_fac
+        rows[np.abs(rows) < _FACTOR_FLOOR] = 0.0
+        parts.append(np.ldexp(a_fac.T @ rows, shift))
+    return ParamDistribution._adopt(grid, parts[0] + 1j * parts[1])
+
+
+# Stencil entries per block of `_bump_scatter`: 2¹⁸ offsets of a 2-D grid are 4 MB.
+_STENCIL_BLOCK = 1 << 18
+
+
+def _bump_scatter(model: FiniteModel, delta: NascentDelta, grid: Grid) -> np.ndarray:
+    """The bump's Σ_k (w_k/p)·δ^ε(node − v_k) on the grid's nodes. The bump
+    vanishes beyond ε, so point k reaches only its stencil: along axis i, the
+    2⌊ε/hᵢ⌋ + 3 nodes from ⌊(v_ki − loᵢ)/hᵢ⌋ − ⌊ε/hᵢ⌋ − 1 on, where one off
+    the grid stands 2ε away and adds 0. `delta.values` runs on the stencils'
+    offsets, about `_STENCIL_BLOCK` entries at a time, and `np.add.at` adds
+    the terms in point order: the sum of a loop over the points, bit for bit."""
+    axes = grid.axes()
+    reach = [int(delta.epsilon // h) for h in grid.spacing]
+    widths = tuple(2 * n + 3 for n in reach)
+    vals = np.zeros(grid.total_points, dtype=complex)
+    coef = model.weights / model.p
+    block = max(1, _STENCIL_BLOCK // int(np.prod(widths)))
+    for start in range(0, model.p, block):
+        pts = model.points[start:start + block]
+        flat = 0
+        offsets = np.empty((len(pts),) + widths + (grid.dim,))
+        for i, (ax, h, n) in enumerate(zip(axes, grid.spacing, reach)):
+            shape = [len(pts)] + [1] * grid.dim
+            shape[i + 1] = widths[i]
+            idx = np.floor((pts[:, i, None] - ax[0]) / h).astype(np.intp) - n - 1 \
+                + np.arange(widths[i])
+            on_grid = (idx >= 0) & (idx < ax.size)
+            idx = np.clip(idx, 0, ax.size - 1)
+            offsets[..., i] = np.where(on_grid, ax[idx] - pts[:, i, None],
+                                       2.0 * delta.epsilon).reshape(shape)
+            flat = flat * ax.size + idx.reshape(shape)
+        terms = coef[start:start + block].reshape((-1,) + (1,) * grid.dim) \
+            * delta.values(offsets)
+        np.add.at(vals, flat.ravel(), terms.ravel())
+    return vals.reshape(grid.counts)
 
 
 def edge_points(model: FiniteModel, delta: NascentDelta, grid: Grid) -> int:

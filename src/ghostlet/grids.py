@@ -223,11 +223,11 @@ class SpectralFunction(_Field):
     """Values on a frequency grid (ξ axes, ω axis, or (a, ω))."""
 
 
-def sample(grid: Grid, fn: Callable, cls=SampledFunction):
+def sample(grid: Grid, fn: Callable) -> SampledFunction:
     """Sample a callable of the grid coordinates onto the grid."""
     mesh = grid.mesh()
     vals = np.broadcast_to(np.asarray(fn(*mesh), dtype=complex), grid.counts)
-    return cls(grid, vals)
+    return SampledFunction(grid, vals)
 
 
 TRAPEZOID = "trapezoid"

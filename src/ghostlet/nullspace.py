@@ -4,9 +4,12 @@ lazy-learning minimizer.
 
 A pair (σ, ρ) is admissible when ⟨⟨σ,ρ⟩⟩ is neither 0 nor ∞
 (`profiles.admissibility` decides the zero); ridgelet transforms with
-non-admissible ρ generate ghosts (null elements of S). With a
-unit-norm activation, P = S*∘S projects onto the orthocomplement and I − P
-onto the ghosts.
+non-admissible ρ generate ghosts (null elements of S). `make_nonadmissible`
+is the one ghost-profile builder: the normalized sum of two spectra, which
+it returns only when the sum has a finite weighted norm and pairs to zero
+with σ (`AdmissibilityReport.numerically_zero`), so S annihilates every
+R[f;ρ] it makes. With a unit-norm activation, P = S*∘S projects onto the
+orthocomplement and I − P onto the ghosts.
 
 Normalization used throughout analysis/synthesis (recorded constants): with
 {e_i} orthonormal in L² and ρ' of unit weighted norm, the fields R[e_i;ρ'_i]
@@ -50,6 +53,7 @@ from .profiles import (
     Profile1D,
     _interp_profile,
     admissibility,
+    weighted_space_norm,
 )
 from .transforms import (
     NetworkOperator,
@@ -59,76 +63,24 @@ from .transforms import (
     ridgelet_fourier,
 )
 
-_SUPPORT_TOL = 1e-10  # recipe (i): |σ♯| at most this share of its peak is no support
 
-
-@dataclass(frozen=True)
-class DisjointSupport:
-    """Recipe (i): ρ₀♯ supported where σ♯ has (numerically) no support."""
-
-
-@dataclass(frozen=True)
-class NormalizedDifference:
-    """Recipe (ii): ρ − ρ' after normalizing both pairings to 1."""
-    rho_a: Profile1D = None
-    rho_b: Profile1D = None
-
-
-@dataclass(frozen=True)
-class LinearCombination:
-    """Recipe (iii): αρ₀ + βρ₀' of two non-admissible profiles."""
-    rho_a: Profile1D = None
-    rho_b: Profile1D = None
-    alpha: complex = 1.0
-    beta: complex = 1.0
-
-
-def make_nonadmissible(sigma: Profile1D, recipe) -> Profile1D:
-    """Construct a profile with ⟨⟨σ, out⟩⟩ ≈ 0 (m = 1) by one of the three recipes."""
+def make_nonadmissible(sigma: Profile1D, rho_a: Profile1D, rho_b: Profile1D) -> Profile1D:
+    """The ghost profile (ρ_a + ρ_b)/‖ρ_a + ρ_b‖ at m = 1, from the spectra on
+    `DEFAULT_OMEGA_GRID`. A DomainError refuses a sum without a finite
+    nonzero weighted norm (`weighted_space_norm`) and one that σ pairs with
+    to a nonzero."""
     m, omega_grid = 1, DEFAULT_OMEGA_GRID
-    omega = omega_grid.axis(0)
-
-    if isinstance(recipe, DisjointSupport):
-        spec = np.abs(sigma.spectral_values(omega_grid))
-        peak = float(np.max(spec))
-        usable = (np.abs(spec) <= _SUPPORT_TOL * peak) & (np.abs(omega) > 0.5)
-        if not np.any(usable):
-            raise DomainError(
-                f"{sigma.name!r} spectrum has no numerically free band on this grid")
-        lo = float(np.min(np.abs(omega[usable])))
-        hi = float(np.max(np.abs(omega)))
-        center = 0.5 * (lo + hi)
-        width = max((hi - lo) / 8.0, 2.0 * omega_grid.spacing[0])
-        vals = (np.exp(-((omega - center) ** 2) / (2 * width ** 2))
-                + np.exp(-((omega + center) ** 2) / (2 * width ** 2))) + 0.0j
-        vals /= weighted_omega_norm(vals, m, omega_grid)
-        return _interp_profile(f"disjoint({sigma.name})", omega_grid, vals)
-
-    if isinstance(recipe, NormalizedDifference):
-        ra = admissibility(sigma, recipe.rho_a, m)
-        rb = admissibility(sigma, recipe.rho_b, m)
-        if ra.numerically_zero or rb.numerically_zero:
-            raise DomainError("recipe (ii) needs two admissible inputs with nonzero pairings")
-        va = recipe.rho_a.spectral_values(omega_grid) / np.conj(ra.pairing)
-        vb = recipe.rho_b.spectral_values(omega_grid) / np.conj(rb.pairing)
-        vals = va - vb
-        nrm = weighted_omega_norm(vals, m, omega_grid)
-        if nrm > 0:
-            vals = vals / nrm
-        return _interp_profile(f"diff({recipe.rho_a.name},{recipe.rho_b.name})",
-                               omega_grid, vals)
-
-    if isinstance(recipe, LinearCombination):
-        va = recipe.rho_a.spectral_values(omega_grid)
-        vb = recipe.rho_b.spectral_values(omega_grid)
-        vals = recipe.alpha * va + recipe.beta * vb
-        nrm = weighted_omega_norm(vals, m, omega_grid)
-        if nrm > 1e-14:
-            vals = vals / nrm
-        return _interp_profile(f"lincomb({recipe.rho_a.name},{recipe.rho_b.name})",
-                               omega_grid, vals)
-
-    raise DomainError(f"unknown recipe {type(recipe).__name__}")
+    name = f"lincomb({rho_a.name},{rho_b.name})"
+    vals = rho_a.spectral_values(omega_grid) + rho_b.spectral_values(omega_grid)
+    nrm = weighted_space_norm(vals, m, omega_grid)
+    if nrm is None:
+        raise DomainError(f"{name} has no finite nonzero weighted norm")
+    out = _interp_profile(name, omega_grid, vals / nrm)
+    report = admissibility(sigma, out, m)
+    if not report.numerically_zero:
+        raise DomainError(f"{name} pairs to {abs(report.pairing):.3g} with {sigma.name!r}, "
+                          "not to zero: it is no ghost profile")
+    return out
 
 
 def project(op: NetworkOperator, gamma: ParamDistribution):

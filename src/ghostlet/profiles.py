@@ -47,11 +47,11 @@ PARITY_NONE = "none"
 _GAUSS_FLOOR = 1e-150
 
 
-def _gauss(x, width: float = 1.0) -> np.ndarray:
-    """exp(−x²/(2·width²)), 0 below `_GAUSS_FLOOR`, the plain formula bit for bit above."""
+def _gauss(x) -> np.ndarray:
+    """exp(−x²/2), 0 below `_GAUSS_FLOOR`, the plain formula bit for bit above."""
     x = np.asarray(x, dtype=float)
     u = np.square(x, out=np.empty(x.shape))
-    u /= -2.0 * width ** 2
+    u /= -2.0
     np.maximum(u, np.log(_GAUSS_FLOOR) - 1.0, out=u)
     np.exp(u, out=u)
     u[u < _GAUSS_FLOOR] = 0.0
@@ -161,18 +161,17 @@ def dawson_derivative(x, k: int, scale: float = 1.0):
 _RHO0_CONST = 1j * np.sqrt(2.0) / np.pi
 
 
-def dawson_profile(name: str, k: int, c: complex = 1.0, scale: float = 1.0) -> Profile1D:
-    """c·ρ₀^{(k)} at Gaussian scale s: spectrum c·(iω)^k sign(ω) e^{−(sω)²/2},
-    real domain c·s^{−(k+1)} ρ₀^{(k)}(b/s), which is one scalar
-    c·(i√2/π)·2^{−k/2}·s^{−(k+1)} times F^{(k)}(b/(s√2)). When that scalar is
-    real (c purely imaginary, as for every c_k against tanh) the real evaluator
-    returns float arrays. The spectrum is multiplied by c only when c ≠ 1."""
-    const = complex(c) * _RHO0_CONST * 2.0 ** (-k / 2.0) * scale ** (-(k + 1))
+def dawson_profile(name: str, k: int, c: complex = 1.0) -> Profile1D:
+    """c·ρ₀^{(k)}: spectrum c·(iω)^k sign(ω) e^{−ω²/2}, real domain one scalar
+    c·(i√2/π)·2^{−k/2} times F^{(k)}(b/√2). When that scalar is real (c purely
+    imaginary, as for every c_k against tanh) the real evaluator returns float
+    arrays. The spectrum is multiplied by c only when c ≠ 1."""
+    const = complex(c) * _RHO0_CONST * 2.0 ** (-k / 2.0)
     if const.imag == 0.0:
         const = const.real
 
     def real(b):
-        vals = dawson_derivative(b, k, scale=scale * np.sqrt(2.0))
+        vals = dawson_derivative(b, k, scale=np.sqrt(2.0))
         if isinstance(const, float):
             vals *= const
             return vals
@@ -180,7 +179,7 @@ def dawson_profile(name: str, k: int, c: complex = 1.0, scale: float = 1.0) -> P
 
     def spec(w):
         w = np.asarray(w, dtype=float)
-        vals = (1j * w) ** k * np.sign(w) * _gauss(scale * w)
+        vals = (1j * w) ** k * np.sign(w) * _gauss(w)
         return vals if c == 1.0 else c * vals
 
     return Profile1D(name, real, spec, PARITY_EVEN if k % 2 == 1 else PARITY_ODD)
@@ -192,10 +191,9 @@ def rho0_profile() -> Profile1D:
     return dawson_profile("rho0", 0)
 
 
-def _rho_k_unnormalized(k: int, scale: float = 1.0) -> Profile1D:
-    """ρ₀^{(k)} at Gaussian scale s, the seed of the ρ_k family."""
-    return dawson_profile(f"rho0_d{k}" if scale == 1.0 else f"rho0_d{k}@s={scale:g}", k,
-                          scale=scale)
+def _rho_k_unnormalized(k: int) -> Profile1D:
+    """ρ₀^{(k)}, the seed of the ρ_k family."""
+    return dawson_profile(f"rho0_d{k}", k)
 
 
 def tanh_profile() -> Profile1D:
@@ -215,15 +213,13 @@ def relu_profile() -> Profile1D:
     return Profile1D(name="relu", real_eval=lambda b: np.maximum(np.asarray(b, dtype=float), 0.0))
 
 
-def gaussian_profile(width: float = 1.0, center: float = 0.0) -> Profile1D:
+def gaussian_profile() -> Profile1D:
+    """The unit Gaussian e^{−b²/2}, spectrum √(2π) e^{−ω²/2}."""
     def spec(w):
         w = np.asarray(w, dtype=float)
-        return width * np.sqrt(2.0 * np.pi) * np.exp(-(width * w) ** 2 / 2.0 - 1j * w * center)
+        return np.sqrt(2.0 * np.pi) * np.exp(-w ** 2 / 2.0 + 0.0j)
 
-    return Profile1D(name=f"gaussian(w={width:g},c={center:g})",
-                     real_eval=lambda b: _gauss(np.asarray(b, dtype=float) - center, width),
-                     spectral_eval=spec,
-                     parity=PARITY_EVEN if center == 0.0 else PARITY_NONE)
+    return Profile1D(name="gaussian", real_eval=_gauss, spectral_eval=spec, parity=PARITY_EVEN)
 
 
 def _gaussian_derivative_real(b, k: int) -> np.ndarray:

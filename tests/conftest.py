@@ -14,7 +14,6 @@ import pytest
 
 from ghostlet import (
     Grid,
-    LinearCombination,
     SampledFunction,
     gaussian_derivative_profile,
     gram_schmidt_l2m,
@@ -61,7 +60,7 @@ def rho_family5(op3):
 @pytest.fixture(scope="session")
 def ghost_profile(op3, rho_family5):
     """Non-admissible, unit-norm, smooth near ω = 0 (k = 3,5 combination)."""
-    return make_nonadmissible(op3.sigma, LinearCombination(rho_family5[3], rho_family5[5]))
+    return make_nonadmissible(op3.sigma, rho_family5[3], rho_family5[5])
 
 
 @pytest.fixture(scope="session")

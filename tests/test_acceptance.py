@@ -207,10 +207,9 @@ def test_criterion_08_density_expansion(op3, hermite12, rho_basis6, atoms126):
     # Gaussian-envelope bump with a cos(2b) carrier: a plain positive bump
     # keeps constant weighted mass density near ω = 0, unreachable by any
     # finite family whose members vanish there (see the decisions record).
-    gam = sample(op3.param_grid,
-                 lambda a, b: np.exp(-(a ** 2) / 2.0 - (b ** 2) / (2 * 1.2 ** 2))
-                 * np.cos(2.0 * b),
-                 cls=ParamDistribution)
+    gam = ParamDistribution(op3.param_grid, sample(
+        op3.param_grid, lambda a, b: np.exp(-(a ** 2) / 2.0 - (b ** 2) / (2 * 1.2 ** 2))
+        * np.cos(2.0 * b)).values)
     coeffs = density_expand(gam, hermite12, rho_basis6, (12, 6), atoms=atoms126)
     partial = coeffs.partial_parseval()
     total = 2.0 * np.pi * l2_norm(gam) ** 2

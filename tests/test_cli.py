@@ -37,7 +37,7 @@ SMALL_FINITE_MODEL = {
     "params": {"p_values": [100, 2000], "n_seeds": 3},
 }
 
-# the bump nascent delta, which mollify sums point by point, on a 41×129 parameter
+# the bump nascent delta, which mollify scatters onto stencils, on a 41×129 parameter
 # grid: spacing 0.5 on both axes, so the default ε = 4·max spacing = 2
 SMALL_BUMP_FINITE_MODEL = {
     "experiment": "finite-model",
@@ -506,6 +506,23 @@ def test_gauss_d_at_its_cap_runs_cleanly(tmp_path):
     assert main(["admissibility", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_measured_bound_is_the_same_for_even_and_odd_sigma(tmp_path):
+    """`bound --measure` plants a ghost atom. Against gauss_d2 the testbed
+    planted ρ₁ + ρ₃, which pairs to 0.987 with it, and the ratio read 0.969
+    where gauss_d3 reads 0.0316 (seed 3). With ρ₂ + ρ₄ for an even σ, gauss_d2
+    and gauss_d4 give gauss_d3's ratio."""
+    ratios = {}
+    for sigma in ("gauss_d2", "gauss_d3", "gauss_d4"):
+        cfg = _write_config(tmp_path, {"profiles": {"sigma": sigma}, "params": {"measure": True}})
+        out = tmp_path / sigma
+        assert main(["bound", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+        metrics = json.loads((out / "report.json").read_text())["metrics"]
+        ratios[sigma] = metrics["exclusive_over_inclusive"]
+    assert ratios["gauss_d3"] < 0.05
+    for sigma in ("gauss_d2", "gauss_d4"):
+        assert ratios[sigma] == pytest.approx(ratios["gauss_d3"], abs=1e-4), sigma
+
+
 @pytest.mark.parametrize("experiment, params", [
     ("decompose", {}), ("lazy", {}), ("bound", {"measure": True}), ("finite-model", {}),
 ])
@@ -535,7 +552,7 @@ def test_tanh_runs_where_nothing_is_projected(tmp_path, config):
 
 def test_bump_finite_model_converges(tmp_path):
     """The bump nascent delta takes the same path as the Gaussian one, apart
-    from `mollify`'s point loop: the sampling error falls from p = 100 to
+    from `mollify`'s stencil scatter: the sampling error falls from p = 100 to
     p = 1000 (ratio 0.15–0.51 at seeds 0–5)."""
     cfg = _write_config(tmp_path, SMALL_BUMP_FINITE_MODEL)
     assert main(["finite-model", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

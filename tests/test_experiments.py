@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
 
-from ghostlet import Grid, gaussian_profile, make_rho_family, ridgelet_atom, tanh_profile
-from ghostlet.experiments import ExperimentConfig, _mc_ridgelet_field, run_subcommand
+from ghostlet import (
+    Grid,
+    admissibility,
+    forward_s_via_fourier,
+    gaussian_derivative_profile,
+    l2_norm,
+    make_operator,
+    make_rho_family,
+    ridgelet_atom,
+    tanh_profile,
+)
+from ghostlet.experiments import (
+    ExperimentConfig,
+    _ghost_testbed,
+    _mc_ridgelet_field,
+    run_subcommand,
+)
+from ghostlet.profiles import dawson_profile
 
 
 def _serial_field(f_eval, rho, param_grid, x_lo, x_hi, n_per_node, rng, ordered=True):
@@ -21,12 +37,12 @@ def _serial_field(f_eval, rho, param_grid, x_lo, x_hi, n_per_node, rng, ordered=
     return np.array(rows)
 
 
-@pytest.mark.parametrize("sigma, bit_generator", [
-    (tanh_profile(), np.random.PCG64),
-    (gaussian_profile(center=0.5), np.random.PCG64),
-    (gaussian_profile(center=0.5), np.random.MT19937),
-], ids=["tanh", "gaussian-shifted", "gaussian-shifted-mt19937"])
-def test_mc_ridgelet_field_matches_serial_loop(monkeypatch, sigma, bit_generator):
+@pytest.mark.parametrize("rho, bit_generator", [
+    (make_rho_family(2, sigma=tanh_profile())[2], np.random.PCG64),
+    (dawson_profile("rho2", 2, 0.3 + 0.2j), np.random.PCG64),
+    (dawson_profile("rho2", 2, 0.3 + 0.2j), np.random.MT19937),
+], ids=["tanh", "complex", "complex-mt19937"])
+def test_mc_ridgelet_field_matches_serial_loop(monkeypatch, rho, bit_generator):
     """The block-parallel field equals the serial loop over sorted draws bit
     for bit, for a real and a complex ρ, and leaves the generator's own
     stream where it was. Any bit generator serves, since no row jumps
@@ -36,7 +52,6 @@ def test_mc_ridgelet_field_matches_serial_loop(monkeypatch, sigma, bit_generator
     import os
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    rho = make_rho_family(2, sigma=sigma)[2]
     grid = Grid((-6.0, -6.0), (6.0, 6.0), (9, 11))
     f_eval = lambda xs: np.sin(2.0 * np.pi * xs)
     new_rng = lambda: np.random.Generator(bit_generator(42))
@@ -211,3 +226,16 @@ def test_measured_bound_uses_the_box_sup_radius(tmp_path, param, corner):
     assert len(rows) == 3
     for row in rows:
         assert float(row["M"]) == pytest.approx(np.hypot(*corner), rel=1e-15)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_ghost_testbed_plants_a_ghost_for_every_gauss_d(input_grid, param_grid, k):
+    """The testbed's profile pairs to zero with gauss_d<k> and S annihilates
+    its atom R[e₁;ρ], for odd and even k. The sum ρ₁ + ρ₃ that it always took
+    pairs to 0.987, 0.745 and 0.461 with gauss_d2, gauss_d4 and gauss_d6, so
+    `decompose`, `lazy` and `bound --measure` planted no ghost there."""
+    op = make_operator(gaussian_derivative_profile(k), param_grid, input_grid)
+    basis, ghost = _ghost_testbed(op)
+    assert admissibility(op.sigma, ghost, 1).numerically_zero
+    atom = ridgelet_atom(basis, 1, ghost, op.param_grid)
+    assert l2_norm(forward_s_via_fourier(op, atom)) <= 1e-12 * l2_norm(atom)

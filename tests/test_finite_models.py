@@ -259,26 +259,53 @@ def test_axis_factors_floor_the_plain_formula():
     assert not np.any((got != 0.0) & (np.abs(got) < np.finfo(float).tiny))
 
 
+def _point_loop_mollify(model, delta, grid):
+    """The bump's field as `mollify` summed it before its stencil scatter: one
+    pass over the whole grid per point, in point order."""
+    vals = np.zeros(grid.counts, dtype=complex)
+    nodes = grid.points()
+    for k in range(model.p):
+        vals += (model.weights[k] / model.p) * delta.values(
+            nodes - model.points[k]).reshape(grid.counts)
+    return vals
+
+
 @pytest.mark.parametrize("shape, grid", [
     ("bump", Grid((-3.0, -4.0), (3.0, 4.0), (49, 65))),
-    ("gaussian", Grid((-2.0, -2.0, -3.0), (2.0, 2.0, 3.0), (13, 13, 17))),
 ])
 def test_mollify_point_loop_matches_brute_force_sum(shape, grid):
-    """The per-point loop (the bump base, and every dim ≠ 2) equals the
-    reference sum, at p = 20."""
+    """The bump's stencil scatter equals the per-point loop bit for bit and
+    the reference sum to 1e-12, at p = 20 off the nodes and for a model on
+    grid nodes that repeats nodes and holds some on the box edge."""
     rng = np.random.default_rng(25)
     lo, hi = np.asarray(grid.lower) + 1.0, np.asarray(grid.upper) - 1.0
-    model = FiniteModel(points=rng.uniform(lo, hi, (20, grid.dim)),
-                        weights=rng.standard_normal(20) + 1j * rng.standard_normal(20))
+    off_nodes = FiniteModel(points=rng.uniform(lo, hi, (20, grid.dim)),
+                            weights=rng.standard_normal(20) + 1j * rng.standard_normal(20))
+    nodes = grid.points()
+    on_nodes = _random_model(rng, 200, grid.lower, grid.upper, 1.0, nodes[::7])
+    assert len(np.unique(on_nodes.points, axis=0)) < on_nodes.p
+    assert np.any((on_nodes.points == grid.lower) | (on_nodes.points == grid.upper))
     delta = NascentDelta(shape, 0.6)
-    got = mollify(model, delta, grid)
-    ref = _brute_mollify(model, delta, grid)
-    assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for model in (off_nodes, on_nodes):
+        got = mollify(model, delta, grid).values
+        np.testing.assert_array_equal(got, _point_loop_mollify(model, delta, grid))
+        ref = _brute_mollify(model, delta, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_mollify_refuses_the_gaussian_base_off_two_dimensions():
+    """The Gaussian base mollifies onto 2-D grids only (every run's parameter
+    grid is 2-D); the bump takes any dimension."""
+    grid = Grid((-2.0, -2.0, -3.0), (2.0, 2.0, 3.0), (13, 13, 17))
+    model = FiniteModel(points=np.zeros((1, 3)), weights=np.ones(1))
+    with pytest.raises(DomainError, match="2-D grids only"):
+        mollify(model, NascentDelta("gaussian", 0.6), grid)
 
 
 def test_bump_mass_is_computed_once_per_dimension(monkeypatch):
-    """A bump `mollify` computes the bump's mass once, not once per point,
-    and the field is the one the uncached mass gives, bit for bit."""
+    """A bump `mollify` computes the bump's mass once, not once per point:
+    30 points make one stencil block, so one call and no cache hit. The
+    field is the one the uncached mass gives, bit for bit."""
     import ghostlet.finite_models as finite_models
 
     grid = Grid((-3.0, -4.0), (3.0, 4.0), (49, 65))
@@ -289,7 +316,7 @@ def test_bump_mass_is_computed_once_per_dimension(monkeypatch):
     finite_models._bump_mass.cache_clear()
     cached = mollify(model, delta, grid).values
     info = finite_models._bump_mass.cache_info()
-    assert (info.misses, info.hits) == (1, model.p - 1)
+    assert (info.misses, info.hits) == (1, 0)
     monkeypatch.setattr(finite_models, "_bump_mass", finite_models._bump_mass.__wrapped__)
     np.testing.assert_array_equal(mollify(model, delta, grid).values, cached)
 
@@ -400,7 +427,7 @@ def test_uniform_and_density_schemes_agree_in_expectation(opf):
     each probe pairing is at most 0.007 per scheme (0.010 for the
     difference of two independent schemes), so the 0.05 tolerance is 5σ.
     """
-    const = sample(PG, lambda a, b: np.ones_like(a + b), cls=ParamDistribution)
+    const = ParamDistribution(PG, np.ones(PG.counts))
     delta = NascentDelta("gaussian", 4.0 * min(PG.spacing))
     outs = {}
     for scheme in (UNIFORM_BOX, DENSITY_PROPORTIONAL):

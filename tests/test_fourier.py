@@ -86,8 +86,8 @@ def test_partial_sharp_b_zero():
 
 def test_partial_sharp_b_separable_factorization():
     pg = Grid((-4.0, -12.0), (4.0, 12.0), (33, 513))
-    g = sample(pg, lambda a, b: np.exp(-(a - 0.5) ** 2) * np.exp(-(b ** 2) / 2),
-               cls=ParamDistribution)
+    g = ParamDistribution(pg, sample(
+        pg, lambda a, b: np.exp(-(a - 0.5) ** 2) * np.exp(-(b ** 2) / 2)).values)
     gs = partial_sharp_b(g, WG)
     a = pg.axis(0)
     h = SampledFunction(Grid.line(-12.0, 12.0, 513),
@@ -100,8 +100,8 @@ def test_partial_sharp_b_separable_factorization():
 def test_partial_sharp_b_gaussian_pair_oracle():
     # per-row dense-quadrature oracle for γ(a,b) = e^{-a²/2} e^{-b²/2}
     pg = Grid((-4.0, -12.0), (4.0, 12.0), (33, 513))
-    g = sample(pg, lambda a, b: np.exp(-(a ** 2) / 2) * np.exp(-(b ** 2) / 2),
-               cls=ParamDistribution)
+    g = ParamDistribution(pg, sample(
+        pg, lambda a, b: np.exp(-(a ** 2) / 2) * np.exp(-(b ** 2) / 2)).values)
     gs = partial_sharp_b(g, WG)
     a = pg.axis(0)
     omega = WG.axis(0)
@@ -192,8 +192,8 @@ def test_transforms_on_the_same_grids_build_one_kernel():
     v = sample(bg, lambda b: b * np.exp(-b ** 2))
     fourier_forward(u, og)
     fourier_forward(v, og)
-    gamma = sample(Grid((-1.0, -4.0), (1.0, 4.0), (5, 33)), lambda a, b: np.exp(-(a * b) ** 2),
-                   ParamDistribution)
+    pg = Grid((-1.0, -4.0), (1.0, 4.0), (5, 33))
+    gamma = ParamDistribution(pg, sample(pg, lambda a, b: np.exp(-(a * b) ** 2)).values)
     partial_sharp_b(gamma, og)
     info = _axis_kernel.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)

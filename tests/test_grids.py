@@ -159,7 +159,7 @@ def test_values_are_read_only_everywhere():
     g = Grid.line(-4.0, 4.0, 33)
     u = sample(g, lambda x: np.exp(-x ** 2))
     pg = Grid((-2.0, -4.0), (2.0, 4.0), (5, 33))
-    gamma = sample(pg, lambda a, b: np.exp(-a ** 2 - b ** 2), ParamDistribution)
+    gamma = ParamDistribution(pg, sample(pg, lambda a, b: np.exp(-a ** 2 - b ** 2)).values)
     gamma_sharp = partial_sharp_b(gamma, Grid.line(-3.0, 3.0, 16))
     for fld in (u, SampledFunction(g, u.values), gamma, u + u, u - u, 2.0 * u, u * 3, -u,
                 gamma + gamma, fourier_forward(u, g), gamma_sharp,

@@ -2,18 +2,24 @@
 
 - Every name a `ghostlet` module imports is used in it. `__init__.py` is
   exempt, because its imports are the package's public names.
-- Every defaulted parameter of a `ghostlet` function or method is passed by
-  some call in `src/`, `tests/` or `bench/`, so no option lives on that no
-  caller chooses. Nested functions and lambdas are exempt: their defaults
-  capture closure values.
+- Every defaulted parameter of a `ghostlet` function or method, and every
+  defaulted `__init__` field of a `ghostlet` dataclass, is passed by some
+  call in `src/` or in the benchmark (`bench/`, its tests excluded). A test
+  is no caller, so no option lives on that only tests choose. Nested
+  functions and lambdas are exempt: their defaults capture closure values.
+  The few exempt options each wait on the ROADMAP item that routes them.
 - No frozen dataclass declares a dict, list or set field: freezing such an
   object does not freeze what the field holds.
 - Every module-level function, class and constant of a `ghostlet` module is
   reached by a run: from a runner in `experiments._RUNNERS`, from `cli.main`,
   from a module-level statement or from a name the benchmark (`bench/`, its
-  tests excluded) uses, through the definitions each one names. A test is no
-  root, so no definition lives on that only tests call. The few exempt names
-  each wait on the ROADMAP item that routes them into a run.
+  tests excluded) uses, through the definitions each one names. A name read
+  only as `isinstance`'s class argument reaches nothing: a type test does not
+  build the class. A test is no root, so no definition lives on that only
+  tests call. The few exempt names each wait on the ROADMAP item that routes
+  them into a run.
+- Both exempt lists only shrink: an exempt name that is now passed or
+  reached, or that is gone, fails its test.
 - Every backticked identifier in a `ghostlet` docstring or comment names
   something `src/` defines, reads or imports, so no text points at a name
   that is gone.
@@ -32,7 +38,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ghostlet"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-CALLERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+# The program's own files: `src/` and the benchmark without its tests.
+BENCH = sorted(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))
+PROGRAM = sorted([*(ROOT / "src").rglob("*.py"), *BENCH])
 
 
 def _imported_names(tree: ast.AST) -> dict[str, int]:
@@ -66,14 +74,37 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
+def _init_fields(cls: ast.ClassDef):
+    """(field, has default) of each `__init__` field of a dataclass, in order:
+    `init=False` and `ClassVar` fields are none."""
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            yield stmt.target.id, "default" in keywords or "default_factory" in keywords
+        else:
+            yield stmt.target.id, value is not None
+
+
 def _defaulted_parameters(tree: ast.AST):
     """(owner, function, parameter, positional index or None) for every
-    defaulted parameter of a module-level function or a method. The index
-    counts from the first argument a call passes: `self`/`cls` of a method,
-    which a call never passes, is dropped."""
+    defaulted parameter of a module-level function or a method, and
+    (class, "__init__", field, index) for every defaulted `__init__` field
+    of a dataclass. The index counts from the first argument a call passes:
+    `self`/`cls` of a method, which a call never passes, is dropped."""
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    for index, (name, default) in enumerate(_init_fields(child)):
+                        if default:
+                            yield child.name, "__init__", name, index
                 yield from walk(child, child.name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
@@ -94,10 +125,11 @@ def _defaulted_parameters(tree: ast.AST):
 
 def _calls() -> dict[str, list[tuple[int, set[str], bool]]]:
     """Called name -> (positional count, keywords, splat) for every call in
-    `src/`, `tests/` and `bench/`. A call is known by its bare name (`f(...)`
-    or `obj.f(...)`); `*args` or `**kwargs` in it counts as passing anything."""
+    the program's files (`PROGRAM`). A call is known by its bare name
+    (`f(...)` or `obj.f(...)`); `*args` or `**kwargs` in it counts as passing
+    anything."""
     calls: dict = {}
-    for path in CALLERS:
+    for path in PROGRAM:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.Call):
                 continue
@@ -112,18 +144,42 @@ def _calls() -> dict[str, list[tuple[int, set[str], bool]]]:
     return calls
 
 
+# Options no program call sets yet, each with the ROADMAP item that routes or
+# removes it. The list only shrinks: an option here that a call now sets, or
+# that is gone, fails the test.
+_UNSET = {
+    "grids.interpolate(method)": "item 1 PR B (the tracer binds it)",
+    "transforms.ridgelet(scheme)": "item 1 PR B (the tracer binds it)",
+    "grids.QuadratureScheme.kind": "item 1 PR B (the tracer reads it)",
+    "nullspace.density_expand(atoms)": "item 3",
+    "nullspace.density_synthesize(atoms)": "item 3",
+    "encoding.ModulationMap.coefficients": "item 13",
+    "cli.main(argv)": "the console-script entry point, which passes no argument",
+}
+
+
+def _option_name(module: str, owner: str | None, func: str, param: str) -> str:
+    if func == "__init__" and owner is not None:
+        return f"{module}.{owner}.{param}"
+    return f"{module}.{owner + '.' if owner else ''}{func}({param})"
+
+
 def test_every_defaulted_parameter_is_passed_somewhere():
+    """Tests are no caller: an option only a test sets is dead code."""
     calls = _calls()
-    unset = []
+    unset = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for owner, func, param, index in _defaulted_parameters(tree):
             called = owner if func == "__init__" else func
             if not any(splat or param in keywords or (index is not None and count > index)
                        for count, keywords, splat in calls.get(called, ())):
-                unset.append(f"{path.stem}.{owner + '.' if owner else ''}{func}({param})")
-    assert not unset, ("defaulted parameters no call sets (make each the constant it "
-                       f"is): {', '.join(unset)}")
+                unset.add(_option_name(path.stem, owner, func, param))
+    dead = sorted(unset - set(_UNSET))
+    assert not dead, ("defaulted parameters and fields no program call sets (make each "
+                      f"the constant it is): {', '.join(dead)}")
+    stale = sorted(set(_UNSET) - unset)
+    assert not stale, f"exempt options that a call now sets or that are gone: {stale}"
 
 
 _MUTABLE = {"dict", "list", "set", "Dict", "List", "Set"}
@@ -171,8 +227,14 @@ def _module_definitions(tree: ast.Module):
 
 
 def _loaded_names(node: ast.AST) -> set[str]:
+    """Every name the statement loads, except where it is `isinstance`'s class
+    argument: a type test reaches nothing of the class."""
+    type_tests = {id(n) for call in ast.walk(node)
+                  if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+                  and len(call.args) == 2
+                  for n in ast.walk(call.args[1])}
     return {n.id for n in ast.walk(node)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in type_tests}
 
 
 def _bench_names() -> set[str]:
@@ -180,9 +242,7 @@ def _bench_names() -> set[str]:
     (`bench/test_*.py` excluded): the tracer looks functions up by the
     strings of its `LAYERS` table."""
     names = set()
-    for path in sorted((ROOT / "bench").glob("*.py")):
-        if path.name.startswith("test_"):
-            continue
+    for path in BENCH:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
                 names.add(node.id)

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from ghostlet import (
-    DisjointSupport,
     DomainError,
     Grid,
-    LinearCombination,
     NetworkOperator,
-    NormalizedDifference,
     ParamDistribution,
     SampledFunction,
     admissibility,
@@ -68,42 +65,31 @@ class TestAdmissibility:
 
 class TestRecipes:
     def test_linear_combination_of_nonadmissible(self, op3, rho_family5):
-        out = make_nonadmissible(op3.sigma, LinearCombination(rho_family5[1], rho_family5[3]))
-        assert abs(pairing(op3.sigma, out, 1)) <= 1e-8
-
-    def test_linear_combination_zero_coefficients(self, op3, rho_family5):
-        out = make_nonadmissible(
-            op3.sigma, LinearCombination(rho_family5[1], rho_family5[3], 0.0, 0.0))
-        assert abs(pairing(op3.sigma, out, 1)) == 0.0
-        assert weighted_omega_norm(out.spectral_values(DEFAULT_OMEGA_GRID), 1,
-                                   DEFAULT_OMEGA_GRID) == 0.0
-
-    def test_normalized_difference(self, op3):
-        fam = make_rho_family(4, sigma=op3.sigma)
-        out = make_nonadmissible(op3.sigma, NormalizedDifference(fam[2], fam[4]))
-        assert abs(pairing(op3.sigma, out, 1)) <= 1e-8
-
-    def test_normalized_difference_rejects_ghost_inputs(self, op3, rho_family5):
-        """Each input is judged by its own pairing: an admissible ρ_a does not
-        let a non-admissible ρ_b through."""
-        for a, b in ((1, 3), (2, 3)):
-            with pytest.raises(DomainError):
-                make_nonadmissible(op3.sigma,
-                                   NormalizedDifference(rho_family5[a], rho_family5[b]))
-
-    def test_disjoint_support(self, op3):
-        out = make_nonadmissible(op3.sigma, DisjointSupport())
+        out = make_nonadmissible(op3.sigma, rho_family5[1], rho_family5[3])
         assert abs(pairing(op3.sigma, out, 1)) <= 1e-8
         vals = out.spectral_values(DEFAULT_OMEGA_GRID)
-        assert weighted_omega_norm(vals, 1, DEFAULT_OMEGA_GRID) == pytest.approx(1.0, abs=1e-6)
+        assert weighted_omega_norm(vals, 1, DEFAULT_OMEGA_GRID) == pytest.approx(1.0, abs=1e-12)
+
+    def test_linear_combination_zero_coefficients(self, op3, rho_family5):
+        """Zero coefficients leave no weighted norm to normalize: refused."""
+        with pytest.raises(DomainError, match="no finite nonzero weighted norm"):
+            make_nonadmissible(op3.sigma, rho_family5[1].scaled(0.0), rho_family5[3].scaled(0.0))
+
+    def test_cancelling_pair_is_refused(self, op3, rho_family5):
+        with pytest.raises(DomainError, match="no finite nonzero weighted norm"):
+            make_nonadmissible(op3.sigma, rho_family5[3], rho_family5[3].scaled(-1.0))
+
+    def test_admissible_pair_is_refused(self, op3):
+        """ρ₂ + ρ₄ pairs to 2 with gauss_d3: no ghost profile, so no profile."""
+        fam = make_rho_family(4, sigma=op3.sigma)
+        with pytest.raises(DomainError, match="not to zero"):
+            make_nonadmissible(op3.sigma, fam[2], fam[4])
 
     def test_recipe_outputs_generate_ghosts(self, op3, rho_family5):
         f = bump_mix(50)
-        for recipe in (LinearCombination(rho_family5[1], rho_family5[3]),
-                       DisjointSupport()):
-            rho0 = make_nonadmissible(op3.sigma, recipe)
-            gam = ridgelet_fourier(f, rho0, op3.param_grid)
-            assert l2_norm(forward_s_via_fourier(op3, gam)) <= 0.05 * l2_norm(f)
+        rho0 = make_nonadmissible(op3.sigma, rho_family5[1], rho_family5[3])
+        gam = ridgelet_fourier(f, rho0, op3.param_grid)
+        assert l2_norm(forward_s_via_fourier(op3, gam)) <= 0.05 * l2_norm(f)
 
 
 class TestProjection:
@@ -256,10 +242,9 @@ class TestDensityExpansion:
         assert np.all(coeffs.c == 0.0)
 
     def test_parseval_monotone_and_bounded(self, op3, hermite12, rho_basis6, atoms126):
-        gam = sample(op3.param_grid,
-                     lambda a, b: np.exp(-(a ** 2) / 2 - (b ** 2) / (2 * 1.2 ** 2))
-                     * np.cos(2.0 * b),
-                     cls=ParamDistribution)
+        gam = ParamDistribution(op3.param_grid, sample(
+            op3.param_grid, lambda a, b: np.exp(-(a ** 2) / 2 - (b ** 2) / (2 * 1.2 ** 2))
+            * np.cos(2.0 * b)).values)
         coeffs = density_expand(gam, hermite12, rho_basis6, (12, 6), atoms=atoms126)
         partial = coeffs.partial_parseval()
         assert np.all(np.diff(partial, axis=0) >= -1e-12)

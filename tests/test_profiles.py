@@ -28,6 +28,7 @@ from ghostlet.profiles import (
     _GAUSS_FLOOR,
     _gauss,
     _rho_k_unnormalized,
+    dawson_profile,
     hermite_function,
 )
 
@@ -181,10 +182,10 @@ def test_tanh_rho_family_evaluators_are_real():
         got = family[k].real_eval(b)
         assert got.dtype == np.float64, k
         np.testing.assert_allclose(got, c_k * raw.real_eval(b), rtol=1e-15, atol=0.0)
-    shifted = make_rho_family(2, sigma=gaussian_profile(center=0.5))[2]
-    c_2 = shifted.spectral_eval(w)[0] / _rho_k_unnormalized(2).spectral_eval(w)[0]
+    complex_c = dawson_profile("rho2", 2, 0.3 + 0.2j)
+    c_2 = complex_c.spectral_eval(w)[0] / _rho_k_unnormalized(2).spectral_eval(w)[0]
     assert c_2.real != 0.0
-    assert np.iscomplexobj(shifted.real_eval(b))
+    assert np.iscomplexobj(complex_c.real_eval(b))
 
 
 def test_dawson_derivative_polys_cached_and_immutable():
@@ -223,20 +224,19 @@ def test_dawson_derivative_scale_is_the_divided_argument_bit_for_bit(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_rho_k_real_evaluators_keep_the_divided_argument_form(k):
-    """ρ_k's evaluator passes b/(s√2) to `dawson_derivative` as a scale; it
-    gives the bits of const·F^{(k)}(b/(s√2)) with the argument divided first,
-    for a real scalar (c purely imaginary, as against tanh) and a complex one."""
-    from ghostlet.profiles import _RHO0_CONST, dawson_derivative, dawson_profile
+    """ρ_k's evaluator passes b/√2 to `dawson_derivative` as a scale; it gives
+    the bits of const·F^{(k)}(b/√2) with the argument divided first, for a
+    real scalar (c purely imaginary, as against tanh) and a complex one."""
+    from ghostlet.profiles import _RHO0_CONST, dawson_derivative
 
     b = np.random.default_rng(k).uniform(-40.0, 40.0, (145, 301))
-    for scale in (1.0, 0.5, 1.7):
-        for c in (0.37j, 0.3 + 0.2j):
-            const = complex(c) * _RHO0_CONST * 2.0 ** (-k / 2.0) * scale ** (-(k + 1))
-            if const.imag == 0.0:
-                const = const.real
-            want = const * dawson_derivative(b / (scale * np.sqrt(2.0)), k)
-            got = dawson_profile("rho", k, c, scale).real_eval(b)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (scale, c)
+    for c in (0.37j, 0.3 + 0.2j):
+        const = complex(c) * _RHO0_CONST * 2.0 ** (-k / 2.0)
+        if const.imag == 0.0:
+            const = const.real
+        want = const * dawson_derivative(b / np.sqrt(2.0), k)
+        got = dawson_profile("rho", k, c).real_eval(b)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), c
 
 
 # The Dawson-family evaluators as they were before one builder made them all:
@@ -253,15 +253,15 @@ def _reference_rho0_spec(w):
     return np.sign(w) * _gauss(w) + 0.0j
 
 
-def _reference_real(k, scale, c):
+def _reference_real(k, c):
     from ghostlet.profiles import _RHO0_CONST, dawson_derivative
 
-    const = complex(c) * _RHO0_CONST * 2.0 ** (-k / 2.0) * scale ** (-(k + 1))
+    const = complex(c) * _RHO0_CONST * 2.0 ** (-k / 2.0)
     if const.imag == 0.0:
         const = const.real
 
     def real(b):
-        vals = dawson_derivative(b, k, scale=scale * np.sqrt(2.0))
+        vals = dawson_derivative(b, k, scale=np.sqrt(2.0))
         if isinstance(const, float):
             vals *= const
             return vals
@@ -270,9 +270,9 @@ def _reference_real(k, scale, c):
     return real
 
 
-def _reference_seed_spec(k, scale, w):
+def _reference_seed_spec(k, w):
     w = np.asarray(w, dtype=float)
-    return (1j * w) ** k * np.sign(w) * _gauss(scale * w)
+    return (1j * w) ** k * np.sign(w) * _gauss(w)
 
 
 def _reference_zero(sigma, raw, omega_grid=DEFAULT_OMEGA_GRID):
@@ -283,12 +283,12 @@ def _reference_zero(sigma, raw, omega_grid=DEFAULT_OMEGA_GRID):
 
 
 def _unit_sigmas():
-    """tanh, the Gaussian, a shifted Gaussian and gauss_d1..gauss_d4 made unit
-    by `make_operator`."""
+    """tanh, the Gaussian, the Gaussian times a complex unit (complex
+    pairings) and gauss_d1..gauss_d4 made unit by `make_operator`."""
     from ghostlet import make_operator
 
     grid_a, grid_x = Grid((-1.0, -1.0), (1.0, 1.0), (3, 3)), Grid.line(-1.0, 1.0, 3)
-    return [tanh_profile(), gaussian_profile(), gaussian_profile(center=0.5)] + [
+    return [tanh_profile(), gaussian_profile(), gaussian_profile().scaled(0.6 + 0.8j)] + [
         make_operator(gaussian_derivative_profile(k), grid_a, grid_x).sigma for k in (1, 2, 3, 4)]
 
 
@@ -301,8 +301,8 @@ B_SIGNED_ZEROS = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-0.0, 0.0]])
 
 
 def test_dawson_builder_reproduces_rho0_and_the_seeds_bit_for_bit():
-    """ρ₀ is the builder at k = 0, c = 1; each seed ρ₀^{(k)} (k = 1..8, at
-    three scales) is the builder at c = 1. Real evaluators on a b grid with
+    """ρ₀ is the builder at k = 0, c = 1; each seed ρ₀^{(k)} (k = 1..8) is the
+    builder at c = 1. Real evaluators on a b grid with
     ±0, spectra on `DEFAULT_OMEGA_GRID`, signed zeros included. The seeds'
     spectra also hold on |ω| ≤ 200, where the floored Gaussian leaves signed
     zeros that a multiply by c = 1 would flip; ρ₀'s old `+ 0.0j` made those
@@ -314,13 +314,11 @@ def test_dawson_builder_reproduces_rho0_and_the_seeds_bit_for_bit():
     assert _same_bits(rho0.real_eval(B_SIGNED_ZEROS), _reference_rho0_real(B_SIGNED_ZEROS))
     assert _same_bits(rho0.spectral_eval(w), _reference_rho0_spec(w))
     for k in range(1, 9):
-        for scale in (1.0, 0.5, 1.7):
-            seed = _rho_k_unnormalized(k, scale)
-            assert seed.parity == ("even" if k % 2 else "odd")
-            assert _same_bits(seed.real_eval(B_SIGNED_ZEROS),
-                              _reference_real(k, scale, 1.0)(B_SIGNED_ZEROS)), (k, scale)
-            assert _same_bits(seed.spectral_eval(w_wide),
-                              _reference_seed_spec(k, scale, w_wide)), (k, scale)
+        seed = _rho_k_unnormalized(k)
+        assert seed.parity == ("even" if k % 2 else "odd")
+        assert _same_bits(seed.real_eval(B_SIGNED_ZEROS),
+                          _reference_real(k, 1.0)(B_SIGNED_ZEROS)), k
+        assert _same_bits(seed.spectral_eval(w_wide), _reference_seed_spec(k, w_wide)), k
 
 
 @pytest.mark.parametrize("index", range(7))
@@ -342,9 +340,9 @@ def test_rho_family_members_are_the_builder_at_c_k_bit_for_bit(index):
             c_k = 1.0 / np.conj(pairing(sigma, raw, 1))
         member = family[k]
         assert (member.name, member.parity) == (f"rho{k}", raw.parity)
-        assert _same_bits(member.spectral_eval(w), c_k * _reference_seed_spec(k, 1.0, w)), k
+        assert _same_bits(member.spectral_eval(w), c_k * _reference_seed_spec(k, w)), k
         assert _same_bits(member.real_eval(B_SIGNED_ZEROS),
-                          _reference_real(k, 1.0, c_k)(B_SIGNED_ZEROS)), k
+                          _reference_real(k, c_k)(B_SIGNED_ZEROS)), k
 
 
 def test_numerically_zero_is_the_old_rule_on_the_dawson_family():
@@ -492,10 +490,6 @@ def test_gauss_floors_the_plain_formula():
     plain = _plain_gauss(X_WIDE)
     assert _subnormal_count(plain) > 0
     _assert_floored(_gauss(X_WIDE), plain, plain < _GAUSS_FLOOR)
-    wide = gaussian_profile(width=0.7, center=0.3).real_eval(X_WIDE)
-    with np.errstate(under="ignore"):
-        plain = np.exp(-((X_WIDE - 0.3) ** 2) / (2.0 * 0.7 ** 2))
-    _assert_floored(wide, plain, plain < _GAUSS_FLOOR)
 
 
 def test_hermite_functions_floor_the_plain_recurrence():
@@ -523,13 +517,13 @@ def test_gaussian_derivative_evaluators_floor_the_plain_formula(k):
     _assert_floored(prof.spectral_eval(X_WIDE), spec, below)
 
 
-@pytest.mark.parametrize("k, scale", [(1, 1.0), (2, 0.5), (3, 1.7)])
-def test_rho_spectra_floor_the_plain_formula(k, scale):
-    gauss = _plain_gauss(scale * X_WIDE)
+@pytest.mark.parametrize("k, c", [(1, 1.0), (2, 0.5), (3, 1.7)])
+def test_rho_spectra_floor_the_plain_formula(k, c):
+    gauss = _plain_gauss(X_WIDE)
     below = gauss < _GAUSS_FLOOR
     with np.errstate(under="ignore"):
         spec = (1j * X_WIDE) ** k * np.sign(X_WIDE) * gauss
-    _assert_floored(_rho_k_unnormalized(k, scale).spectral_eval(X_WIDE), spec, below)
+    _assert_floored(dawson_profile("rho", k, c).spectral_eval(X_WIDE), c * spec, below)
     _assert_floored(rho0_profile().spectral_eval(X_WIDE), np.sign(X_WIDE) * _plain_gauss(X_WIDE)
                     + 0.0j, _plain_gauss(X_WIDE) < _GAUSS_FLOOR)
 

@@ -14,7 +14,6 @@ from ghostlet import (
     forward_s_via_fourier,
     fourier_forward,
     gaussian_derivative_profile,
-    gaussian_profile,
     l2_inner,
     l2_norm,
     make_operator,
@@ -32,7 +31,7 @@ from ghostlet.grids import (
     spectral_grids,
     weighted_omega_norm,
 )
-from ghostlet.profiles import Profile1D
+from ghostlet.profiles import Profile1D, dawson_profile
 
 from conftest import bump_mix, rel_l2
 
@@ -84,10 +83,9 @@ def test_forward_s_bump_approaches_single_neuron(op3):
     oracle = np.asarray(op.sigma.real_eval(a0 * x - b0))
     errs = []
     for w in (0.4, 0.2, 0.1, 0.05, 0.025):
-        g = sample(local,
-                   lambda a, b: np.exp(-((a - a0) ** 2 + (b - b0) ** 2) / (2 * w ** 2))
-                   / (2 * np.pi * w ** 2),
-                   cls=ParamDistribution)
+        g = ParamDistribution(local, sample(
+            local, lambda a, b: np.exp(-((a - a0) ** 2 + (b - b0) ** 2) / (2 * w ** 2))
+            / (2 * np.pi * w ** 2)).values)
         out = forward_s(op, g)
         errs.append(float(np.max(np.abs(out.values - oracle))))
     assert all(e1 < e0 for e0, e1 in zip(errs, errs[1:]))
@@ -384,7 +382,7 @@ def test_blocked_kernel_sums_match_complex_sum(monkeypatch, m):
     coeff = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
     f = sample(ig, lambda *xs: np.exp(-sum(x ** 2 for x in xs)) * (1.0 + 0.5j * xs[0]))
     for prof in (gaussian_derivative_profile(2),
-                 make_rho_family(2, sigma=gaussian_profile(center=0.5))[2]):
+                 dawson_profile("rho2", 2, 0.3 + 0.2j)):
         kernel = np.asarray(prof.real_eval(pts[:, :-1] @ x_nodes.T - pts[:, -1:]),
                             dtype=complex)
         got = transforms._neuron_sum(pts[:, :-1], pts[:, -1], coeff, x_nodes, prof.real_eval)
