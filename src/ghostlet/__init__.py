@@ -43,7 +43,6 @@ from .profiles import (
     Profile1D,
     admissibility,
     gaussian_derivative_profile,
-    gaussian_profile,
     gram_schmidt_l2m,
     hermite_basis,
     make_rho_family,

@@ -26,9 +26,8 @@ from .grids import (
 from .profiles import (
     BasisFamily,
     Profile1D,
-    _interp_profile,
+    _checked_family,
     _rho_k_unnormalized,
-    gram_residual_l2m,
     orthonormalize_l2m,
     pairing,
     weighted_space_norm,
@@ -38,79 +37,57 @@ from .transforms import NetworkOperator, forward_s_via_fourier, ridgelet_fourier
 
 @dataclass(frozen=True)
 class GhostCodebook:
-    """sigma plus an orthonormal family whose slot 0 is the visible channel.
+    """The stored activation σ plus an orthonormal family whose slot 0 is the
+    visible channel.
 
     Invariants (checked at construction, m = 1): |⟨⟨σ,ρ₀⟩⟩ − 1| ≤ 1e-6,
-    |⟨⟨σ,ρ_i⟩⟩| ≤ 1e-6 for i ≥ 1, Gram matrix ≈ identity.
+    |⟨⟨σ,ρ_i⟩⟩| ≤ 1e-6 for i ≥ 1, Gram residual ≤ `GRAM_TOLERANCE`.
     """
 
     sigma: Profile1D
-    rho_family: BasisFamily
+    members: tuple
 
     def __len__(self):
-        return len(self.rho_family)
-
-    @property
-    def members(self):
-        return self.rho_family.members
+        return len(self.members)
 
 
 def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3) -> GhostCodebook:
     """Build a codebook with 1 + n_ghosts slots from Dawson-derivative seeds.
 
-    If σ has a finite weighted norm, slot 0 must be σ/‖σ‖ itself (the unit
-    pairing with a unit-norm profile is the Cauchy–Schwarz equality case), so
-    the family Gram–Schmidts [σ] + seeds. Otherwise (tanh-like σ, where the
-    pairing is a dual pairing) the seeds are rotated against the vector of
-    pairings and the stored activation is rescaled so slot 0 pairs to exactly
-    1.
+    The seeds ρ₀^{(k)}, 1 ≤ k ≤ n_ghosts + 2, are orthonormalized, with σ's
+    own spectrum first when σ lies in the weighted space
+    (`weighted_space_norm`). Slot 0 is the unit vector along σ's pairings p
+    with that basis (⟨⟨σ, Σα_i u_i⟩⟩ = Σ conj(α_i) p_i, so α = p/|p| pairs to
+    |p|); for a σ in the space it is σ/‖σ‖ to roundoff, the Cauchy–Schwarz
+    equality case. The ghost slots are the basis orthonormalized after slot 0,
+    which lies in its span, so one basis vector becomes dependent and is
+    skipped. The stored activation is σ/|p|, so slot 0 pairs to exactly 1
+    (for tanh the pairing is a dual pairing). The family's Gram residual is
+    checked as `gram_schmidt_l2m` checks it (`_checked_family`).
     """
     m, omega_grid, tol = 1, DEFAULT_OMEGA_GRID, 1e-6
-    candidates = [_rho_k_unnormalized(k) for k in range(1, n_ghosts + 3)]
     sig_vals = sigma.spectral_values(omega_grid)
-    sig_norm = weighted_space_norm(sig_vals, m, omega_grid)
-    if sig_norm is not None:
-        sigma_unit = sigma if abs(sig_norm - 1.0) < 1e-9 else sigma.scaled(
-            1.0 / sig_norm, name=f"{sigma.name}~unit")
-        vecs, _ = orthonormalize_l2m([sigma_unit.spectral_values(omega_grid)]
-                                     + [c.spectral_values(omega_grid) for c in candidates],
-                                     m, omega_grid)
-        if len(vecs) < 1 + n_ghosts:
-            raise DomainError("not enough independent candidates for the requested ghost count")
-        members = [sigma_unit] + [
-            _interp_profile(f"codebook_{i}", omega_grid, v)
-            for i, v in enumerate(vecs[1:1 + n_ghosts], start=1)]
-        stored_sigma = sigma_unit
-    else:
-        basis, _ = orthonormalize_l2m([c.spectral_values(omega_grid) for c in candidates],
-                                      m, omega_grid)
-        if len(basis) < n_ghosts + 2:
-            raise DomainError("not enough independent candidates for the requested ghost count")
-        p = np.array([weighted_omega_inner(sig_vals, u, m, omega_grid) for u in basis])
-        p_norm = float(np.linalg.norm(p))
-        if p_norm < 1e-10:
-            raise DomainError("sigma pairs to zero with every candidate; no visible slot")
-        # slot 0 along the pairing vector (⟨⟨σ, Σα_i u_i⟩⟩ = Σ conj(α_i) p_i,
-        # so α = p/|p| gives pairing |p|); Householder the rest orthogonal to it
-        u0 = sum(pi * ui for pi, ui in zip(p, basis)) / p_norm
-        # u0 lies in the span of the basis, so one seed becomes dependent and
-        # is skipped.
-        rest = orthonormalize_l2m([u0] + basis, m, omega_grid)[0][1:]
-        members = [_interp_profile("codebook_0", omega_grid, u0)]
-        members += [_interp_profile(f"codebook_{i}", omega_grid, v)
-                    for i, v in enumerate(rest[:n_ghosts], start=1)]
-        stored_sigma = sigma.scaled(1.0 / p_norm, name=f"{sigma.name}/|p|")
-
-    resid = gram_residual_l2m([mbr.spectral_values(omega_grid) for mbr in members], m,
-                              omega_grid)
+    lead = [] if weighted_space_norm(sig_vals, m, omega_grid) is None else [sig_vals]
+    seeds = [_rho_k_unnormalized(k).spectral_values(omega_grid) for k in range(1, n_ghosts + 3)]
+    basis, _ = orthonormalize_l2m(lead + seeds, m, omega_grid)
+    p = np.array([weighted_omega_inner(sig_vals, u, m, omega_grid) for u in basis])
+    p_norm = float(np.linalg.norm(p))
+    if p_norm < 1e-10:
+        raise DomainError("sigma pairs to zero with every candidate; no visible slot")
+    u0 = sum(pi * ui for pi, ui in zip(p, basis)) / p_norm
+    ghosts = orthonormalize_l2m([u0] + basis, m, omega_grid)[0][1:1 + n_ghosts]
+    if len(ghosts) < n_ghosts:
+        raise DomainError("not enough independent candidates for the requested ghost count")
+    members = _checked_family([f"codebook_{i}" for i in range(1 + n_ghosts)], [u0] + ghosts,
+                              m, omega_grid).members
+    stored_sigma = sigma.scaled(1.0 / p_norm, name=f"{sigma.name}/|p|")
     pairs = [pairing(stored_sigma, mbr, m) for mbr in members]
     if abs(pairs[0] - 1.0) > tol:
         raise DomainError(f"slot-0 pairing {pairs[0]:.3e} deviates from 1 beyond {tol:g}")
     for i, pv in enumerate(pairs[1:], start=1):
         if abs(pv) > tol:
             raise DomainError(f"ghost slot {i} pairing {abs(pv):.3e} exceeds {tol:g}")
-    family = BasisFamily(members=tuple(members), gram_residual=resid)
-    return GhostCodebook(sigma=stored_sigma, rho_family=family)
+    return GhostCodebook(sigma=stored_sigma, members=members)
 
 
 def encode_series(codebook: GhostCodebook, functions: list[SampledFunction],

@@ -74,7 +74,6 @@ from .profiles import (
     _rho_k_unnormalized,
     admissibility,
     gaussian_derivative_profile,
-    gaussian_profile,
     gram_schmidt_l2m,
     hermite_basis,
     hermite_capacity,
@@ -415,7 +414,7 @@ def _reconstruction_study(cfg: ExperimentConfig):
                                                     param_grid.upper[0])
 
         report = admissibility(sigma, rho, m=1)
-        admissibility_table[f"rho{k}"] = {**_admissibility_row(report), "method": report.method}
+        admissibility_table[f"rho{k}"] = _admissibility_row(report)
         metrics[f"pairing_abs_rho{k}"] = abs(report.pairing)
 
     distinct = np.inf
@@ -441,18 +440,17 @@ def run_admissibility(cfg: ExperimentConfig):
 
 
 def _named_sigma(cfg: ExperimentConfig, default: str) -> Profile1D:
-    """`profiles.sigma`: "tanh", "gaussian" or "gauss_d<k>", 0 ≤ k ≤ `GAUSS_D_MAX_ORDER`."""
+    """`profiles.sigma`: "tanh" or "gauss_d<k>", 0 ≤ k ≤ `GAUSS_D_MAX_ORDER` (gauss_d0 is
+    the Gaussian)."""
     name = cfg.profiles.get("sigma", default)
     if name == "tanh":
         return tanh_profile()
-    if name == "gaussian":
-        return gaussian_profile()
     if isinstance(name, str) and name.startswith("gauss_d"):
         order = name.removeprefix("gauss_d")
         return gaussian_derivative_profile(_int_setting(
             int(order) if order.isdecimal() else order, "profiles.sigma derivative order",
             lo=0, hi=GAUSS_D_MAX_ORDER))
-    raise UsageError(f"profiles.sigma must be tanh, gaussian or gauss_d<k>, not {name!r}")
+    raise UsageError(f"profiles.sigma must be tanh or gauss_d<k>, not {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +480,7 @@ def _ghost_testbed(op, basis_size: int = 4):
     to zero with the operator's σ (`make_nonadmissible`), ρ₁ and ρ₃ for an
     odd σ and ρ₂ and ρ₄ for an even one. The runs that take it project onto
     the ghosts, which needs a σ of finite weighted norm
-    (`NetworkOperator.is_normalized`); tanh, gaussian and gauss_d0 have none,
+    (`NetworkOperator.is_normalized`); tanh and gauss_d0 have none,
     and are refused before any work."""
     if not op.is_normalized:
         raise UsageError(f"profiles.sigma {op.sigma.name!r} has no finite weighted norm, "

@@ -69,8 +69,8 @@ class Profile1D:
     Carries a real-domain evaluator and/or an analytic/interpolated spectral
     evaluator ω ↦ profile♯(ω). At least one must be present.
 
-    The real-domain evaluators of real profiles (tanh, ReLU, Gaussian,
-    gauss_d<k>) return float arrays, so kernel sums over them stay real.
+    The real-domain evaluators of real profiles (tanh, ReLU, gauss_d<k>)
+    return float arrays, so kernel sums over them stay real.
     """
 
     name: str
@@ -213,15 +213,6 @@ def relu_profile() -> Profile1D:
     return Profile1D(name="relu", real_eval=lambda b: np.maximum(np.asarray(b, dtype=float), 0.0))
 
 
-def gaussian_profile() -> Profile1D:
-    """The unit Gaussian e^{−b²/2}, spectrum √(2π) e^{−ω²/2}."""
-    def spec(w):
-        w = np.asarray(w, dtype=float)
-        return np.sqrt(2.0 * np.pi) * np.exp(-w ** 2 / 2.0 + 0.0j)
-
-    return Profile1D(name="gaussian", real_eval=_gauss, spectral_eval=spec, parity=PARITY_EVEN)
-
-
 def _gaussian_derivative_real(b, k: int) -> np.ndarray:
     """(−1)^k·He_k(b)·e^{−b²/2} in cache-sized blocks, bit-identical to
     `(−1)**k * hermite_e.hermeval(b, e_k) * _gauss(b)`: each block makes that
@@ -265,13 +256,9 @@ def pairing(sigma: Profile1D, rho: Profile1D, m: int) -> complex:
     return weighted_omega_inner(su, ru, m, DEFAULT_OMEGA_GRID)
 
 
-ANALYTIC_SPECTRA = "analytic_spectra"
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     pairing: complex
-    method: str
     parity_forced_zero: bool
     error_estimate: float
 
@@ -301,8 +288,7 @@ def admissibility(sigma: Profile1D, rho: Profile1D, m: int) -> AdmissibilityRepo
     # integrand, mixed parities an odd one that cancels on the symmetric grid.
     parities = {sigma.parity, rho.parity}
     forced = (PARITY_NONE not in parities) and (sigma.parity != rho.parity)
-    return AdmissibilityReport(pairing=pair, method=ANALYTIC_SPECTRA,
-                               parity_forced_zero=forced, error_estimate=err)
+    return AdmissibilityReport(pairing=pair, parity_forced_zero=forced, error_estimate=err)
 
 
 def weighted_space_norm(spec: np.ndarray, m: int, omega_grid: Grid) -> float | None:
@@ -365,7 +351,6 @@ class BasisFamily:
     weighted spectral space. Its builders check max |G − I| ≤ `GRAM_TOLERANCE`."""
 
     members: tuple
-    gram_residual: float
     fourier_evaluators: tuple = ()
 
     def __len__(self):
@@ -423,7 +408,7 @@ def hermite_basis(count: int, grid: Grid) -> BasisFamily:
     if resid > GRAM_TOLERANCE:
         raise DomainError(f"Hermite Gram residual {resid:.2e} exceeds {GRAM_TOLERANCE:g}")
     return BasisFamily(
-        members=tuple(members), gram_residual=resid,
+        members=tuple(members),
         fourier_evaluators=tuple((lambda xi, n=n: hermite_fourier(n, xi))
                                  for n in range(count)),
     )
@@ -468,18 +453,29 @@ def gram_residual_l2m(vectors: Sequence[np.ndarray], m: int, omega_grid: Grid) -
     return float(np.max(np.abs(gram - np.eye(len(V)))))
 
 
+def _checked_family(names: Sequence[str], vectors: Sequence[np.ndarray], m: int,
+                    omega_grid: Grid) -> BasisFamily:
+    """Spectral samples as interpolated profiles (`_interp_profile`), once their
+    weighted Gram residual (`gram_residual_l2m`) is at most `GRAM_TOLERANCE`."""
+    resid = gram_residual_l2m(vectors, m, omega_grid)
+    if resid > GRAM_TOLERANCE:
+        raise DomainError(f"Gram residual {resid:.2e} exceeds {GRAM_TOLERANCE:g}")
+    return BasisFamily(members=tuple(
+        _interp_profile(name, omega_grid, v) for name, v in zip(names, vectors)))
+
+
 def gram_schmidt_l2m(candidates: Sequence[Profile1D], m: int) -> BasisFamily:
     """Orthonormalize profiles under the |ω|^{-m}-weighted spectral product
-    (`orthonormalize_l2m`) on `DEFAULT_OMEGA_GRID`. A candidate that is
-    numerically dependent on its predecessors is reported by index.
+    (`orthonormalize_l2m`) on `DEFAULT_OMEGA_GRID`. Each candidate must lie in
+    the weighted space (`weighted_space_norm`); one that is numerically
+    dependent on its predecessors is reported by index.
     """
     omega_grid = DEFAULT_OMEGA_GRID
     if not candidates:
         raise DomainError("gram_schmidt_l2m needs at least one candidate")
     vectors = [cand.spectral_values(omega_grid) for cand in candidates]
     for idx, (cand, v) in enumerate(zip(candidates, vectors)):
-        scale = weighted_omega_norm(v, m, omega_grid)
-        if not np.isfinite(scale) or scale == 0.0:
+        if weighted_space_norm(v, m, omega_grid) is None:
             raise DomainError(f"candidate {idx} ({cand.name!r}) has no finite weighted norm")
     basis_vals, dependent = orthonormalize_l2m(vectors, m, omega_grid)
     if dependent:
@@ -487,10 +483,5 @@ def gram_schmidt_l2m(candidates: Sequence[Profile1D], m: int) -> BasisFamily:
         raise DomainError(
             f"candidate {idx} ({candidates[idx].name!r}) is numerically dependent on its "
             "predecessors")
-    resid = gram_residual_l2m(basis_vals, m, omega_grid)
-    if resid > GRAM_TOLERANCE:
-        raise DomainError(f"Gram residual {resid:.2e} exceeds {GRAM_TOLERANCE:g}")
-    members = tuple(
-        _interp_profile(f"gs_{i}({cand.name})", omega_grid, v)
-        for i, (cand, v) in enumerate(zip(candidates, basis_vals)))
-    return BasisFamily(members=members, gram_residual=resid)
+    return _checked_family([f"gs_{i}({cand.name})" for i, cand in enumerate(candidates)],
+                           basis_vals, m, omega_grid)

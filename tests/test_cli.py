@@ -379,7 +379,8 @@ _BOX_2D = [[-8.0, -8.0], [8.0, 8.0], [33, 33]]
     ("lazy", {"grids": {"input": _BOX_2D}}, "grids.input"),
     ("bound", {"params": {"measure": True}, "grids": {"input": _BOX_2D}}, "grids.input"),
     ("decompose", {"profiles": {"sigma": "tanh"}}, "profiles.sigma"),
-    ("lazy", {"profiles": {"sigma": "gaussian"}}, "profiles.sigma"),
+    ("lazy", {"profiles": {"sigma": "gauss_d0"}}, "profiles.sigma"),
+    ("admissibility", {"profiles": {"sigma": "gaussian"}}, "profiles.sigma"),
     ("bound", {"params": {"measure": True}, "profiles": {"sigma": "gauss_d0"}},
      "profiles.sigma"),
     ("appendix-c", {**_SMALL_STUDY, "params": {"ks": []}}, "params.ks"),
@@ -400,7 +401,7 @@ _BOX_2D = [[-8.0, -8.0], [8.0, 8.0], [33, 33]]
         "appendix-c-param-3d", "decompose-param-3d", "encode-series-param-3d",
         "finite-model-param-3d", "decompose-param-1d", "appendix-c-input-2d",
         "encode-series-input-2d", "lazy-input-2d", "bound-input-2d", "decompose-sigma-tanh",
-        "lazy-sigma-gaussian", "bound-sigma-gauss-d0", "ks-empty", "ks-repeated",
+        "lazy-sigma-gaussian", "admissibility-sigma-gaussian", "bound-sigma-gauss-d0", "ks-empty", "ks-repeated",
         "p-values-empty", "p-values-repeated"])
 def test_bad_integer_setting_is_usage_error(tmp_path, capsys, monkeypatch, experiment, change,
                                             key):
@@ -435,13 +436,14 @@ def test_bad_integer_setting_is_usage_error(tmp_path, capsys, monkeypatch, exper
     grid dim must be input grid dim + 1), a 2-D grids.input in a TypeError
     (appendix-c, encode-series) or a DomainError from hermite_basis (lazy,
     bound). The runs that project onto the ghosts (decompose, lazy, bound)
-    need σ of finite weighted norm; with tanh, gaussian or gauss_d0, which
-    have none, they ended in a DomainError from the projection ("plain-L²
+    need σ of finite weighted norm; with tanh or gauss_d0 (the Gaussian),
+    which have none, they ended in a DomainError from the projection ("plain-L²
     projection requires a unit-norm activation"). An empty or repeated
     params.ks or params.p_values ran: ks [1, 1] wrote each k's files twice and
     reported spectra_min_pairwise_distinctness = 0, p_values [100, 100] an
     error_ratio_last_over_first of 1; ks [] reported no metric and p_values []
-    only coeff_formula_gap."""
+    only coeff_formula_gap. "gaussian" is no longer a σ name (gauss_d0 is the
+    Gaussian)."""
     monkeypatch.chdir(tmp_path)
     cfg = _write_config(tmp_path, {"experiment": experiment, **change})
     argv = [experiment, "--config", str(cfg)]

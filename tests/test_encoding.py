@@ -16,7 +16,9 @@ from ghostlet import (
     ridgelet_fourier,
     tanh_profile,
 )
+from ghostlet.grids import DEFAULT_OMEGA_GRID
 from ghostlet.nullspace import ridgelet_atom
+from ghostlet.profiles import gram_residual_l2m
 
 from conftest import bump_mix, rel_l2
 
@@ -38,7 +40,17 @@ def test_codebook_invariants(op3, codebook):
     assert abs(pairing(codebook.sigma, codebook.members[0], 1) - 1.0) <= 1e-6
     for member in codebook.members[1:]:
         assert abs(pairing(codebook.sigma, member, 1)) <= 1e-6
-    assert codebook.rho_family.gram_residual <= 1e-6
+    vectors = [mbr.spectral_values(DEFAULT_OMEGA_GRID) for mbr in codebook.members]
+    assert gram_residual_l2m(vectors, 1, DEFAULT_OMEGA_GRID) <= 1e-6
+
+
+def test_unit_norm_sigma_is_slot_zero(op3, codebook):
+    """For σ of unit weighted norm (op3's gauss_d3, made unit by
+    `make_operator`) slot 0, the unit vector along σ's pairings, is σ itself:
+    the pairing 1 with a unit vector is the Cauchy–Schwarz equality case."""
+    assert op3.is_normalized
+    np.testing.assert_allclose(codebook.members[0].spectral_values(DEFAULT_OMEGA_GRID),
+                               op3.sigma.spectral_values(DEFAULT_OMEGA_GRID), rtol=0, atol=1e-12)
 
 
 def test_codebook_for_tanh_rescales_activation():

@@ -23,9 +23,10 @@
 - Every backticked identifier in a `ghostlet` docstring or comment names
   something `src/` defines, reads or imports, so no text points at a name
   that is gone.
-- Every field of a `ghostlet` dataclass is read somewhere in `src/` or
-  `tests/` outside its own class body, so no field is only written. A class
-  that serializes itself with `dataclasses.asdict` reads all its fields.
+- Every field of a `ghostlet` dataclass is read somewhere in `src/` or in
+  the benchmark (`bench/`, its tests excluded), its own class's methods
+  included, so no field is only written or read only by tests. A class that
+  serializes itself with `dataclasses.asdict` reads all its fields.
 """
 import ast
 import io
@@ -388,23 +389,19 @@ def _serializes_itself(cls: ast.ClassDef) -> bool:
 
 
 def test_every_dataclass_field_is_read():
-    """A field is read where an attribute of its name is loaded; reads inside
-    the field's own class body (a method passing it on) do not count."""
-    reads: dict[str, list[tuple[Path, int]]] = {}
-    for path in sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                reads.setdefault(node.attr, []).append((path, node.lineno))
+    """A field is read where an attribute of its name is loaded in the
+    program's files (`PROGRAM`), its own class's methods included. A test is
+    no reader, so no field lives on that only tests read."""
+    reads = {node.attr for path in PROGRAM
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)) \
                     or _serializes_itself(cls):
                 continue
-            for stmt in cls.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    field = stmt.target.id
-                    if all(where == path and cls.lineno <= line <= cls.end_lineno
-                           for where, line in reads.get(field, ())):
-                        unread.append(f"{path.stem}.{cls.name}.{field}")
-    assert not unread, f"dataclass fields nothing reads outside their class: {', '.join(unread)}"
+            unread += [f"{path.stem}.{cls.name}.{stmt.target.id}" for stmt in cls.body
+                       if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                       and stmt.target.id not in reads]
+    assert not unread, f"dataclass fields the program never reads: {', '.join(unread)}"

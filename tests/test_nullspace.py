@@ -212,7 +212,7 @@ class TestStructure:
 
     def test_basis_without_fourier_evaluators_is_refused(self, op3, hermite12, ghost_profile):
         # ridgelet_atom builds R[e_i;ρ] from ê_i alone, as structure_decompose does
-        bare = BasisFamily(hermite12.members, hermite12.gram_residual)
+        bare = BasisFamily(hermite12.members)
         gam = ParamDistribution(op3.param_grid, np.zeros(op3.param_grid.counts))
         with pytest.raises(DomainError, match="Fourier evaluators"):
             ridgelet_atom(bare, 1, ghost_profile, op3.param_grid)

@@ -11,7 +11,6 @@ from ghostlet import (
     SpectralFunction,
     fourier_inverse,
     gaussian_derivative_profile,
-    gaussian_profile,
     gram_schmidt_l2m,
     hermite_basis,
     l2_inner,
@@ -29,7 +28,9 @@ from ghostlet.profiles import (
     _gauss,
     _rho_k_unnormalized,
     dawson_profile,
+    gram_residual_l2m,
     hermite_function,
+    weighted_space_norm,
 )
 
 
@@ -139,7 +140,7 @@ def round_trip_error(profile) -> float:
 
 
 def test_profile_round_trips():
-    assert round_trip_error(gaussian_profile()) < 1e-10
+    assert round_trip_error(gaussian_derivative_profile(0)) < 1e-10
     assert round_trip_error(tanh_profile()) < 1e-5
     assert round_trip_error(rho0_profile()) < 1e-5
     fam = make_rho_family(4)
@@ -160,8 +161,8 @@ def test_stock_real_evaluators_are_real():
     """Real profiles evaluate to float arrays (kernel sums over them stay
     real); a real scale keeps them real, and a complex one makes them complex."""
     b = np.linspace(-3.0, 3.0, 13)
-    stock = [tanh_profile(), relu_profile(), gaussian_profile(),
-             *(gaussian_derivative_profile(k) for k in (1, 2, 3))]
+    stock = [tanh_profile(), relu_profile(),
+             *(gaussian_derivative_profile(k) for k in (0, 1, 2, 3))]
     for prof in stock:
         assert np.asarray(prof.real_eval(b)).dtype == np.float64, prof.name
         assert np.asarray(prof.scaled(0.5).real_eval(b)).dtype == np.float64, prof.name
@@ -283,12 +284,13 @@ def _reference_zero(sigma, raw, omega_grid=DEFAULT_OMEGA_GRID):
 
 
 def _unit_sigmas():
-    """tanh, the Gaussian, the Gaussian times a complex unit (complex
+    """tanh, the Gaussian gauss_d0, the Gaussian times a complex unit (complex
     pairings) and gauss_d1..gauss_d4 made unit by `make_operator`."""
     from ghostlet import make_operator
 
     grid_a, grid_x = Grid((-1.0, -1.0), (1.0, 1.0), (3, 3)), Grid.line(-1.0, 1.0, 3)
-    return [tanh_profile(), gaussian_profile(), gaussian_profile().scaled(0.6 + 0.8j)] + [
+    gauss = gaussian_derivative_profile(0)
+    return [tanh_profile(), gauss, gauss.scaled(0.6 + 0.8j)] + [
         make_operator(gaussian_derivative_profile(k), grid_a, grid_x).sigma for k in (1, 2, 3, 4)]
 
 
@@ -432,8 +434,23 @@ def test_gram_schmidt_single_candidate_normalizes():
 
 def test_gram_schmidt_identity_gram():
     fam = gram_schmidt_l2m([_rho_k_unnormalized(k) for k in (1, 2, 3)], m=1)
-    assert fam.gram_residual < 1e-6
+    vectors = [mbr.spectral_values(DEFAULT_OMEGA_GRID) for mbr in fam.members]
+    assert gram_residual_l2m(vectors, 1, DEFAULT_OMEGA_GRID) < 1e-6
     assert len(fam) == 3
+
+
+@pytest.mark.parametrize("outside", [tanh_profile(), gaussian_derivative_profile(0)],
+                         ids=["tanh", "gauss_d0"])
+def test_gram_schmidt_refuses_a_candidate_outside_the_weighted_space(outside):
+    """`weighted_space_norm` is the one membership rule. tanh and the Gaussian
+    lie outside the weighted space, though their norms on the grid are finite
+    (tanh's reads about 737); a family built from them used to be returned."""
+    assert weighted_space_norm(outside.spectral_values(DEFAULT_OMEGA_GRID), 1,
+                               DEFAULT_OMEGA_GRID) is None
+    with pytest.raises(DomainError, match="candidate 0 .* no finite weighted norm"):
+        gram_schmidt_l2m([outside], m=1)
+    with pytest.raises(DomainError, match="candidate 1 .* no finite weighted norm"):
+        gram_schmidt_l2m([_rho_k_unnormalized(1), outside], m=1)
 
 
 def test_gram_schmidt_dependent_candidate_named():
