@@ -46,7 +46,6 @@ from .profiles import (
     gram_schmidt_l2m,
     hermite_basis,
     make_rho_family,
-    pairing,
     relu_profile,
     rho0_profile,
     tanh_profile,
@@ -74,7 +73,6 @@ from .nullspace import (
 )
 from .encoding import (
     GhostCodebook,
-    ModulationMap,
     encode_series,
     make_ghost_codebook,
     modulate,

@@ -1,12 +1,12 @@
 """Function-series encoding into ghosts and readout via mutated activations
-and modulation maps.
+and modulation.
 
 A ghost codebook is an orthonormal family {ρ_i} in the weighted spectral
 space whose member 0 pairs to 1 with the activation and whose members i ≥ 1
-pair to 0. A series F = (f₀, f₁, …) is stored as γ_F = Σ R[f_i;ρ_i]: the
+pair to zero. A series F = (f₀, f₁, …) is stored as γ_F = Σ R[f_i;ρ_i]: the
 plain network S sees only f₀ (all other terms are ghosts), the mutated
-network with activation ρ_i reads out f_i, and a modulation map relocates a
-ghost slot into the visible slot before applying S.
+network with activation ρ_i reads out f_i, and `modulate` moves a ghost
+slot into the visible slot before S is applied.
 """
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ from .profiles import (
     Profile1D,
     _checked_family,
     _rho_k_unnormalized,
+    admissibility,
     orthonormalize_l2m,
-    pairing,
     weighted_space_norm,
 )
 from .transforms import NetworkOperator, forward_s_via_fourier, ridgelet_fourier
@@ -40,8 +40,9 @@ class GhostCodebook:
     """The stored activation σ plus an orthonormal family whose slot 0 is the
     visible channel.
 
-    Invariants (checked at construction, m = 1): |⟨⟨σ,ρ₀⟩⟩ − 1| ≤ 1e-6,
-    |⟨⟨σ,ρ_i⟩⟩| ≤ 1e-6 for i ≥ 1, Gram residual ≤ `GRAM_TOLERANCE`.
+    Invariants (checked at construction by `admissibility`, m = 1):
+    |⟨⟨σ,ρ₀⟩⟩ − 1| ≤ 1e-6, ⟨⟨σ,ρ_i⟩⟩ `AdmissibilityReport.numerically_zero`
+    for i ≥ 1, Gram residual ≤ `GRAM_TOLERANCE`.
     """
 
     sigma: Profile1D
@@ -63,9 +64,10 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3) -> GhostCodebook:
     which lies in its span, so one basis vector becomes dependent and is
     skipped. The stored activation is σ/|p|, so slot 0 pairs to exactly 1
     (for tanh the pairing is a dual pairing). The family's Gram residual is
-    checked as `gram_schmidt_l2m` checks it (`_checked_family`).
+    checked as `gram_schmidt_l2m` checks it (`_checked_family`), and each
+    slot's pairing with the stored activation by `admissibility`.
     """
-    m, omega_grid, tol = 1, DEFAULT_OMEGA_GRID, 1e-6
+    m, omega_grid = 1, DEFAULT_OMEGA_GRID
     sig_vals = sigma.spectral_values(omega_grid)
     lead = [] if weighted_space_norm(sig_vals, m, omega_grid) is None else [sig_vals]
     seeds = [_rho_k_unnormalized(k).spectral_values(omega_grid) for k in range(1, n_ghosts + 3)]
@@ -81,12 +83,12 @@ def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3) -> GhostCodebook:
     members = _checked_family([f"codebook_{i}" for i in range(1 + n_ghosts)], [u0] + ghosts,
                               m, omega_grid).members
     stored_sigma = sigma.scaled(1.0 / p_norm, name=f"{sigma.name}/|p|")
-    pairs = [pairing(stored_sigma, mbr, m) for mbr in members]
-    if abs(pairs[0] - 1.0) > tol:
-        raise DomainError(f"slot-0 pairing {pairs[0]:.3e} deviates from 1 beyond {tol:g}")
-    for i, pv in enumerate(pairs[1:], start=1):
-        if abs(pv) > tol:
-            raise DomainError(f"ghost slot {i} pairing {abs(pv):.3e} exceeds {tol:g}")
+    reports = [admissibility(stored_sigma, mbr, m) for mbr in members]
+    if abs(reports[0].pairing - 1.0) > 1e-6:
+        raise DomainError(f"slot-0 pairing {reports[0].pairing:.3e} deviates from 1 beyond 1e-6")
+    for i, report in enumerate(reports[1:], start=1):
+        if not report.numerically_zero:
+            raise DomainError(f"ghost slot {i} pairs to {abs(report.pairing):.3e}, not to zero")
     return GhostCodebook(sigma=stored_sigma, members=members)
 
 
@@ -116,39 +118,15 @@ def readout_mutate(codebook: GhostCodebook, gamma: ParamDistribution, i: int,
     return forward_s_via_fourier(mutated, gamma)
 
 
-@dataclass(frozen=True)
-class ModulationMap:
-    """One (i → 0, p → q) slice of the update-map expansion
-    A = Σ c^{ijpq} R_j ∘ U_pq ∘ S_i: read ghost slot i, relabel the basis
-    content e_p ↦ e_q, write into the visible slot."""
-
-    read_index: int
-    write_profile: Profile1D
-    basis_e: BasisFamily
-    coefficients: np.ndarray | None = None   # optional (p, q) slice c^{i0pq}
-
-    def slice_terms(self):
-        n = len(self.basis_e)
-        if self.coefficients is None:
-            return [(p, p, 1.0 + 0.0j) for p in range(n)]
-        c = np.asarray(self.coefficients)
-        return [(p, q, complex(c[p, q])) for p in range(c.shape[0])
-                for q in range(c.shape[1]) if c[p, q] != 0.0]
-
-
-def modulate(mod: ModulationMap, gamma: ParamDistribution, codebook: GhostCodebook,
-             input_grid: Grid) -> ParamDistribution:
-    """A[γ] for the configured slice: γ ↦ R[Σ c_pq ⟨S_i[γ], e_p⟩ e_q ; ρ₀]."""
-    n = len(mod.basis_e)
-    for p, q, _ in mod.slice_terms():
-        if not (0 <= p < n and 0 <= q < n):
-            raise DomainError(f"basis index ({p},{q}) out of range for size {n}")
-    g = readout_mutate(codebook, gamma, mod.read_index, input_grid)
+def modulate(codebook: GhostCodebook, gamma: ParamDistribution, i: int,
+             basis_e: BasisFamily, input_grid: Grid) -> ParamDistribution:
+    """The identity slice of the update-map expansion
+    A = Σ c^{ijpq} R_j ∘ U_pq ∘ S_i that moves ghost slot i into the visible
+    slot: γ ↦ R[Σ_p ⟨S_i[γ], e_p⟩ e_p ; ρ₀], with S_i the readout of slot i
+    (`readout_mutate`) and ρ₀ the codebook's slot 0."""
+    g = readout_mutate(codebook, gamma, i, input_grid)
     projected = np.zeros(input_grid.counts, dtype=complex)
-    for p, q, c in mod.slice_terms():
-        if c == 0.0:
-            continue
-        coef = l2_inner(g, mod.basis_e.members[p])
-        projected = projected + c * coef * mod.basis_e.members[q].values
+    for e_p in basis_e.members:
+        projected = projected + l2_inner(g, e_p) * e_p.values
     relabeled = SampledFunction._adopt(input_grid, projected)
-    return ridgelet_fourier(relabeled, mod.write_profile, gamma.grid)
+    return ridgelet_fourier(relabeled, codebook.members[0], gamma.grid)

@@ -423,7 +423,12 @@ def _kink_weights(s: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _omega_weights(grid: Grid, m: int) -> np.ndarray:
-    """(2π)^{m-1}|ω|^{-m} times the kink-corrected trapezoid weights (read-only)."""
+    """(2π)^{m-1}|ω|^{-m} times the kink-corrected trapezoid weights (read-only),
+    on a 1-D grid that straddles ω = 0; any other grid is a DomainError."""
+    if grid.dim != 1:
+        raise DomainError("weighted ω inner product needs a 1-D grid")
+    if not grid.straddles_zero():
+        raise DomainError("ω grid has a node at 0; use an even point count straddling grid")
     omega = grid.axis(0)
     h = grid.spacing[0]
     w = grid.axis_weights(0)
@@ -457,10 +462,6 @@ def weighted_omega_inner(u: np.ndarray, v: np.ndarray, m: int, omega_grid: Grid)
     vv = np.asarray(v, dtype=complex)
     if uv.shape != vv.shape or uv.size != omega_grid.total_points:
         raise DomainError("value arrays must match each other and the grid")
-    if omega_grid.dim != 1:
-        raise DomainError("weighted ω inner product needs a 1-D grid")
-    if not omega_grid.straddles_zero():
-        raise DomainError("ω grid has a node at 0; use an even point count straddling grid")
     return complex(np.sum(uv.ravel() * np.conj(vv.ravel()) * _omega_weights(omega_grid, m)))
 
 

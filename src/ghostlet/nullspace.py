@@ -97,6 +97,8 @@ def lazy_solution(op: NetworkOperator, f: SampledFunction,
                   gamma_init: ParamDistribution) -> ParamDistribution:
     """γ_lazy = S*[f] + (γ_init − P[γ_init]): solves S[γ] = f while staying
     closest to the initialization (the ghost part of γ_init is kept)."""
+    if f.grid != op.input_grid:
+        raise DomainError("f lives on a different grid than the operator")
     _, ghost_init = project(op, gamma_init)
     return ridgelet_fourier(f, op.sigma, op.param_grid) + ghost_init
 

@@ -11,7 +11,7 @@ The workhorse families:
   * ReLU (real evaluator only; spectral pairings reject it),
   * Hermite functions as the orthonormal system of L²(ℝ),
   * Gram–Schmidt in the |ω|^{-m}-weighted spectral inner product,
-  * the admissibility pairing ⟨⟨σ,ρ⟩⟩ and the one rule that calls it zero.
+  * the pairing ⟨⟨σ,ρ⟩⟩ (`admissibility`) and the one rule that calls it zero.
 """
 from __future__ import annotations
 
@@ -249,13 +249,6 @@ def gaussian_derivative_profile(k: int = 1) -> Profile1D:
                      spectral_eval=spec, parity=PARITY_ODD if k % 2 == 1 else PARITY_EVEN)
 
 
-def pairing(sigma: Profile1D, rho: Profile1D, m: int) -> complex:
-    """⟨⟨σ, ρ⟩⟩ = (2π)^{m-1} ∫ σ♯(ω) conj(ρ♯(ω)) |ω|^{-m} dω on `DEFAULT_OMEGA_GRID`."""
-    su = sigma.spectral_values(DEFAULT_OMEGA_GRID)
-    ru = rho.spectral_values(DEFAULT_OMEGA_GRID)
-    return weighted_omega_inner(su, ru, m, DEFAULT_OMEGA_GRID)
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     pairing: complex
@@ -269,7 +262,8 @@ class AdmissibilityReport:
 
 
 def admissibility(sigma: Profile1D, rho: Profile1D, m: int) -> AdmissibilityReport:
-    """Evaluate ⟨⟨σ,ρ⟩⟩ on `DEFAULT_OMEGA_GRID` and report how sure the zero is.
+    """Evaluate the pairing ⟨⟨σ,ρ⟩⟩ = (2π)^{m-1} ∫ σ♯(ω) conj(ρ♯(ω)) |ω|^{-m} dω
+    on `DEFAULT_OMEGA_GRID` and report how sure the zero is.
 
     parity_forced_zero is set when the declared parities make the integrand
     odd (the symmetric trapezoid sum then cancels to roundoff).
@@ -405,7 +399,7 @@ def hermite_basis(count: int, grid: Grid) -> BasisFamily:
     vals = np.stack([mbr.values for mbr in members])
     gram = (vals * w) @ np.conj(vals.T)
     resid = float(np.max(np.abs(gram - np.eye(count))))
-    if resid > GRAM_TOLERANCE:
+    if not resid <= GRAM_TOLERANCE:  # NaN fails too
         raise DomainError(f"Hermite Gram residual {resid:.2e} exceeds {GRAM_TOLERANCE:g}")
     return BasisFamily(
         members=tuple(members),
@@ -458,7 +452,7 @@ def _checked_family(names: Sequence[str], vectors: Sequence[np.ndarray], m: int,
     """Spectral samples as interpolated profiles (`_interp_profile`), once their
     weighted Gram residual (`gram_residual_l2m`) is at most `GRAM_TOLERANCE`."""
     resid = gram_residual_l2m(vectors, m, omega_grid)
-    if resid > GRAM_TOLERANCE:
+    if not resid <= GRAM_TOLERANCE:  # NaN fails too
         raise DomainError(f"Gram residual {resid:.2e} exceeds {GRAM_TOLERANCE:g}")
     return BasisFamily(members=tuple(
         _interp_profile(name, omega_grid, v) for name, v in zip(names, vectors)))

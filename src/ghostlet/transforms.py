@@ -296,6 +296,8 @@ def forward_s_via_fourier(op: NetworkOperator, gamma: ParamDistribution) -> Samp
 def adjoint(op: NetworkOperator, f: SampledFunction) -> ParamDistribution:
     """S*[f] = R[f;σ], for σ with a finite weighted norm. With σ rescaled to
     unit norm (`make_operator`), P = S*∘S is a projection."""
+    if f.grid != op.input_grid:
+        raise DomainError("f lives on a different grid than the operator")
     if op.sigma_norm is None:
         raise DomainError("the adjoint needs σ with a finite weighted norm")
     return ridgelet(f, op.sigma, op.param_grid)

@@ -17,6 +17,7 @@ from ghostlet import (
     ParamDistribution,
     SampledFunction,
     adjoint,
+    admissibility,
     density_expand,
     encode_series,
     forward_s,
@@ -33,7 +34,6 @@ from ghostlet import (
     make_operator,
     make_rho_family,
     mollify,
-    pairing,
     project,
     readout_mutate,
     ridgelet,
@@ -95,11 +95,11 @@ def test_criterion_02_admissibility_table(appendix_report):
     sig_abs = np.abs(sigma.spectral_values(grid))
     results = []
     for k in (1, 3):
-        val = abs(pairing(sigma, fam[k], 1))
+        val = abs(admissibility(sigma, fam[k], 1).pairing)
         results.append(check(2, f"|<<tanh, rho{k}>>| <= 1e-8", val <= 1e-8,
                              f"value = {val:.2e}"))
     for k in (2, 4):
-        val = abs(pairing(sigma, fam[k], 1))
+        val = abs(admissibility(sigma, fam[k], 1).pairing)
         scale = weighted_omega_inner(sig_abs, np.abs(fam[k].spectral_values(grid)),
                                      1, grid).real
         results.append(check(2, f"|<<tanh, rho{k}>>| >= 0.1·scale", val >= 0.1 * scale,
@@ -109,7 +109,7 @@ def test_criterion_02_admissibility_table(appendix_report):
 
 
 def test_criterion_03_reconstruction_formula(op1):
-    assert pairing(op1.sigma, op1.sigma, op1.m) == pytest.approx(1.0, abs=1e-8)
+    assert admissibility(op1.sigma, op1.sigma, op1.m).pairing == pytest.approx(1.0, abs=1e-8)
     worst = 0.0
     for seed in range(10):
         f = bump_mix(300 + seed)
@@ -192,7 +192,7 @@ def test_criterion_07_structure_parseval(op3, hermite12, ghost_profile):
     for rho in deco.ghost_ridgelets:
         if rho is None:
             continue
-        worst_pairing = max(worst_pairing, abs(pairing(op3.sigma, rho, 1)))
+        worst_pairing = max(worst_pairing, abs(admissibility(op3.sigma, rho, 1).pairing))
         worst_norm = max(worst_norm,
                          abs(weighted_omega_norm(rho.spectral_values(og), 1, og) - 1.0))
     ok, msg = check(
@@ -239,10 +239,9 @@ def test_criterion_09_ghost_encoding(op3, hermite12):
     err_reads = [rel_l2(readout_mutate(codebook, gamma, i, op3.input_grid), funcs[i])
                  for i in (1, 2)]
     # modulated readout of slot 1 through the identity slice
-    from ghostlet import ModulationMap, modulate
-    mod = ModulationMap(read_index=1, write_profile=codebook.members[0],
-                        basis_e=hermite12)
-    moded = forward_s_via_fourier(op3, modulate(mod, gamma, codebook, op3.input_grid))
+    from ghostlet import modulate
+    moded = forward_s_via_fourier(op3, modulate(codebook, gamma, 1, hermite12,
+                                                op3.input_grid))
     err_mod = rel_l2(moded, funcs[1])
     ok, msg = check(
         9, "3-series: plain S gives f0 (5e-2); mutated/modulated readouts (0.1)",

@@ -3,22 +3,23 @@ import pytest
 
 from ghostlet import (
     DomainError,
-    ModulationMap,
     SampledFunction,
+    admissibility,
     encode_series,
+    encoding,
     forward_s_via_fourier,
+    gaussian_derivative_profile,
     hermite_basis,
     l2_norm,
     make_ghost_codebook,
     modulate,
-    pairing,
     readout_mutate,
     ridgelet_fourier,
     tanh_profile,
 )
 from ghostlet.grids import DEFAULT_OMEGA_GRID
 from ghostlet.nullspace import ridgelet_atom
-from ghostlet.profiles import gram_residual_l2m
+from ghostlet.profiles import gram_residual_l2m, orthonormalize_l2m
 
 from conftest import bump_mix, rel_l2
 
@@ -35,13 +36,39 @@ def series(op3, codebook):
     return funcs, gamma
 
 
-def test_codebook_invariants(op3, codebook):
-    assert len(codebook) == 4
-    assert abs(pairing(codebook.sigma, codebook.members[0], 1) - 1.0) <= 1e-6
+@pytest.mark.parametrize("n_ghosts", [2, 3])
+@pytest.mark.parametrize("sigma", [tanh_profile()]
+                         + [gaussian_derivative_profile(k) for k in range(7)],
+                         ids=lambda sigma: sigma.name)
+def test_codebook_invariants(sigma, n_ghosts):
+    """Slot 0 pairs to 1 with the stored activation and every ghost slot to
+    zero by the one zero rule, for an odd and an even σ alike."""
+    codebook = make_ghost_codebook(sigma, n_ghosts=n_ghosts)
+    assert len(codebook) == 1 + n_ghosts
+    assert abs(admissibility(codebook.sigma, codebook.members[0], 1).pairing - 1.0) <= 1e-6
     for member in codebook.members[1:]:
-        assert abs(pairing(codebook.sigma, member, 1)) <= 1e-6
+        assert admissibility(codebook.sigma, member, 1).numerically_zero
     vectors = [mbr.spectral_values(DEFAULT_OMEGA_GRID) for mbr in codebook.members]
     assert gram_residual_l2m(vectors, 1, DEFAULT_OMEGA_GRID) <= 1e-6
+
+
+def test_codebook_refuses_a_ghost_slot_above_the_zero_rule(op3, monkeypatch):
+    """A ghost slot that leaks 1e-7 of slot 0 keeps the Gram residual within
+    `GRAM_TOLERANCE` but pairs to about 1e-7 with σ, which is not
+    `numerically_zero`: the codebook is refused."""
+    calls = []
+
+    def leaky(vectors, m, omega_grid):
+        basis, dependent = orthonormalize_l2m(vectors, m, omega_grid)
+        calls.append(len(vectors))
+        if len(calls) == 2:  # the ghost pass, whose basis[0] is slot 0
+            basis[1] = basis[1] + 1e-7 * basis[0]
+        return basis, dependent
+
+    monkeypatch.setattr(encoding, "orthonormalize_l2m", leaky)
+    with pytest.raises(DomainError, match="ghost slot 1 pairs to 1"):
+        make_ghost_codebook(op3.sigma, n_ghosts=2)
+    assert len(calls) == 2
 
 
 def test_unit_norm_sigma_is_slot_zero(op3, codebook):
@@ -54,10 +81,15 @@ def test_unit_norm_sigma_is_slot_zero(op3, codebook):
 
 
 def test_codebook_for_tanh_rescales_activation():
-    cb = make_ghost_codebook(tanh_profile(), n_ghosts=2)
-    assert abs(pairing(cb.sigma, cb.members[0], 1) - 1.0) <= 1e-6
-    for member in cb.members[1:]:
-        assert abs(pairing(cb.sigma, member, 1)) <= 1e-6
+    """tanh lies outside the weighted space; the stored activation is tanh/|p|,
+    a positive multiple of tanh that pairs to 1 with slot 0."""
+    tanh = tanh_profile()
+    cb = make_ghost_codebook(tanh, n_ghosts=2)
+    b = np.linspace(-4.0, 4.0, 8)
+    scale = cb.sigma.real_eval(b) / np.tanh(b)
+    np.testing.assert_allclose(scale, scale[0], rtol=1e-15)
+    assert cb.sigma.name == "tanh/|p|" and scale[0] > 0.0
+    assert abs(scale[0] * admissibility(tanh, cb.members[0], 1).pairing - 1.0) <= 1e-12
 
 
 def test_single_function_series(op3, codebook):
@@ -127,8 +159,7 @@ def test_capacity_independence(op3, codebook):
 def test_modulate_identity_slice(op3, codebook):
     basis = hermite_basis(6, op3.input_grid)
     gamma = ridgelet_atom(basis, 2, codebook.members[1], op3.param_grid)
-    mod = ModulationMap(read_index=1, write_profile=codebook.members[0], basis_e=basis)
-    out = modulate(mod, gamma, codebook, op3.input_grid)
+    out = modulate(codebook, gamma, 1, basis, op3.input_grid)
     s_out = forward_s_via_fourier(op3, out)
     e2 = SampledFunction(op3.input_grid, basis.members[2].values)
     assert rel_l2(s_out, e2) <= 0.1
@@ -137,29 +168,8 @@ def test_modulate_identity_slice(op3, codebook):
 def test_modulate_principal_gives_zero(op3, codebook):
     basis = hermite_basis(6, op3.input_grid)
     gamma = ridgelet_fourier(bump_mix(99), op3.sigma, op3.param_grid)
-    mod = ModulationMap(read_index=1, write_profile=codebook.members[0], basis_e=basis)
-    out = modulate(mod, gamma, codebook, op3.input_grid)
+    out = modulate(codebook, gamma, 1, basis, op3.input_grid)
     assert l2_norm(forward_s_via_fourier(op3, out)) <= 1e-3
-
-
-def test_modulate_zero_coefficients(op3, codebook):
-    basis = hermite_basis(4, op3.input_grid)
-    gamma = ridgelet_atom(basis, 1, codebook.members[1], op3.param_grid)
-    mod = ModulationMap(read_index=1, write_profile=codebook.members[0], basis_e=basis,
-                        coefficients=np.zeros((4, 4)))
-    out = modulate(mod, gamma, codebook, op3.input_grid)
-    assert l2_norm(out) == 0.0
-
-
-def test_modulate_index_validated(op3, codebook):
-    basis = hermite_basis(4, op3.input_grid)
-    gamma = ridgelet_atom(basis, 1, codebook.members[1], op3.param_grid)
-    bad = np.zeros((6, 6))
-    bad[5, 5] = 1.0
-    mod = ModulationMap(read_index=1, write_profile=codebook.members[0], basis_e=basis,
-                        coefficients=bad)
-    with pytest.raises(DomainError):
-        modulate(mod, gamma, codebook, op3.input_grid)
 
 
 def test_modulate_agrees_with_relabeled_readout(op3, codebook):
@@ -169,8 +179,8 @@ def test_modulate_agrees_with_relabeled_readout(op3, codebook):
     basis = hermite_basis(8, op3.input_grid)
     funcs = [bump_mix(190), bump_mix(191)]
     gamma = encode_series(codebook, funcs, op3.param_grid)
-    mod = ModulationMap(read_index=1, write_profile=codebook.members[0], basis_e=basis)
-    via_modulation = forward_s_via_fourier(op3, modulate(mod, gamma, codebook, op3.input_grid))
+    via_modulation = forward_s_via_fourier(op3, modulate(codebook, gamma, 1, basis,
+                                                         op3.input_grid))
     direct = readout_mutate(codebook, gamma, 1, op3.input_grid)
     # project the direct readout on the basis span (the modulation path only
     # sees that span)

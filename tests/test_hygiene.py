@@ -18,8 +18,12 @@
   build the class. A test is no root, so no definition lives on that only
   tests call. The few exempt names each wait on the ROADMAP item that routes
   them into a run.
-- Both exempt lists only shrink: an exempt name that is now passed or
-  reached, or that is gone, fails its test.
+- Every method and property of a `ghostlet` class, dunders aside, is loaded
+  as an attribute somewhere in `src/` or in the benchmark (`bench/`, its
+  tests excluded), its own class included, or is named by a benchmark
+  string. A test is no caller, so no method lives on that only tests call.
+- The three exempt lists only shrink: an exempt name that is now passed,
+  reached or loaded, or that is gone, fails its test.
 - Every backticked identifier in a `ghostlet` docstring or comment names
   something `src/` defines, reads or imports, so no text points at a name
   that is gone.
@@ -154,7 +158,6 @@ _UNSET = {
     "grids.QuadratureScheme.kind": "item 1 PR B (the tracer reads it)",
     "nullspace.density_expand(atoms)": "item 3",
     "nullspace.density_synthesize(atoms)": "item 3",
-    "encoding.ModulationMap.coefficients": "item 13",
     "cli.main(argv)": "the console-script entry point, which passes no argument",
 }
 
@@ -270,7 +273,6 @@ _UNREACHED = {
     "profiles.relu_profile": "item 2",
     "finite_models.edge_points": "item 5",
     "fourier._boundary_decay": "item 5",
-    "encoding.ModulationMap": "item 13 (encode-series reports the modulated readout)",
     "encoding.modulate": "item 13 (encode-series reports the modulated readout)",
 }
 
@@ -320,6 +322,44 @@ def test_every_module_definition_is_reached_by_a_run():
     assert not dead, f"module-level definitions no run, CLI path or bench reaches: {dead}"
     stale = sorted(name for name in _UNREACHED if name in reached or name not in defined)
     assert not stale, f"exempt names that a run now reaches or that are gone: {stale}"
+
+
+# Methods and properties no program file loads yet, each with the ROADMAP item
+# that routes it into a run. The list only shrinks: a name here that the
+# program now loads, or that is gone, fails the test.
+_UNCALLED = {
+    "nullspace.ExpansionCoefficients.partial_parseval": "item 3",
+    "nullspace.ExpansionCoefficients.total": "item 3",
+}
+
+
+def _loaded_attributes() -> set[str]:
+    """Every attribute name the program's files (`PROGRAM`) load."""
+    return {node.attr for path in PROGRAM
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_method_is_loaded_by_the_program():
+    """A method or property is used where an attribute of its name is loaded
+    in the program's files, or where a benchmark string names it (the tracer
+    looks functions up by name). Tests are no caller."""
+    used = _loaded_attributes() | {
+        node.value for path in BENCH
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    methods = set()
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef):
+                methods |= {f"{path.stem}.{cls.name}.{node.name}" for node in cls.body
+                            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (node.name.startswith("__") and node.name.endswith("__"))}
+    unused = {name for name in methods if name.rsplit(".", 1)[1] not in used}
+    dead = sorted(unused - set(_UNCALLED))
+    assert not dead, f"methods and properties the program never loads: {', '.join(dead)}"
+    stale = sorted(set(_UNCALLED) - unused)
+    assert not stale, f"exempt methods that the program now loads or that are gone: {stale}"
 
 
 def _source_names() -> set[str]:
@@ -392,9 +432,7 @@ def test_every_dataclass_field_is_read():
     """A field is read where an attribute of its name is loaded in the
     program's files (`PROGRAM`), its own class's methods included. A test is
     no reader, so no field lives on that only tests read."""
-    reads = {node.attr for path in PROGRAM
-             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    reads = _loaded_attributes()
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):

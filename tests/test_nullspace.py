@@ -19,7 +19,6 @@ from ghostlet import (
     make_nonadmissible,
     make_operator,
     make_rho_family,
-    pairing,
     project,
     ridgelet_fourier,
     sample,
@@ -66,7 +65,7 @@ class TestAdmissibility:
 class TestRecipes:
     def test_linear_combination_of_nonadmissible(self, op3, rho_family5):
         out = make_nonadmissible(op3.sigma, rho_family5[1], rho_family5[3])
-        assert abs(pairing(op3.sigma, out, 1)) <= 1e-8
+        assert abs(admissibility(op3.sigma, out, 1).pairing) <= 1e-8
         vals = out.spectral_values(DEFAULT_OMEGA_GRID)
         assert weighted_omega_norm(vals, 1, DEFAULT_OMEGA_GRID) == pytest.approx(1.0, abs=1e-12)
 
@@ -180,7 +179,7 @@ class TestStructure:
         deco = structure_decompose(op3, gam, hermite12, max_terms=4)
         assert abs(deco.coefficients[1]) == pytest.approx(
             np.sqrt(2 * np.pi) * c_true, rel=1e-2)
-        assert abs(pairing(op3.sigma, deco.ghost_ridgelets[1], 1)) <= 1e-6
+        assert abs(admissibility(op3.sigma, deco.ghost_ridgelets[1], 1).pairing) <= 1e-6
 
     def test_parseval_and_unit_norms(self, op3, hermite12, ghost_profile):
         rng = np.random.default_rng(71)
@@ -196,7 +195,7 @@ class TestStructure:
                 continue
             assert weighted_omega_norm(rho.spectral_values(og), 1, og) \
                 == pytest.approx(1.0, abs=1e-6)
-            assert abs(pairing(op3.sigma, rho, 1)) <= 1e-6
+            assert abs(admissibility(op3.sigma, rho, 1).pairing) <= 1e-6
 
     def test_structure_roundtrip(self, op3, hermite12, ghost_profile):
         gam = ridgelet_fourier(bump_mix(72), op3.sigma, op3.param_grid) \
@@ -305,6 +304,12 @@ class TestLazy:
         sf = ridgelet_fourier(f, op3.sigma, op3.param_grid)
         assert rel_l2(lazy, sf + ghost) <= 1e-2
         assert abs(l2_norm(lazy - ghost) - l2_norm(sf)) <= 1e-3 * l2_norm(sf)
+
+    def test_refuses_f_off_the_input_grid(self, op3):
+        f = bump_mix(85, grid=Grid.line(-8.0, 8.0, 81))
+        zero = ParamDistribution(op3.param_grid, np.zeros(op3.param_grid.counts))
+        with pytest.raises(DomainError, match="different grid"):
+            lazy_solution(op3, f, zero)
 
     def test_beats_random_ghost_perturbations(self, op3, hermite12, ghost_profile):
         f = bump_mix(82)

@@ -9,13 +9,13 @@ from ghostlet import (
     DomainError,
     Grid,
     SpectralFunction,
+    admissibility,
     fourier_inverse,
     gaussian_derivative_profile,
     gram_schmidt_l2m,
     hermite_basis,
     l2_inner,
     make_rho_family,
-    pairing,
     relu_profile,
     rho0_profile,
     tanh_profile,
@@ -26,6 +26,7 @@ from ghostlet.profiles import (
     SingularPointError,
     _GAUSS_FLOOR,
     _gauss,
+    _checked_family,
     _rho_k_unnormalized,
     dawson_profile,
     gram_residual_l2m,
@@ -108,10 +109,10 @@ def test_rho_family_parities():
 def test_rho_family_pairings_with_tanh():
     fam = make_rho_family(4)
     sig = tanh_profile()
-    assert pairing(sig, fam[2], 1) == pytest.approx(1.0, abs=1e-9)
-    assert pairing(sig, fam[4], 1) == pytest.approx(1.0, abs=1e-9)
-    assert abs(pairing(sig, fam[1], 1)) < 1e-10
-    assert abs(pairing(sig, fam[3], 1)) < 1e-10
+    assert admissibility(sig, fam[2], 1).pairing == pytest.approx(1.0, abs=1e-9)
+    assert admissibility(sig, fam[4], 1).pairing == pytest.approx(1.0, abs=1e-9)
+    assert abs(admissibility(sig, fam[1], 1).pairing) < 1e-10
+    assert abs(admissibility(sig, fam[3], 1).pairing) < 1e-10
 
 
 def test_rho_family_respects_series_budget():
@@ -339,7 +340,7 @@ def test_rho_family_members_are_the_builder_at_c_k_bit_for_bit(index):
         if _reference_zero(sigma, raw):
             c_k = 1j / weighted_omega_norm(raw_vals, 1, DEFAULT_OMEGA_GRID)
         else:
-            c_k = 1.0 / np.conj(pairing(sigma, raw, 1))
+            c_k = 1.0 / np.conj(admissibility(sigma, raw, 1).pairing)
         member = family[k]
         assert (member.name, member.parity) == (f"rho{k}", raw.parity)
         assert _same_bits(member.spectral_eval(w), c_k * _reference_seed_spec(k, w)), k
@@ -352,8 +353,6 @@ def test_numerically_zero_is_the_old_rule_on_the_dawson_family():
     agrees with the retired 1e-8·max(1, ⟨|σ♯|, |ρ♯|⟩) rule on all 56 pairs of
     seven activations and the seeds k = 1..8, with a wide gap between the
     zero pairings and the others."""
-    from ghostlet import admissibility
-
     zeros, nonzeros = [], []
     for sigma in _unit_sigmas():
         for k in range(1, 9):
@@ -451,6 +450,19 @@ def test_gram_schmidt_refuses_a_candidate_outside_the_weighted_space(outside):
         gram_schmidt_l2m([outside], m=1)
     with pytest.raises(DomainError, match="candidate 1 .* no finite weighted norm"):
         gram_schmidt_l2m([_rho_k_unnormalized(1), outside], m=1)
+
+
+def test_gram_checks_refuse_a_node_at_zero_and_a_nan_residual():
+    """The ω-grid checks sit in the cached weights, so `gram_residual_l2m`
+    refuses a grid with a node at 0 as `weighted_omega_inner` does (there a
+    spectrum vanishing at 0 gave a NaN residual, which `nan > GRAM_TOLERANCE`
+    let through), and `_checked_family` refuses a NaN residual itself."""
+    grid = Grid.line(-1.0, 1.0, 5)
+    with pytest.raises(DomainError, match="node at 0"):
+        _checked_family(["x"], [grid.axis(0) + 0j], 1, grid)
+    nan = np.full(DEFAULT_OMEGA_GRID.total_points, np.nan + 0j)
+    with pytest.raises(DomainError, match="Gram residual nan"):
+        _checked_family(["x"], [nan], 1, DEFAULT_OMEGA_GRID)
 
 
 def test_gram_schmidt_dependent_candidate_named():

@@ -9,6 +9,7 @@ from ghostlet import (
     ParamDistribution,
     SampledFunction,
     adjoint,
+    admissibility,
     forward_s,
     forward_s_fourier,
     forward_s_via_fourier,
@@ -18,7 +19,6 @@ from ghostlet import (
     l2_norm,
     make_operator,
     make_rho_family,
-    pairing,
     relu_profile,
     ridgelet,
     ridgelet_fourier,
@@ -191,7 +191,7 @@ def test_ridgelet_boundedness(op3, ghost_profile):
 
 def _reconstruct(op, f, rho):
     """S[R[f;ρ]] on the direct paths, and ⟨⟨σ,ρ⟩⟩."""
-    pair = pairing(op.sigma, rho, op.m)
+    pair = admissibility(op.sigma, rho, op.m).pairing
     return forward_s(op, ridgelet(f, rho, op.param_grid)), pair
 
 
@@ -205,7 +205,7 @@ def test_reconstruct_admissible(op3):
 def _reconstruct_by_slices(op, f, rho):
     """S[R[f;ρ]] on the Fourier-slice path, and ⟨⟨σ,ρ⟩⟩."""
     out = forward_s_via_fourier(op, ridgelet_fourier(f, rho, op.param_grid))
-    return out, pairing(op.sigma, rho, op.m)
+    return out, admissibility(op.sigma, rho, op.m).pairing
 
 
 def test_reconstruct_nonadmissible_degenerates(op3, ghost_profile):
@@ -262,6 +262,13 @@ def test_adjoint_needs_a_finite_weighted_norm(param_grid, input_grid):
         adjoint(op, bump_mix(39))
 
 
+def test_adjoint_refuses_f_off_the_input_grid(op3):
+    """As `forward_s` refuses a γ off the parameter grid."""
+    f = bump_mix(40, grid=Grid.line(-8.0, 8.0, 81))
+    with pytest.raises(DomainError, match="different grid"):
+        adjoint(op3, f)
+
+
 def test_separation_of_variables(op3):
     """Plugging the separable spectrum γ♯(a/ω,ω) = f̂(a)conj(ρ♯(ω)) into the
     spectral S returns ⟨⟨σ,ρ⟩⟩·f̂ (the one-line reconstruction)."""
@@ -270,7 +277,7 @@ def test_separation_of_variables(op3):
     gam = ridgelet_fourier(f, rho, op3.param_grid)
     shat = forward_s_fourier(op3, gam)
     fhat = fourier_forward(f, shat.grid)
-    pair = pairing(op3.sigma, rho, 1)
+    pair = admissibility(op3.sigma, rho, 1).pairing
     assert l2_norm(shat - pair * fhat) / l2_norm(fhat) < 1e-3
 
 
