@@ -6,11 +6,14 @@ space whose member 0 pairs to 1 with the activation and whose members i ≥ 1
 pair to zero. A series F = (f₀, f₁, …) is stored as γ_F = Σ R[f_i;ρ_i]: the
 plain network S sees only f₀ (all other terms are ghosts), the mutated
 network with activation ρ_i reads out f_i, and `modulate` moves a ghost
-slot into the visible slot before S is applied.
+slot into the visible slot before S is applied. The mutated networks differ
+only in the activation, so `readout_mutate` reads any number of slots of one
+γ from one sheared γ♯ (`forward_s_fourier`'s first step).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +35,8 @@ from .profiles import (
     orthonormalize_l2m,
     weighted_space_norm,
 )
-from .transforms import NetworkOperator, forward_s_via_fourier, ridgelet_fourier
+from .fourier import fourier_inverse
+from .transforms import NetworkOperator, _omega_sum, _sheared_sharp, ridgelet_fourier
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,9 @@ class GhostCodebook:
         return len(self.members)
 
 
-def make_ghost_codebook(sigma: Profile1D, n_ghosts: int = 3) -> GhostCodebook:
-    """Build a codebook with 1 + n_ghosts slots from Dawson-derivative seeds.
+def make_ghost_codebook(sigma: Profile1D, n_ghosts: int) -> GhostCodebook:
+    """Build a codebook with 1 + n_ghosts slots from Dawson-derivative seeds;
+    the caller chooses n_ghosts (`encode-series` takes 2).
 
     The seeds ρ₀^{(k)}, 1 ≤ k ≤ n_ghosts + 2, are orthonormalized, with σ's
     own spectrum first when σ lies in the weighted space
@@ -107,15 +112,22 @@ def encode_series(codebook: GhostCodebook, functions: list[SampledFunction],
     return acc
 
 
-def readout_mutate(codebook: GhostCodebook, gamma: ParamDistribution, i: int,
-                   input_grid: Grid) -> SampledFunction:
-    """Read slot i by running S with activation ρ_i (spectral path): for an
-    encoded series the cross terms vanish by orthonormality."""
-    if not 0 <= i < len(codebook):
-        raise DomainError(f"read index {i} outside codebook of size {len(codebook)}")
-    mutated = NetworkOperator(sigma=codebook.members[i], param_grid=gamma.grid,
-                              input_grid=input_grid)
-    return forward_s_via_fourier(mutated, gamma)
+def readout_mutate(codebook: GhostCodebook, gamma: ParamDistribution, slots: Sequence[int],
+                   input_grid: Grid) -> list[SampledFunction]:
+    """Read each slot i of `slots` by running S with activation ρ_i on the
+    spectral path, `forward_s_via_fourier` of the mutated operator, bit for
+    bit: for an encoded series the cross terms vanish by orthonormality. The
+    sheared γ♯ does not depend on the activation, so it is built once for
+    all slots (`_sheared_sharp`), and each slot adds only its ω sum
+    (`_omega_sum`) and the inverse transform."""
+    ops = []
+    for i in slots:
+        if not 0 <= i < len(codebook):
+            raise DomainError(f"read index {i} outside codebook of size {len(codebook)}")
+        ops.append(NetworkOperator(sigma=codebook.members[i], param_grid=gamma.grid,
+                                   input_grid=input_grid))
+    sheared, grids = _sheared_sharp(gamma, input_grid)
+    return [fourier_inverse(_omega_sum(sheared, op.sigma, grids), input_grid) for op in ops]
 
 
 def modulate(codebook: GhostCodebook, gamma: ParamDistribution, i: int,
@@ -124,7 +136,7 @@ def modulate(codebook: GhostCodebook, gamma: ParamDistribution, i: int,
     A = Σ c^{ijpq} R_j ∘ U_pq ∘ S_i that moves ghost slot i into the visible
     slot: γ ↦ R[Σ_p ⟨S_i[γ], e_p⟩ e_p ; ρ₀], with S_i the readout of slot i
     (`readout_mutate`) and ρ₀ the codebook's slot 0."""
-    g = readout_mutate(codebook, gamma, i, input_grid)
+    g, = readout_mutate(codebook, gamma, [i], input_grid)
     projected = np.zeros(input_grid.counts, dtype=complex)
     for e_p in basis_e.members:
         projected = projected + l2_inner(g, e_p) * e_p.values

@@ -39,9 +39,14 @@ _KERNEL_CACHE_ENTRIES = 1 << 20
 # 2-core AMD EPYC VM with BLAS on one thread, 4 blocks took a 257 × 288 kernel
 # times 241 columns (1.8e7 entries) from 1.29 to 0.97 ms, and 3 blocks took a
 # 129 × 161 kernel times 161 columns (3.3e6) from 0.25 to 0.37 ms. Those times
-# were measured with a fresh pool per `_block_map` call, whose thread start-up
-# made blocks under about 1 ms of GEMM a loss. `_block_map` keeps its pool for
-# the process, and the threshold has not been measured with that pool.
+# were measured with a fresh pool per `_block_map` call. With the pool that
+# `_block_map` now keeps for the process (2-vCPU Xeon, medians of 400 to 1000
+# alternating calls, two or three runs): `partial_flat_b` of the slice
+# testbed's 241 × 288 spectrum onto 257 b nodes took 2.90–3.26 ms split and
+# 3.74–3.95 ms unsplit, and the 129 × 161 kernel times 161 columns took
+# 0.70–0.75 ms split and 0.60–0.64 ms unsplit. The split changes a result's
+# last bits (4.9e-16 of its peak), and moving the threshold moves the traced
+# `fourier` share of the benchmark, so it stays where it is.
 _TRANSFORM_SPLIT = 1 << 23
 _TRANSFORM_BLOCKS = 4
 

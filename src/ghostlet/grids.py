@@ -1,10 +1,12 @@
 """Uniform closed-box grids, sampled fields, quadrature, and inner products.
 
 Everything downstream integrates over truncated boxes with the trapezoid rule
-(`Grid.weights`). Grids store both endpoints; symmetric frequency grids meant
-to straddle ω = 0 must use an even point count so no node lands on the origin
-(the |ω|^{-m} weight is then finite at every node and odd integrands cancel
-in the symmetric sum). The weighted ω inner product adds an Euler–Maclaurin
+(`Grid.weights`). A grid builds its node and weight arrays (`Grid.axis`,
+`Grid.weights`, `Grid.points`) once, on first use, and hands out the same
+read-only arrays after that. Grids store both endpoints; symmetric frequency
+grids meant to straddle ω = 0 must use an even point count so no node lands on
+the origin (the |ω|^{-m} weight is then finite at every node and odd
+integrands cancel in the symmetric sum). The weighted ω inner product adds an Euler–Maclaurin
 correction for the kink the |ω|^{-m} weight puts at the origin (see
 `weighted_omega_inner`). The last section chooses every frequency grid:
 `DEFAULT_OMEGA_GRID`, the slice path's `spectral_grids` and `smooth_convolve`'s
@@ -20,9 +22,10 @@ slice, BSpline takes 5.6 ms and NdBSpline 42 ms, with bit-identical values
 `forward_s_fourier`).
 
 A field owns finite, read-only values. The public constructors (the field
-classes and `sample`) copy the caller's array and scan it for NaN/Inf;
+classes and `sample`) copy the caller's array and refuse NaN/Inf (a finite sum
+clears it, anything else is scanned entry by entry; `_field_values`);
 `_Field._adopt` takes an array the program has just allocated (the results of
-arithmetic and operators) with the same scan and no copy. A profile's values
+arithmetic and operators) with the same check and no copy. A profile's values
 count as the caller's: its evaluator may return an array it keeps.
 """
 from __future__ import annotations
@@ -88,19 +91,28 @@ class Grid:
     def volume(self) -> float:
         return float(np.prod([hi - lo for lo, hi in zip(self.lower, self.upper)]))
 
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, ...]:
+        return tuple(_read_only(np.linspace(lo, hi, n))
+                     for lo, hi, n in zip(self.lower, self.upper, self.counts))
+
     def axis(self, k: int = 0) -> np.ndarray:
-        return np.linspace(self.lower[k], self.upper[k], self.counts[k])
+        return self._axes[k]
 
     def axes(self) -> list[np.ndarray]:
-        return [self.axis(k) for k in range(self.dim)]
+        return list(self._axes)
 
     def mesh(self) -> list[np.ndarray]:
         return np.meshgrid(*self.axes(), indexing="ij", sparse=True)
 
+    @cached_property
+    def _points(self) -> np.ndarray:
+        dense = np.meshgrid(*self.axes(), indexing="ij")
+        return _read_only(np.stack([d.ravel() for d in dense], axis=-1))
+
     def points(self) -> np.ndarray:
         """All nodes as a (total_points, dim) array, C order."""
-        dense = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([d.ravel() for d in dense], axis=-1)
+        return self._points
 
     def axis_weights(self, k: int) -> np.ndarray:
         w = np.full(self.counts[k], self.spacing[k])
@@ -108,12 +120,16 @@ class Grid:
         w[-1] *= 0.5
         return w
 
-    def weights(self) -> np.ndarray:
-        """Trapezoid weights on the full grid (outer product over axes)."""
+    @cached_property
+    def _weights(self) -> np.ndarray:
         w = self.axis_weights(0)
         for k in range(1, self.dim):
             w = np.multiply.outer(w, self.axis_weights(k))
-        return w
+        return _read_only(w)
+
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights on the full grid (outer product over axes)."""
+        return self._weights
 
     def straddles_zero(self) -> bool:
         """Whether no node of the first axis sits on 0."""
@@ -140,18 +156,28 @@ class Grid:
         return Grid(tuple(-hw), tuple(hw), tuple(int(n) for n in ns))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _field_values(grid: Grid, values: np.ndarray, copy: bool) -> np.ndarray:
     """`values` as the grid's read-only, finite, C-contiguous complex array (C order fixes
-    the summation order of later reductions): a copy, or else the array where it can be."""
+    the summation order of later reductions): a copy, or else the array where it can be.
+
+    A NaN or ±Inf entry makes the sum NaN or ±Inf, so a finite sum proves every entry
+    finite; only a sum that is not finite (a bad entry, or finite entries whose sum
+    overflows) pays for the entrywise scan."""
     vals = np.asarray(values, dtype=complex)
     if vals.size != grid.total_points:
         raise DomainError(f"value count {vals.size} != grid point count {grid.total_points}")
     vals = vals.reshape(grid.counts)
     vals = vals.copy() if copy else np.ascontiguousarray(vals)
-    if not np.all(np.isfinite(vals)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(vals)
+    if not np.isfinite(total) and not np.all(np.isfinite(vals)):
         raise DataError("field contains NaN/Inf values")
-    vals.flags.writeable = False
-    return vals
+    return _read_only(vals)
 
 
 @dataclass(frozen=True)

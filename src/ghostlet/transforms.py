@@ -35,6 +35,7 @@ from .grids import (
     QuadratureScheme,
     SampledFunction,
     SpectralFunction,
+    SpectralGrids,
     TRAPEZOID,
     UnsupportedProfileError,
     cubic_spline,
@@ -263,28 +264,44 @@ def ridgelet_fourier(f: SampledFunction, rho: Profile1D, param_grid: Grid) -> Pa
     return _slice_ridgelet(_fhat_evaluator(f, grids.fhat), rho, param_grid, grids.omega)
 
 
+def _sheared_sharp(gamma: ParamDistribution,
+                   input_grid: Grid) -> tuple[np.ndarray, SpectralGrids]:
+    """The γ side of `forward_s_fourier`: γ♯(ξ/ω, ω) at every (ω, ξ) node of
+    `spectral_grids(gamma.grid, input_grid)`, as an (ω, ξ...) array, with the
+    grids. γ♯ = `partial_sharp_b` is sheared by one cubic spline over the a
+    grid, ω as its batch axis and evaluated by `Spline.each` (zero outside
+    the grid; the |ω|→0 rows self-truncate). No activation enters, so one
+    sheared γ♯ serves every σ."""
+    grids = spectral_grids(gamma.grid, input_grid)
+    gam_sharp = partial_sharp_b(gamma, grids.omega)
+    spline = cubic_spline(gamma.grid.sub(slice(-1)), gam_sharp.values)
+    return spline.each(grids.xi.points() / grids.omega.axis(0)[:, None, None]), grids
+
+
+def _omega_sum(sheared: np.ndarray, sigma: Profile1D, grids: SpectralGrids) -> SpectralFunction:
+    """The σ side of `forward_s_fourier`: Ŝ(ξ) = (2π)^{m−1} Σ_ω w_ω σ♯(ω)
+    |ω|^{−m} γ♯(ξ/ω, ω) over the `_sheared_sharp` rows, added in ω order."""
+    m = grids.xi.dim
+    omega = grids.omega.axis(0)
+    weight = sigma.spectral_values(grids.omega) * np.abs(omega) ** (-m) \
+        * grids.omega.axis_weights(0)
+    acc = np.zeros(sheared.shape[1], dtype=complex)
+    for row, w in zip(sheared, weight):
+        acc += row * w
+    return SpectralFunction._adopt(grids.xi, (2.0 * np.pi) ** (m - 1) * acc)
+
+
 def forward_s_fourier(op: NetworkOperator, gamma: ParamDistribution) -> SpectralFunction:
     """Fourier-slice path for S: Ŝ[γ](ξ) = (2π)^{m−1} ∫ γ♯(ξ/ω,ω) σ♯(ω)
-    |ω|^{−m} dω, with γ♯ sheared by one cubic spline over the a grid, ω as
-    its batch axis and evaluated by `Spline.each` (zero outside the grid; the
-    |ω|→0 rows self-truncate)."""
+    |ω|^{−m} dω, as two steps: the sheared γ♯ (`_sheared_sharp`), then its
+    weighted ω sum (`_omega_sum`). A caller that applies several activations
+    to one γ (`encoding.readout_mutate`) takes the first step once."""
     if op.sigma.spectral_eval is None:
         raise UnsupportedProfileError(f"{op.sigma.name!r} has no spectral evaluator")
     if gamma.grid != op.param_grid:
         raise DomainError("γ lives on a different grid than the operator")
-    m = op.m
-    grids = spectral_grids(op.param_grid, op.input_grid)
-    omega_grid, output_grid = grids.omega, grids.xi
-    omega = omega_grid.axis(0)
-    gam_sharp = partial_sharp_b(gamma, omega_grid)
-    weight = op.sigma.spectral_values(omega_grid) * np.abs(omega) ** (-m) \
-        * omega_grid.axis_weights(0)
-    spline = cubic_spline(op.param_grid.sub(slice(-1)), gam_sharp.values)
-    sheared = spline.each(output_grid.points() / omega[:, None, None])
-    acc = np.zeros(sheared.shape[1], dtype=complex)
-    for row, w in zip(sheared, weight):
-        acc += row * w
-    return SpectralFunction._adopt(output_grid, (2.0 * np.pi) ** (m - 1) * acc)
+    sheared, grids = _sheared_sharp(gamma, op.input_grid)
+    return _omega_sum(sheared, op.sigma, grids)
 
 
 def forward_s_via_fourier(op: NetworkOperator, gamma: ParamDistribution) -> SampledFunction:

@@ -236,8 +236,8 @@ def test_criterion_09_ghost_encoding(op3, hermite12):
         funcs.append(f * (1.0 / l2_norm(f)))
     gamma = encode_series(codebook, funcs, op3.param_grid)
     err0 = rel_l2(forward_s_via_fourier(op3, gamma), funcs[0])
-    err_reads = [rel_l2(readout_mutate(codebook, gamma, i, op3.input_grid), funcs[i])
-                 for i in (1, 2)]
+    reads = readout_mutate(codebook, gamma, (1, 2), op3.input_grid)
+    err_reads = [rel_l2(got, funcs[i]) for i, got in zip((1, 2), reads)]
     # modulated readout of slot 1 through the identity slice
     from ghostlet import modulate
     moded = forward_s_via_fourier(op3, modulate(codebook, gamma, 1, hermite12,

@@ -3,6 +3,7 @@ import pytest
 
 from ghostlet import (
     DomainError,
+    NetworkOperator,
     SampledFunction,
     admissibility,
     encode_series,
@@ -119,21 +120,43 @@ def test_capacity_error(op3, codebook):
 
 def test_readout_each_slot(op3, codebook, series):
     funcs, gamma = series
-    assert rel_l2(readout_mutate(codebook, gamma, 0, op3.input_grid), funcs[0]) <= 5e-2
-    assert rel_l2(readout_mutate(codebook, gamma, 1, op3.input_grid), funcs[1]) <= 0.1
-    assert rel_l2(readout_mutate(codebook, gamma, 2, op3.input_grid), funcs[2]) <= 0.1
+    reads = readout_mutate(codebook, gamma, [0, 1, 2], op3.input_grid)
+    assert rel_l2(reads[0], funcs[0]) <= 5e-2
+    assert rel_l2(reads[1], funcs[1]) <= 0.1
+    assert rel_l2(reads[2], funcs[2]) <= 0.1
+
+
+@pytest.mark.parametrize("sigma", [tanh_profile(), gaussian_derivative_profile(2),
+                                   gaussian_derivative_profile(3)], ids=lambda s: s.name)
+def test_multi_slot_readout_is_the_mutated_network_bit_for_bit(op3, sigma):
+    """Reading all slots in one call shares one sheared γ♯, and each slot is
+    still `forward_s_via_fourier` of the operator with activation ρ_i, bit
+    for bit, for an odd, an even and a non-normalizable σ; slots may repeat
+    and come in any order."""
+    codebook = make_ghost_codebook(sigma, n_ghosts=2)
+    funcs = [bump_mix(180), bump_mix(181), bump_mix(182)]
+    gamma = encode_series(codebook, funcs, op3.param_grid)
+    slots = [2, 0, 1, 2]
+    reads = readout_mutate(codebook, gamma, slots, op3.input_grid)
+    assert len(reads) == len(slots)
+    for i, got in zip(slots, reads):
+        mutated = NetworkOperator(codebook.members[i], op3.param_grid, op3.input_grid)
+        want = forward_s_via_fourier(mutated, gamma)
+        assert got.grid == want.grid
+        np.testing.assert_array_equal(got.values, want.values)
 
 
 def test_readout_empty_slot(op3, codebook, series):
     funcs, gamma = series
-    out = readout_mutate(codebook, gamma, 3, op3.input_grid)
+    out, = readout_mutate(codebook, gamma, [3], op3.input_grid)
     assert l2_norm(out) <= 0.05 * max(l2_norm(f) for f in funcs)
 
 
 def test_readout_index_validated(op3, codebook, series):
     _, gamma = series
-    with pytest.raises(DomainError):
-        readout_mutate(codebook, gamma, 4, op3.input_grid)
+    for slots in ([4], [0, 4], [-1]):
+        with pytest.raises(DomainError, match="outside codebook"):
+            readout_mutate(codebook, gamma, slots, op3.input_grid)
 
 
 def test_encode_linearity(op3, codebook):
@@ -151,8 +174,8 @@ def test_capacity_independence(op3, codebook):
     funcs = [bump_mix(96), bump_mix(97), bump_mix(98)]
     g2 = encode_series(codebook, funcs[:2], op3.param_grid)
     g3 = encode_series(codebook, funcs, op3.param_grid)
-    r2 = readout_mutate(codebook, g2, 1, op3.input_grid)
-    r3 = readout_mutate(codebook, g3, 1, op3.input_grid)
+    r2, = readout_mutate(codebook, g2, [1], op3.input_grid)
+    r3, = readout_mutate(codebook, g3, [1], op3.input_grid)
     assert l2_norm(r3 - r2) <= 2e-2 * l2_norm(r2)
 
 
@@ -181,7 +204,7 @@ def test_modulate_agrees_with_relabeled_readout(op3, codebook):
     gamma = encode_series(codebook, funcs, op3.param_grid)
     via_modulation = forward_s_via_fourier(op3, modulate(codebook, gamma, 1, basis,
                                                          op3.input_grid))
-    direct = readout_mutate(codebook, gamma, 1, op3.input_grid)
+    direct, = readout_mutate(codebook, gamma, [1], op3.input_grid)
     # project the direct readout on the basis span (the modulation path only
     # sees that span)
     from ghostlet import l2_inner

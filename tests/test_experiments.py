@@ -7,9 +7,11 @@ from ghostlet import (
     forward_s_via_fourier,
     gaussian_derivative_profile,
     l2_norm,
+    lazy_solution,
     make_operator,
     make_rho_family,
     ridgelet_atom,
+    ridgelet_fourier,
     tanh_profile,
 )
 from ghostlet.experiments import (
@@ -195,6 +197,65 @@ def test_lazy_builds_each_ghost_atom_once(monkeypatch, tmp_path, n_trials):
     metrics = run_subcommand(cfg).metrics
     assert sorted(built) == [1, 2, 3]
     assert metrics["trials"] == n_trials
+
+
+def _field_loop_trials(gamma_lazy, gamma_init, atoms, rng, n_trials):
+    """`lazy`'s trials as fields, the loop it ran before the atoms' Gram: each
+    rival γ_lazy + g built on the grid and its distance to γ_init taken by
+    `l2_norm`. Returns ‖γ_lazy − γ_init‖ and each trial's win."""
+    base_dist = l2_norm(gamma_lazy - gamma_init)
+    won = []
+    for _ in range(n_trials):
+        coeffs = rng.normal(size=2)
+        g = coeffs[0] * atoms[0] + coeffs[1] * atoms[1]
+        rival = gamma_lazy + g
+        won.append(base_dist <= l2_norm(rival - gamma_init) + 1e-12)
+    return base_dist, won
+
+
+@pytest.fixture(scope="module")
+def lazy_fields():
+    """`lazy`'s γ_init, γ_lazy and trial atoms at its defaults."""
+    from ghostlet.experiments import _bump, _compact_testbed
+
+    op = _compact_testbed(ExperimentConfig(experiment="lazy", output_dir="unused"))
+    basis, ghost_profile = _ghost_testbed(op)
+    gamma_init = ridgelet_fourier(_bump(op.input_grid, -0.4, 1.5), op.sigma, op.param_grid) \
+        + 0.7 * ridgelet_atom(basis, 1, ghost_profile, op.param_grid)
+    gamma_lazy = lazy_solution(op, _bump(op.input_grid, 0.5, 1.3), gamma_init)
+    atoms = [ridgelet_atom(basis, i, ghost_profile, op.param_grid) for i in (2, 3)]
+    return gamma_init, gamma_lazy, atoms
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lazy_trials_match_the_field_loop(lazy_fields, seed):
+    """The Gram form of the trials gives the field loop's distance bit for bit
+    and its win count at 1, 20 and 200 trials (each count a prefix of one
+    stream of draws)."""
+    from ghostlet.experiments import _ghost_trial_wins
+
+    gamma_init, gamma_lazy, atoms = lazy_fields
+    base, won = _field_loop_trials(gamma_lazy, gamma_init, atoms,
+                                   np.random.default_rng(seed), 200)
+    for n_trials in (1, 20, 200):
+        got = _ghost_trial_wins(gamma_lazy - gamma_init, atoms, np.random.default_rng(seed),
+                                n_trials)
+        assert got == (base, sum(won[:n_trials]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lazy_trials_match_the_field_loop_off_the_minimizer(lazy_fields, seed):
+    """Moved off the minimizer along both atoms, γ_lazy + 0.3·atom₀ − 0.5·atom₁
+    loses some trials: there the cross terms ⟨Δ, atom_i⟩ decide, and the
+    Gram form still counts the field loop's wins."""
+    from ghostlet.experiments import _ghost_trial_wins
+
+    gamma_init, gamma_lazy, atoms = lazy_fields
+    moved = gamma_lazy + 0.3 * atoms[0] - 0.5 * atoms[1]
+    base, won = _field_loop_trials(moved, gamma_init, atoms, np.random.default_rng(seed), 40)
+    assert 0 < sum(won) < 40
+    got = _ghost_trial_wins(moved - gamma_init, atoms, np.random.default_rng(seed), 40)
+    assert got == (base, sum(won))
 
 
 def test_finite_model_error_keeps_falling_past_p_1000(tmp_path):

@@ -119,6 +119,49 @@ def test_nan_rejected():
             sample(g2, lambda a, b: np.where((a == 0.5) & (b == 0.0), bad, 1.0 + 0j))
 
 
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                         ids=["nan", "inf", "minus-inf", "inf-pair"])
+def test_field_values_refuse_every_non_finite_entry(bad):
+    """A NaN or ±Inf entry makes the sum non-finite, so the sum check sends it
+    to the entrywise scan; an Inf/−Inf pair sums to NaN and is refused too."""
+    vals = np.ones(6, dtype=complex)
+    vals[1:1 + len(bad)] = bad
+    with pytest.raises(DataError):
+        SampledFunction(Grid.line(0.0, 1.0, 6), vals)
+
+
+def test_field_values_accept_finite_entries_whose_sum_overflows():
+    """[1e308, 1e308] sums to Inf, yet every entry is finite: the entrywise
+    scan accepts it, with no overflow warning (the suite errors on warnings)."""
+    u = SampledFunction(Grid.line(0.0, 1.0, 2), np.array([1e308, 1e308]))
+    np.testing.assert_array_equal(u.values, [1e308, 1e308])
+
+
+@pytest.mark.parametrize("grid", [Grid.line(-1.0, 2.0, 7), Grid((-1.0, 0.0), (1.0, 3.0), (5, 4)),
+                                  Grid((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (2, 3, 4))],
+                         ids=["1d", "2d", "3d"])
+def test_grid_arrays_are_built_once_read_only_and_exact(grid):
+    """`axis`, `weights` and `points` hand out one read-only array each per
+    grid, equal to the arrays built afresh from the grid's description."""
+    fresh_axes = [np.linspace(lo, hi, n) for lo, hi, n in zip(grid.lower, grid.upper, grid.counts)]
+    fresh_weights = grid.axis_weights(0)
+    for k in range(1, grid.dim):
+        fresh_weights = np.multiply.outer(fresh_weights, grid.axis_weights(k))
+    fresh_points = np.stack([d.ravel() for d in np.meshgrid(*fresh_axes, indexing="ij")], axis=-1)
+    got = [*(grid.axis(k) for k in range(grid.dim)), grid.weights(), grid.points()]
+    want = [*fresh_axes, fresh_weights, fresh_points]
+    for arr, ref in zip(got, want):
+        np.testing.assert_array_equal(arr, ref)
+        assert arr.dtype == ref.dtype and arr.shape == ref.shape
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+    assert grid.axis(0) is grid.axis(0) and grid.weights() is grid.weights()
+    assert grid.points() is grid.points()
+    twin = Grid(grid.lower, grid.upper, grid.counts)
+    assert twin == grid and hash(twin) == hash(grid) and twin.points() is not grid.points()
+
+
 def test_field_copies_the_callers_array():
     """The constructor and `sample` copy: later writes to the source array do
     not reach the field."""
