@@ -318,14 +318,16 @@ def test_param_distribution_needs_two_axes():
 
 
 def test_interpolate_reproduces_node_values():
-    """The cubic interpolant passes through the field's own nodes."""
+    """The cubic interpolant passes through the field's own nodes bit for
+    bit: a node sits at t = 0 or t = 1 of its cell, where every weight but
+    its value's is 0."""
     g = Grid((-10.0, -32.0), (10.0, 32.0), (161, 129))
     rng = np.random.default_rng(5)
     a, b = g.mesh()
     vals = np.exp(-(a / 4.0) ** 2 - (b / 9.0) ** 2) * (np.cos(a) + 1j * np.sin(b / 3.0)) \
         + 0.01 * (rng.standard_normal(g.counts) + 1j * rng.standard_normal(g.counts))
-    got = interpolate(ParamDistribution(g, vals), g.points())
-    assert np.max(np.abs(got - vals.ravel())) <= 1e-12 * np.max(np.abs(vals))
+    fld = ParamDistribution(g, vals)
+    assert np.array_equal(interpolate(fld, g.points()), fld.values.ravel())
 
 
 def test_interpolate_bicubic_exact_and_zero_outside():
@@ -351,7 +353,7 @@ def test_interpolate_bicubic_exact_and_zero_outside():
 def test_interpolate_builds_one_spline_per_field(monkeypatch):
     """Repeated cubic calls on one field build its spline once and return
     bit-identical values; a field made by arithmetic gets its own spline.
-    The spline's coefficients are read-only, like the field's values."""
+    The spline's table is read-only, like the field's values."""
     import ghostlet.grids as grids
 
     builds = []
@@ -368,7 +370,7 @@ def test_interpolate_builds_one_spline_per_field(monkeypatch):
     first = interpolate(fld, pts)
     second = interpolate(fld, pts)
     assert len(builds) == 1 and np.array_equal(first, second)
-    assert not fld.spline.coef.flags.writeable
+    assert not fld.spline.table.flags.writeable
     doubled = fld * 2.0
     assert np.array_equal(interpolate(doubled, pts), interpolate(doubled, pts))
     assert len(builds) == 2 and doubled.spline is not fld.spline
@@ -396,6 +398,71 @@ def test_cubic_spline_matches_scipy_cubic_spline_on_complex_1d_data():
     assert np.array_equal(spline(outside[:, None]), np.zeros(4, dtype=complex))
 
 
+def _scipy_not_a_knot(grid, values, points):
+    """Reference: scipy's not-a-knot cubic B-spline of the same values
+    (make_interp_spline along each grid axis, BSpline or NdBSpline to
+    evaluate), 0 outside the closed box."""
+    from scipy.interpolate import BSpline, NdBSpline, make_interp_spline
+
+    coef = np.stack([values.real, values.imag], axis=-1)
+    knots = []
+    for d, nodes in enumerate(grid.axes()):
+        spline = make_interp_spline(nodes, coef, k=3, axis=d)
+        knots.append(spline.t)
+        coef = np.moveaxis(spline.c, 0, d)
+    if grid.dim == 1:
+        vals = BSpline(knots[0], coef, 3, extrapolate=False)(points[:, 0])
+    else:
+        vals = NdBSpline(tuple(knots), coef, 3)(points)
+    out = np.ascontiguousarray(vals).view(complex)[..., 0]
+    out[~np.all((points >= grid.lower) & (points <= grid.upper), axis=-1)] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("case", ["1-D", "1-D batch", "2-D"])
+def test_cubic_spline_matches_scipy_not_a_knot_spline(case):
+    """The spline agrees with scipy's not-a-knot spline (kept here as the
+    reference) to 1e-13 of max|values| at random points, at nodes, on both
+    box edges, at ±0.0 (a node) and one rounding step outside, where both
+    are 0; at the nodes it returns the values bit for bit."""
+    rng = np.random.default_rng(23)
+    g, batch = {"1-D": (Grid.line(-6.0, 6.0, 97), ()),
+                "1-D batch": (Grid.line(-5.0, 5.0, 41), (6,)),
+                "2-D": (Grid((-4.0, -3.0), (4.0, 3.0), (33, 25)), ())}[case]
+    mesh = [m.reshape(m.shape + (1,) * len(batch)) for m in g.mesh()]
+    phase = 1.0 + np.arange(np.prod(batch, dtype=int)).reshape(batch)   # one per entry
+    vals = np.exp(-sum((m / 3.0) ** 2 for m in mesh)) * np.exp(1j * phase * sum(mesh)) \
+        + 0.01 * (rng.standard_normal(g.counts + batch) + 1j * rng.standard_normal(g.counts + batch))
+    spline = cubic_spline(g, vals)
+    lo, hi = np.array(g.lower), np.array(g.upper)
+    nodes = g.points()
+    pts = np.vstack([rng.uniform(lo, hi, (400, g.dim)), nodes[rng.integers(0, len(nodes), 40)],
+                     lo, hi, np.where(np.arange(g.dim) % 2 == 0, lo, hi),
+                     np.zeros(g.dim), np.full(g.dim, -0.0),
+                     np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
+    got = spline(pts)
+    want = _scipy_not_a_knot(g, vals, pts)
+    assert got.shape == want.shape == (len(pts),) + batch
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(vals))
+    assert np.all(got[-2:] == 0.0) and np.all(want[-2:] == 0.0)
+    assert np.array_equal(spline(nodes), vals.reshape((len(nodes),) + batch))
+
+
+@pytest.mark.parametrize("rows", [1, 5, 6, 64, 65, 1254])
+def test_tridiagonal_solve_matches_dense_solve(rows):
+    """The doubling-scan solve of tridiag(1, 4, 1), with its first-row
+    correction, agrees with a dense solve on a batch of right-hand sides:
+    below and above the scan's 64-row reach, and at the 1,254 rows of the
+    f̂ spline's solve."""
+    from ghostlet.grids import _solve_141
+
+    tri = 4.0 * np.eye(rows) + np.eye(rows, k=1) + np.eye(rows, k=-1)
+    rhs = np.random.default_rng(rows).standard_normal((rows, 3))
+    want = np.linalg.solve(tri, rhs)
+    got = _solve_141(rhs.copy())
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("counts", [(2,), (3,), (3, 9), (9, 2)])
 def test_cubic_spline_needs_four_nodes_per_axis(counts):
     """The not-a-knot cubic takes at least 4 nodes on every axis: fewer is a
@@ -412,14 +479,10 @@ def test_cubic_spline_needs_four_nodes_per_axis(counts):
     assert_allclose(spline(off[:, None]).real, off ** 3 - off, atol=1e-13)
 
 
-def _each_by_entry_loop(spline, points):
+def _each_by_entry_loop(grid, values, points):
     """Reference for `Spline.each`: the spline of batch entry i alone,
     evaluated by `__call__` at points[i]."""
-    from ghostlet.grids import Spline
-
-    dim = spline.grid.dim
-    return np.stack([Spline(spline.grid, spline.knots, spline.coef[(slice(None),) * dim + (i,)])(p)
-                     for i, p in enumerate(points)])
+    return np.stack([cubic_spline(grid, values[..., i])(p) for i, p in enumerate(points)])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -443,7 +506,7 @@ def test_spline_each_matches_per_entry_loop_bit_for_bit(dim):
     pts[:, 44] = 0.0
     pts[:, 45] = -0.0
     got = spline.each(pts)
-    want = _each_by_entry_loop(spline, pts)
+    want = _each_by_entry_loop(g, vals, pts)
     assert got.shape == want.shape == (batch, 300)
     assert got.tobytes() == want.tobytes()
     assert np.all(got[:, 43] == 0.0) and np.all(got[:, 40] != 0.0)
