@@ -15,9 +15,9 @@ once the run is done.
 
 Reruns with the same config and seed are byte-identical, whatever the core
 count and the BLAS thread count: every random draw comes from a stream that
-the seed fixes, on the calling thread in a fixed order or, for a Monte Carlo
-ridgelet row, from the row's own child stream (`_mc_ridgelet_field`, into
-buffers the calling thread makes); the blocks that run on worker threads
+the seed fixes, on the calling thread in a fixed order (a Monte Carlo
+ridgelet field draws its one shared sample from one child stream,
+`_mc_ridgelet_field`); the blocks that run on worker threads
 (`parallel._block_map`, which may call the pinned BLAS) are cut by array
 sizes alone; and partial sums are added in block order. A Monte Carlo S
 curve is a uniformly drawn finite model (`point_mass_network`).
@@ -59,6 +59,7 @@ from .grids import (
     l2_inner,
     l2_norm,
     sample,
+    uniform_points,
 )
 from .nullspace import (
     lazy_solution,
@@ -67,7 +68,6 @@ from .nullspace import (
     structure_decompose,
 )
 from .profiles import (
-    _EVAL_BLOCK,
     GAUSS_D_MAX_ORDER,
     RHO_MAX_ORDER,
     AdmissibilityReport,
@@ -85,6 +85,7 @@ from .parallel import _block_map, _block_threads
 from .reporting import write_csv, write_json, write_matrix_csv, write_pgm
 from .transforms import (
     NetworkOperator,
+    _kernel_sum,
     forward_s,
     make_operator,
     ridgelet,
@@ -247,66 +248,36 @@ def _rel_l2(u: SampledFunction, v: SampledFunction) -> float:
 # Appendix-style reconstruction study
 
 
-def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_lo: float,
-                       x_hi: float, n_per_node: int, rng) -> np.ndarray:
-    """R[f;ρ] on the grid by per-node Monte Carlo over x:
-    R(a,b) ≈ (measure/n)·Σ f(x_i)·conj(ρ(a·x_i − b)) with fresh draws per
-    node (the standard unbiased estimator; see `_reconstruction_study` on the
-    printed ΔxΣ/n form).
-
-    The rows are computed on `_block_map`, one a-node per block. Row i draws
-    its uniforms from its own child stream, `rng.spawn(len(a))[i]`, so the
-    field does not depend on which thread computes which row, and `rng`'s
-    own stream is left where it was. The field is real when f and ρ are.
-
-    A row takes a draw and argument buffer pair from a free list and gives
-    it back when done: the sort, the scale and a·x − b run in place, and
-    f(x)·conj(ρ) and the node means run a few b-nodes at a time. ρ's
-    evaluator, called once per row, makes the row's only array of its size.
-    Fresh row-sized arrays cost page faults on every row of a cold process
-    (glibc returns freed large blocks to the system until its thresholds
-    rise). The calling thread fills the list, one pair per thread the rows
-    run on (`_block_threads`); a row that finds it empty makes its own pair
-    rather than wait. Pairs made on the pool's threads stayed in those
-    threads' malloc arenas after the field, where the S curve drawn next on
-    the calling thread could not reuse them: warm in-process `appendix-c`
-    iterations (ks [2]) peaked at 145.8 MB with those pairs and at 128.1 MB
-    with the pairs made here (2-vCPU Xeon, glibc).
-
-    Each (a, b) node's draws are sorted before they are evaluated. The
-    estimate is a mean, so it averages the same samples; only the summation
-    order changes (4e-16 of max|field| at the defaults). Both `dawsn` (in
-    `dawson_derivative`) and `sin` branch on the argument's range, and on
-    monotone arguments those branches are predicted: on one 145 × 4000 row
-    ρ₂ took 28.5 → 10.7 ms and sin(2πx) 20.6 → 8.7 ms, for a 4.0 ms sort
-    (one thread, 2-vCPU Xeon, numpy 2.4.6, scipy 1.17.1)."""
+def _mc_ridgelet_field(f_eval, rho: Profile1D, param_grid: Grid, x_grid: Grid, n: int,
+                       rng) -> np.ndarray:
+    """R[f;ρ] on the grid by Monte Carlo over x: `ridgelet`'s kernel sum on one
+    sorted uniform sample of the x box, weights measure/n, shared by every
+    node. The field is then R of one empirical measure, so a ρ that pairs to
+    zero with σ gives a field the grid S annihilates. The sample comes from
+    `rng.spawn(1)[0]`, leaving `rng`'s own stream where it was. Rows run on
+    `_block_map`, one ρ call each, with a·x − b in a buffer from a free list
+    the calling thread fills, one per thread (`_block_threads`): fresh
+    per-row buffers raised `mc-recon`'s peak RSS from 103.9 to 113.0 MB.
+    Sorted, each row's argument is monotone and the range branches of `dawsn`
+    and sin are predicted (one 145 × 4000 row: ρ₂ 28.5 → 10.7 ms, sin(2πx)
+    20.6 → 8.7 ms; 2-vCPU Xeon)."""
     a = param_grid.axis(0)
     b = param_grid.axis(1)[:, None]
-    measure = x_hi - x_lo
-    streams = rng.spawn(len(a))
-    chunk = max(1, _EVAL_BLOCK // n_per_node)  # b-nodes per f(x)·conj(ρ) pass
-    new_pair = lambda: (np.empty((len(b), n_per_node)), np.empty((len(b), n_per_node)))
-    free = [new_pair() for _ in range(min(_block_threads(), len(a)))]
+    xs = uniform_points(x_grid, n, rng.spawn(1)[0])[:, 0]
+    xs.sort()
+    coeff = f_eval(xs) * x_grid.volume / n
+    free = [np.empty((len(b), n)) for _ in range(min(_block_threads(), len(a)))]
 
     def row(i):
         try:
-            xs, arg = pair = free.pop()
-        except IndexError:  # more rows running than pairs made
-            xs, arg = pair = new_pair()
-        streams[i].random(out=xs)
-        xs.sort(axis=1)
-        xs *= x_hi - x_lo  # in place: the same values as x_lo + (x_hi − x_lo)·u
-        xs += x_lo
+            arg = free.pop()
+        except IndexError:  # more rows running than buffers made
+            arg = np.empty((len(b), n))
         np.multiply(a[i], xs, out=arg)
         arg -= b
-        r = np.asarray(rho.real_eval(arg))
-        conj = np.iscomplexobj(r)
-        means = []
-        for j in range(0, len(b), chunk):
-            rj = np.conj(r[j:j + chunk]) if conj else r[j:j + chunk]
-            means.append(measure * np.mean(f_eval(xs[j:j + chunk]) * rj, axis=1))
-        free.append(pair)
-        return np.concatenate(means)
+        out = _kernel_sum(coeff, np.asarray(rho.real_eval(arg)).conj().T)
+        free.append(arg)
+        return out
 
     return np.stack(list(_block_map(row, range(len(a)))))
 
@@ -326,16 +297,16 @@ def _box_gain(sigma: Profile1D, rho: Profile1D, xi0: float, a_half: float) -> fl
 def _reconstruction_study(cfg: ExperimentConfig):
     """Reconstruction study behind appendix-c, spectrum and reconstruct:
     f(x) = sin(2πx) on [−1,1], σ = tanh, the Dawson family ρ₁..ρ₄ on
-    (a,b) ∈ [−6,6]², pointwise Monte Carlo quadrature (the standard unbiased
-    (measure/n)·Σ estimator with fresh per-node draws; the printed (1/n)ΔxΣ
-    form is scale-inconsistent and is not used). Each k's generator, seeded
-    `seed + 1000·k`, spawns the field's row streams (`_mc_ridgelet_field`)
-    and then draws the curve S[γ]: a finite model of `s_samples` neurons
-    drawn uniformly in the (a, b) box, weighted by γ·volume
-    (`sample_parameters`, `point_mass_network`). `quadrature.kind:
-    "trapezoid"` draws nothing, so only the Monte Carlo kind reads
-    `r_samples`, and only where it draws the curve (not for spectrum) does
-    it read `s_samples`; a moot count is an unread setting.
+    (a,b) ∈ [−6,6]², Monte Carlo quadrature (the unbiased (measure/n)·Σ
+    estimator on one x sample that every (a, b) node shares; the printed
+    (1/n)ΔxΣ form is scale-inconsistent and is not used). Each k's
+    generator, seeded `seed + 1000·k`, spawns the child stream of the
+    field's sample (`_mc_ridgelet_field`) and then draws the curve S[γ]:
+    a finite model of `s_samples` neurons drawn uniformly in the (a, b)
+    box, weighted by γ·volume (`sample_parameters`, `point_mass_network`).
+    `quadrature.kind: "trapezoid"` draws nothing, so only the Monte Carlo
+    kind reads `r_samples`, and only where it draws the curve (not for
+    spectrum) does it read `s_samples`; a moot count is an unread setting.
 
     Emits per k: the ridgelet spectrum (CSV + PGM; not for reconstruct), the
     reconstruction curve (CSV; not for spectrum), an admissibility entry
@@ -378,9 +349,7 @@ def _reconstruction_study(cfg: ExperimentConfig):
         rho = family[k]
         rng = np.random.default_rng(cfg.seed + 1000 * k)
         if monte_carlo:
-            field_vals = _mc_ridgelet_field(f_eval, rho, param_grid,
-                                            x_grid.lower[0], x_grid.upper[0],
-                                            r_samples, rng)
+            field_vals = _mc_ridgelet_field(f_eval, rho, param_grid, x_grid, r_samples, rng)
         else:
             field_vals = ridgelet(sample(x_grid, f_eval), rho, param_grid).values
         field = ParamDistribution._adopt(param_grid, field_vals)

@@ -55,8 +55,8 @@ class NascentDelta:
     separable form on 2-D grids only.
     """
 
-    base_shape: str = GAUSSIAN
-    epsilon: float = 0.25
+    base_shape: str
+    epsilon: float
 
     def __post_init__(self):
         if self.base_shape not in (GAUSSIAN, BUMP):
@@ -360,7 +360,7 @@ EXCLUSIVE = "exclusive"
 
 
 def generalization_bound(layers: list[LayerSpec], B: float, n: int, d: int,
-                         norm_choice: str = EXCLUSIVE) -> float:
+                         norm_choice: str) -> float:
     """Rademacher-complexity bound for a depth-(d+1) network over |x| ≤ B:
 
         B·(√(2·d·log 2) + 1)·Π_j M_j √(V_j) G_j / √n

@@ -98,7 +98,7 @@ class Grid:
         return tuple(_read_only(np.linspace(lo, hi, n))
                      for lo, hi, n in zip(self.lower, self.upper, self.counts))
 
-    def axis(self, k: int = 0) -> np.ndarray:
+    def axis(self, k: int) -> np.ndarray:
         return self._axes[k]
 
     def axes(self) -> list[np.ndarray]:
@@ -343,9 +343,9 @@ class Spline:
     an axis, with t = (x − x_i)/(x_{i+1} − x_i) and u = 1 − t, the value and
     moment at x_i weigh u and u³ − u, those at x_{i+1} weigh t and t³ − t,
     and the spline is the sum of the 4^dim corner terms. A node has t = 0
-    or t = 1, so it returns its value bit for bit. `__call__` evaluates
-    every batch entry at shared points, `each` entry i at its own points[i];
-    both read through `_read`.
+    or t = 1, so it returns its value bit for bit. `__call__` evaluates an
+    unbatched spline, `each` batch entry i at its own points[i]; both read
+    through `_read`.
     """
 
     grid: Grid
@@ -353,16 +353,17 @@ class Spline:
     batch: tuple[int, ...]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Values at points of shape (..., dim); the result has shape
-        (...) followed by the batch shape."""
+        """Values at points of shape (..., dim), shape (...); a batched
+        spline is read by `each`."""
+        if self.batch:
+            raise DomainError(f"a spline with batch {self.batch} is read by `each`")
         pts = np.asarray(points, dtype=float)
-        vals = self._read(pts.reshape(-1, self.grid.dim), None)
-        return vals.reshape(pts.shape[:-1] + self.batch)
+        return self._read(pts.reshape(-1, self.grid.dim), None).reshape(pts.shape[:-1])
 
     def each(self, points: np.ndarray) -> np.ndarray:
         """Batch entry i at its own points[i] (shape (batch, ..., dim), one
-        batch axis), bit-identical to `__call__` on entry i alone: the same
-        operations on the same table entries."""
+        batch axis), bit-identical to `__call__` on the spline of entry i
+        alone: the same operations on the same table entries."""
         pts = np.asarray(points, dtype=float)
         if self.batch != pts.shape[:1]:
             raise DomainError(f"points {pts.shape} do not match the batch {self.batch}")
@@ -371,39 +372,35 @@ class Spline:
         return self._read(flat, entry).reshape(pts.shape[:-1])
 
     def _read(self, points: np.ndarray, entry: np.ndarray | None) -> np.ndarray:
-        """The spline at points of shape (q, dim), `_READ_BLOCK` table rows at
-        a time: batch entry entry[j] at points[j], shape (q,), or with entry
-        None every batch entry at every point, shape (q, batch size).
+        """The spline at points of shape (q, dim), shape (q,), `_READ_BLOCK`
+        points at a time: batch entry entry[j] at points[j], or with entry
+        None the unbatched spline.
 
         Each corner gathers whole table rows, and the terms read their
         columns: gathering the four columns of a 1-D table entry by entry
         took 104 µs per 2^14 points, the rows 18 µs (2-vCPU Xeon)."""
         grid, dim = self.grid, self.grid.dim
         width = len(self.table) // grid.total_points
-        every = entry is None and width > 1           # all entries: a batch axis in each block
         strides = [width * int(np.prod(grid.counts[k + 1:], dtype=int)) for k in range(dim)]
         corners = [[c >> (dim - 1 - k) & 1 for k in range(dim)] for c in range(2 ** dim)]
         offsets = [sum(bit * step for bit, step in zip(bits, strides)) for bits in corners]
         cells = [np.diff(ax) for ax in grid.axes()]
-        out = np.empty((len(points), width) if every else len(points), dtype=complex)
-        rows = max(1, _READ_BLOCK // width) if every else _READ_BLOCK
-        for start in range(0, len(points), rows):
-            pts = points[start:start + rows]
+        out = np.empty(len(points), dtype=complex)
+        for start in range(0, len(points), _READ_BLOCK):
+            pts = points[start:start + _READ_BLOCK]
             key, weights = 0, []
             for k, (lo, hi, n) in enumerate(zip(grid.lower, grid.upper, grid.counts)):
                 # NaN and points outside the box are read on the box, then zeroed
-                x = np.fmin(np.fmax(pts[:, k, None] if every else pts[:, k], lo), hi)
+                x = np.fmin(np.fmax(pts[:, k], lo), hi)
                 i = ((x - lo) * ((n - 1) / (hi - lo))).astype(np.intp)
                 np.minimum(i, n - 2, out=i)
                 t = (x - grid.axis(k).take(i)) / cells[k].take(i)
                 u = 1.0 - t
                 weights.append(((u, (u * u - 1.0) * u), (t, (t * t - 1.0) * t)))
                 key = key + i * strides[k]
-            if every:
-                key = key + np.arange(width)
-            elif entry is not None:
-                key = key + entry[start:start + rows]
-            block = out[start:start + rows]
+            if entry is not None:
+                key = key + entry[start:start + _READ_BLOCK]
+            block = out[start:start + _READ_BLOCK]
             acc = block.real, block.imag
             first = True
             for bits, offset in zip(corners, offsets):
@@ -414,9 +411,9 @@ class Spline:
                         w = w * weights[k][bits[k]][sbits[k]]
                     for part, col in zip(acc, (2 * s, 2 * s + 1)):
                         if first:
-                            np.multiply(w, vals[..., col], out=part)
+                            np.multiply(w, vals[:, col], out=part)
                         else:
-                            part += w * vals[..., col]
+                            part += w * vals[:, col]
                     first = False
             block[_outside_box(grid, pts)] = 0.0
         return out
@@ -529,8 +526,8 @@ def cubic_spline(grid: Grid, values: np.ndarray) -> Spline:
 
 
 def interpolate(fld: _Field, points: np.ndarray, method: str = "cubic") -> np.ndarray:
-    """Evaluate a field at off-grid points of shape (n, dim), or at one point
-    of shape (dim,), 0 outside the grid box.
+    """Evaluate a field at off-grid points of shape (n, dim), 0 outside the
+    grid box.
 
     The one method is cubic: the field's one spline (`_Field.spline`, the
     module's exact not-a-knot `cubic_spline`), built on the field's first call.
@@ -540,8 +537,6 @@ def interpolate(fld: _Field, points: np.ndarray, method: str = "cubic") -> np.nd
     if method != "cubic":
         raise DomainError(f"interpolate evaluates the cubic spline, not {method!r}")
     pts = np.asarray(points, dtype=float)
-    if pts.shape == (fld.grid.dim,):
-        pts = pts[None]
     if pts.ndim != 2 or pts.shape[1] != fld.grid.dim:
         raise DomainError(f"points of shape {pts.shape} are not (n, {fld.grid.dim})")
     return fld.spline(pts)

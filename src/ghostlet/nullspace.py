@@ -140,7 +140,10 @@ def structure_decompose(op: NetworkOperator, gamma: ParamDistribution,
         T_i(ω) = |ω|^m ∫ ghost♯(u, ω) conj(ê_i(ωu)) du,
         ρ'_i♯ = conj(T_i)/N_i,   c'_i = √(2π)(2π)^{-m} N_i,  N_i = ‖conj(T_i)‖.
 
-    Each extracted ρ'_i has unit weighted norm and pairs to zero with σ.
+    Each extracted ρ'_i is deflated along σ on the slice ω grid, where it has
+    unit weighted norm and pairs to zero with σ to roundoff. On
+    `DEFAULT_OMEGA_GRID` it need not: decompose at seed 3 reads 3.9e-5 for
+    gauss_d1 and 1.75e-8 for gauss_d2, neither `numerically_zero`.
     """
     if max_terms > len(basis_e):
         raise DomainError(f"max_terms {max_terms} exceeds basis size {len(basis_e)}")

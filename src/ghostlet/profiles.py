@@ -88,13 +88,13 @@ class Profile1D:
             raise UnsupportedProfileError(f"profile {self.name!r} has no spectral evaluator")
         return np.asarray(self.spectral_eval(grid.axis(0)), dtype=complex)
 
-    def scaled(self, c: complex, name: str | None = None) -> "Profile1D":
+    def scaled(self, c: complex, name: str) -> "Profile1D":
         c = complex(c)
         k = c.real if c.imag == 0.0 else c  # a real scale keeps a real evaluator real
         re = None if self.real_eval is None else (lambda b, f=self.real_eval: k * np.asarray(f(b)))
         sp = None if self.spectral_eval is None else (
             lambda w, f=self.spectral_eval: c * np.asarray(f(w)))
-        return Profile1D(name or f"{c:g}*{self.name}", re, sp, self.parity)
+        return Profile1D(name, re, sp, self.parity)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,7 @@ def _horner(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
 _EVAL_BLOCK = 1 << 14
 
 
-def dawson_derivative(x, k: int, scale: float = 1.0):
+def dawson_derivative(x, k: int, scale: float):
     """k-th derivative of the Dawson function at x/scale via the polynomial
     recurrence, P_k·F + Q_k, evaluated elementwise in cache-sized blocks.
     Each block is divided by `scale` on its own, so a scaled argument costs
@@ -150,9 +150,7 @@ def dawson_derivative(x, k: int, scale: float = 1.0):
     out = np.empty(x.shape)
     flat_x, flat_out = x.ravel(), out.reshape(-1)
     for start in range(0, flat_x.size, _EVAL_BLOCK):
-        xb = flat_x[start:start + _EVAL_BLOCK]
-        if scale != 1.0:
-            xb = xb / scale
+        xb = flat_x[start:start + _EVAL_BLOCK] / scale
         ob = flat_out[start:start + _EVAL_BLOCK]
         ob[...] = _horner(xb, P)
         ob *= dawsn(xb)
@@ -240,7 +238,7 @@ def _gaussian_derivative_real(b, k: int) -> np.ndarray:
     return out
 
 
-def gaussian_derivative_profile(k: int = 1) -> Profile1D:
+def gaussian_derivative_profile(k: int) -> Profile1D:
     """k-th derivative of the unit Gaussian: d^k/db^k e^{-b²/2} =
     (−1)^k He_k(b) e^{-b²/2}, spectrum (iω)^k √(2π) e^{-ω²/2}; 0 ≤ k ≤ `GAUSS_D_MAX_ORDER`."""
     if not 0 <= k <= GAUSS_D_MAX_ORDER:
@@ -313,17 +311,15 @@ RHO_MAX_ORDER = 8  # the series accuracy budget of ρ₀'s derivatives
 GAUSS_D_MAX_ORDER = 45
 
 
-def make_rho_family(max_k: int, sigma: Profile1D | None = None) -> list[Profile1D]:
+def make_rho_family(max_k: int, sigma: Profile1D) -> list[Profile1D]:
     """ρ₀ … ρ_{max_k} with ρ_k = c_k ρ₀^{(k)}, at m = 1.
 
     c_k makes ⟨⟨σ, ρ_k⟩⟩ = 1 when that pairing is nonzero (admissible k),
     otherwise (`AdmissibilityReport.numerically_zero`) c_k normalizes the
-    weighted norm to 1. ρ₀ is the unscaled reference profile. σ defaults to
-    tanh as in the reconstruction study.
+    weighted norm to 1. ρ₀ is the unscaled reference profile.
     """
     if max_k > RHO_MAX_ORDER:
         raise DomainError(f"derivative order capped at {RHO_MAX_ORDER} (series accuracy budget)")
-    sigma = sigma or tanh_profile()
     m, omega_grid = 1, DEFAULT_OMEGA_GRID
     family = [rho0_profile()]
     for k in range(1, max_k + 1):

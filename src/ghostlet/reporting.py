@@ -44,7 +44,7 @@ def write_csv(path, header: list[str], rows) -> str:
 
 
 def write_matrix_csv(path, matrix: np.ndarray, row_axis: np.ndarray,
-                     col_axis: np.ndarray, corner: str = "axis") -> str:
+                     col_axis: np.ndarray, corner: str) -> str:
     """Row-major matrix with leading header row/column of axis values."""
     header = [corner] + [_fmt(v) for v in col_axis]
     rows = []

@@ -170,7 +170,7 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_monte_carlo_reruns_are_byte_identical(tmp_path):
-    """appendix-c draws each Monte Carlo row from its own child stream of a
+    """appendix-c draws its Monte Carlo sample from a child stream of a
     generator the seed fixes and sums fixed blocks in order, so its
     artifacts rerun byte for byte."""
     cfg = _write_config(tmp_path, SMALL_MONTE_CARLO)

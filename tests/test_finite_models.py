@@ -513,7 +513,7 @@ def test_ghosts_exist_for_finite_models(opf, gamma_smooth_pair):
 
 def test_generalization_bound_arithmetic():
     layer = LayerSpec(M=1.0, V=1.0, G_inclusive=1.0, G_exclusive=1.0)
-    val = generalization_bound([layer], B=1.0, n=1, d=1)
+    val = generalization_bound([layer], B=1.0, n=1, d=1, norm_choice=EXCLUSIVE)
     assert val == pytest.approx(np.sqrt(2 * np.log(2)) + 1.0, rel=1e-12)
 
 
@@ -533,18 +533,18 @@ def test_generalization_bound_product_law():
 
 def test_generalization_bound_monotonicity():
     base = [LayerSpec(M=1.0, V=2.0, G_inclusive=1.5, G_exclusive=1.0)]
-    ref = generalization_bound(base, 1.0, 100, 1)
-    assert generalization_bound([LayerSpec(2.0, 2.0, 1.5, 1.0)], 1.0, 100, 1) > ref
-    assert generalization_bound(base, 2.0, 100, 1) > ref
-    assert generalization_bound(base, 1.0, 400, 1) < ref
+    ref = generalization_bound(base, 1.0, 100, 1, EXCLUSIVE)
+    assert generalization_bound([LayerSpec(2.0, 2.0, 1.5, 1.0)], 1.0, 100, 1, EXCLUSIVE) > ref
+    assert generalization_bound(base, 2.0, 100, 1, EXCLUSIVE) > ref
+    assert generalization_bound(base, 1.0, 400, 1, EXCLUSIVE) < ref
 
 
 def test_generalization_bound_validation():
     layer = LayerSpec(M=1.0, V=1.0, G_inclusive=1.0, G_exclusive=1.0)
     with pytest.raises(DomainError):
-        generalization_bound([layer], 1.0, 0, 1)
+        generalization_bound([layer], 1.0, 0, 1, EXCLUSIVE)
     with pytest.raises(DomainError):
-        generalization_bound([layer], 1.0, 10, 2)
+        generalization_bound([layer], 1.0, 10, 2, EXCLUSIVE)
     with pytest.raises(DomainError):
         LayerSpec(M=1.0, V=1.0, G_inclusive=1.0, G_exclusive=2.0)
 

@@ -68,20 +68,18 @@ def test_uniform_points_draw_one_axis_after_the_other():
 
 
 def test_interpolate_rejects_points_of_the_wrong_shape():
-    """n points on a 1-D grid are (n, 1): a flat (n,) array used to read as
-    one point of dimension n, and only its first entry was evaluated."""
+    """n points are (n, dim), one point too: a flat (n,) array used to read
+    as one point of dimension n, and only its first entry was evaluated."""
     g = Grid.line(-1.0, 1.0, 21)
     f = sample(g, lambda x: x ** 2)
     x = np.array([0.1, 0.5, 0.9])
     assert_allclose(interpolate(f, x[:, None]), x ** 2, atol=1e-14)
-    with pytest.raises(DomainError):
-        interpolate(f, x)
-    assert_allclose(interpolate(f, np.array([0.5])), [0.25], atol=1e-14)
     fld = ParamDistribution(Grid((-1.0, -1.0), (1.0, 1.0), (9, 9)), np.ones((9, 9)))
-    assert_allclose(interpolate(fld, np.array([0.1, 0.2])), [1.0], atol=1e-14)
-    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
+    assert_allclose(interpolate(fld, np.array([[0.1, 0.2]])), [1.0], atol=1e-14)
+    for field, bad in ((f, x), (f, np.array([0.5])), (fld, np.array([0.1, 0.2])),
+                       (fld, np.zeros(3)), (fld, np.zeros((4, 3))), (fld, np.zeros((2, 2, 2)))):
         with pytest.raises(DomainError):
-            interpolate(fld, bad)
+            interpolate(field, bad)
 
 
 def test_interpolate_evaluates_the_cubic_spline_only():
@@ -424,7 +422,9 @@ def test_cubic_spline_matches_scipy_not_a_knot_spline(case):
     """The spline agrees with scipy's not-a-knot spline (kept here as the
     reference) to 1e-13 of max|values| at random points, at nodes, on both
     box edges, at ±0.0 (a node) and one rounding step outside, where both
-    are 0; at the nodes it returns the values bit for bit."""
+    are 0; at the nodes it returns the values bit for bit. A batched spline
+    is read by `each`, every entry at the same points here, and refuses
+    `__call__`."""
     rng = np.random.default_rng(23)
     g, batch = {"1-D": (Grid.line(-6.0, 6.0, 97), ()),
                 "1-D batch": (Grid.line(-5.0, 5.0, 41), (6,)),
@@ -440,12 +440,17 @@ def test_cubic_spline_matches_scipy_not_a_knot_spline(case):
                      lo, hi, np.where(np.arange(g.dim) % 2 == 0, lo, hi),
                      np.zeros(g.dim), np.full(g.dim, -0.0),
                      np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
-    got = spline(pts)
+    read = spline
+    if batch:
+        read = lambda p: np.moveaxis(spline.each(np.broadcast_to(p, batch + p.shape)), 0, -1)
+        with pytest.raises(DomainError, match="each"):
+            spline(pts)
+    got = read(pts)
     want = _scipy_not_a_knot(g, vals, pts)
     assert got.shape == want.shape == (len(pts),) + batch
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(vals))
     assert np.all(got[-2:] == 0.0) and np.all(want[-2:] == 0.0)
-    assert np.array_equal(spline(nodes), vals.reshape((len(nodes),) + batch))
+    assert np.array_equal(read(nodes), vals.reshape((len(nodes),) + batch))
 
 
 @pytest.mark.parametrize("rows", [1, 5, 6, 64, 65, 1254])

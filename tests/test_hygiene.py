@@ -186,6 +186,25 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert not stale, f"exempt options that a call now sets or that are gone: {stale}"
 
 
+def test_no_defaulted_parameter_is_passed_by_every_call():
+    """A default that every program call overrides is read only by tests:
+    the parameter is required in all but name. A `*args` or `**kwargs` call
+    counts as leaving the parameter out; an option no call passes is the
+    test above's."""
+    calls = _calls()
+    always = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, func, param, index in _defaulted_parameters(tree):
+            made = calls.get(owner if func == "__init__" else func, ())
+            if made and all(not splat and (param in keywords
+                                           or (index is not None and count > index))
+                            for count, keywords, splat in made):
+                always.append(_option_name(path.stem, owner, func, param))
+    assert not always, ("defaulted parameters and fields every program call passes (make "
+                        f"each required): {', '.join(sorted(always))}")
+
+
 _MUTABLE = {"dict", "list", "set", "Dict", "List", "Set"}
 
 

@@ -40,7 +40,7 @@ from conftest import bump_mix, rel_l2
 
 class TestAdmissibility:
     def test_tanh_dawson_table(self):
-        fam = make_rho_family(4)
+        fam = make_rho_family(4, sigma=tanh_profile())
         sig = tanh_profile()
         for k in (1, 3):
             rep = admissibility(sig, fam[k], 1)
@@ -53,8 +53,8 @@ class TestAdmissibility:
             assert abs(rep.pairing) == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_profile_pairs_to_zero(self):
-        fam = make_rho_family(2)
-        zero = fam[2].scaled(0.0)
+        fam = make_rho_family(2, sigma=tanh_profile())
+        zero = fam[2].scaled(0.0, name="zero")
         assert admissibility(tanh_profile(), zero, 1).pairing == 0.0
 
     def test_relu_rejected(self):
@@ -72,11 +72,12 @@ class TestRecipes:
     def test_linear_combination_zero_coefficients(self, op3, rho_family5):
         """Zero coefficients leave no weighted norm to normalize: refused."""
         with pytest.raises(DomainError, match="no finite nonzero weighted norm"):
-            make_nonadmissible(op3.sigma, rho_family5[1].scaled(0.0), rho_family5[3].scaled(0.0))
+            make_nonadmissible(op3.sigma, rho_family5[1].scaled(0.0, name="zero1"),
+                               rho_family5[3].scaled(0.0, name="zero3"))
 
     def test_cancelling_pair_is_refused(self, op3, rho_family5):
         with pytest.raises(DomainError, match="no finite nonzero weighted norm"):
-            make_nonadmissible(op3.sigma, rho_family5[3], rho_family5[3].scaled(-1.0))
+            make_nonadmissible(op3.sigma, rho_family5[3], rho_family5[3].scaled(-1.0, name="-rho3"))
 
     def test_admissible_pair_is_refused(self, op3):
         """ρ₂ + ρ₄ pairs to 2 with gauss_d3: no ghost profile, so no profile."""

@@ -96,7 +96,7 @@ def numerical_parity(values: np.ndarray) -> str:
 
 
 def test_rho_family_parities():
-    fam = make_rho_family(4)
+    fam = make_rho_family(4, sigma=tanh_profile())
     grid = DEFAULT_OMEGA_GRID
     assert fam[0].parity == "odd"
     assert fam[1].parity == "even"
@@ -107,7 +107,7 @@ def test_rho_family_parities():
 
 
 def test_rho_family_pairings_with_tanh():
-    fam = make_rho_family(4)
+    fam = make_rho_family(4, sigma=tanh_profile())
     sig = tanh_profile()
     assert admissibility(sig, fam[2], 1).pairing == pytest.approx(1.0, abs=1e-9)
     assert admissibility(sig, fam[4], 1).pairing == pytest.approx(1.0, abs=1e-9)
@@ -117,7 +117,7 @@ def test_rho_family_pairings_with_tanh():
 
 def test_rho_family_respects_series_budget():
     with pytest.raises(DomainError):
-        make_rho_family(9)
+        make_rho_family(9, sigma=tanh_profile())
 
 
 def test_rho_spectral_decay_at_boundary():
@@ -144,7 +144,7 @@ def test_profile_round_trips():
     assert round_trip_error(gaussian_derivative_profile(0)) < 1e-10
     assert round_trip_error(tanh_profile()) < 1e-5
     assert round_trip_error(rho0_profile()) < 1e-5
-    fam = make_rho_family(4)
+    fam = make_rho_family(4, sigma=tanh_profile())
     for k in (1, 2, 3, 4):
         assert round_trip_error(fam[k]) < 1e-5
 
@@ -166,8 +166,8 @@ def test_stock_real_evaluators_are_real():
              *(gaussian_derivative_profile(k) for k in (0, 1, 2, 3))]
     for prof in stock:
         assert np.asarray(prof.real_eval(b)).dtype == np.float64, prof.name
-        assert np.asarray(prof.scaled(0.5).real_eval(b)).dtype == np.float64, prof.name
-        assert np.iscomplexobj(prof.scaled(1j).real_eval(b)), prof.name
+        assert np.asarray(prof.scaled(0.5, name="half").real_eval(b)).dtype == np.float64, prof.name
+        assert np.iscomplexobj(prof.scaled(1j, name="i").real_eval(b)), prof.name
 
 
 def test_tanh_rho_family_evaluators_are_real():
@@ -206,7 +206,7 @@ def test_dawson_derivative_polys_cached_and_immutable():
     for k in range(7):
         P, Q = polys[k]
         ref = npoly.polyval(x, np.array(P)) * dawsn(x) + npoly.polyval(x, np.array(Q))
-        np.testing.assert_array_equal(dawson_derivative(x, k), ref)
+        np.testing.assert_array_equal(dawson_derivative(x, k, 1.0), ref)
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -221,7 +221,7 @@ def test_dawson_derivative_scale_is_the_divided_argument_bit_for_bit(k):
     for x in (wide, np.array(-0.0), np.array(2.5), view):
         for s in (np.sqrt(2.0), 0.5 * np.sqrt(2.0), 1.7):
             got = dawson_derivative(x, k, scale=s)
-            assert got.tobytes() == dawson_derivative(x / s, k).tobytes(), (k, s)
+            assert got.tobytes() == dawson_derivative(x / s, k, 1.0).tobytes(), (k, s)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -236,7 +236,7 @@ def test_rho_k_real_evaluators_keep_the_divided_argument_form(k):
         const = complex(c) * _RHO0_CONST * 2.0 ** (-k / 2.0)
         if const.imag == 0.0:
             const = const.real
-        want = const * dawson_derivative(b / np.sqrt(2.0), k)
+        want = const * dawson_derivative(b / np.sqrt(2.0), k, 1.0)
         got = dawson_profile("rho", k, c).real_eval(b)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), c
 
@@ -291,7 +291,7 @@ def _unit_sigmas():
 
     grid_a, grid_x = Grid((-1.0, -1.0), (1.0, 1.0), (3, 3)), Grid.line(-1.0, 1.0, 3)
     gauss = gaussian_derivative_profile(0)
-    return [tanh_profile(), gauss, gauss.scaled(0.6 + 0.8j)] + [
+    return [tanh_profile(), gauss, gauss.scaled(0.6 + 0.8j, name="gauss_d0_rotated")] + [
         make_operator(gaussian_derivative_profile(k), grid_a, grid_x).sigma for k in (1, 2, 3, 4)]
 
 
@@ -477,7 +477,7 @@ def test_dawson_matches_scipy_everywhere(x):
     """The k = 0 derivative evaluator is scipy's Dawson function, bit for bit."""
     from ghostlet.profiles import dawson_derivative
 
-    assert dawson_derivative(x, 0) == dawsn(x)
+    assert dawson_derivative(x, 0, 1.0) == dawsn(x)
 
 
 def test_interp_profile_keeps_array_shape():

@@ -129,7 +129,7 @@ def test_ridgelet_matches_complex_sum():
     f = sample(ig, lambda x: np.exp(-x ** 2) * (1.0 + 0.5j * x))
     pts = pg.points()
     arg = pts[:, :1] @ ig.points().T - pts[:, 1:]
-    for rho in (gaussian_derivative_profile(2), make_rho_family(2)[2]):
+    for rho in (gaussian_derivative_profile(2), make_rho_family(2, sigma=tanh_profile())[2]):
         got = ridgelet(f, rho, pg).values.ravel()
         reference = np.conj(np.asarray(rho.real_eval(arg), dtype=complex)) \
             @ (f.values * ig.weights())
@@ -153,7 +153,7 @@ def test_ridgelet_spectrum_is_signed_and_spread():
     xg = Grid.line(-1.0, 1.0, 201)
     pg = Grid((-6.0, -6.0), (6.0, 6.0), (73, 73))
     f = sample(xg, lambda x: np.sin(2 * np.pi * x))
-    rho2 = make_rho_family(2)[2]
+    rho2 = make_rho_family(2, sigma=tanh_profile())[2]
     spec = ridgelet(f, rho2, pg).values.real
     assert spec.min() < -0.05 * spec.max()
     edge = np.abs(np.concatenate([spec[0, :], spec[-1, :], spec[:, 0], spec[:, -1]]))
@@ -225,7 +225,7 @@ def test_reconstruct_scaling_sesquilinear(op3):
     f = bump_mix(27)
     alpha = 0.7 - 1.1j
     out1, pair1 = _reconstruct_by_slices(op3, f, op3.sigma)
-    out2, pair2 = _reconstruct_by_slices(op3, f, op3.sigma.scaled(alpha))
+    out2, pair2 = _reconstruct_by_slices(op3, f, op3.sigma.scaled(alpha, name="alpha*sigma"))
     assert pair2 == pytest.approx(np.conj(alpha) * pair1, rel=1e-9)
     assert rel_l2(out2, np.conj(alpha) * out1) < 1e-9
 
@@ -424,7 +424,7 @@ def test_block_results_do_not_depend_on_core_count(monkeypatch):
     coeff = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
     f = sample(ig, lambda x: np.exp(-x ** 2) * (1.0 + 0.5j * x))
     sigma = gaussian_derivative_profile(3)
-    rho = make_rho_family(2)[2]
+    rho = make_rho_family(2, sigma=tanh_profile())[2]
     spectrum = rng.standard_normal((241, 288)) + 1j * rng.standard_normal((241, 288))
     omega, b_line = Grid.line(-12.0, 12.0, 288), Grid.line(-16.0, 16.0, 257)
     threads = set()
@@ -447,8 +447,8 @@ def test_block_results_do_not_depend_on_core_count(monkeypatch):
                 transforms._neuron_sum(pts[:, :1], pts[:, 1], coeff, ig.points(),
                                        tracked(sigma)),
                 ridgelet(f, rho, pg).values,
-                _mc_ridgelet_field(lambda xs: np.sin(2.0 * np.pi * xs), rho, pg, -1.0, 1.0,
-                                   40, np.random.default_rng(3)),
+                _mc_ridgelet_field(lambda xs: np.sin(2.0 * np.pi * xs), rho, pg,
+                                   Grid.line(-1.0, 1.0, 5), 40, np.random.default_rng(3)),
                 _axis_transform(spectrum, 1, omega, b_line, 1.0),
             )
             main_only = threads == {threading.get_ident()}
